@@ -15,10 +15,10 @@
 //     core count (or on a 1-core CI box) expect ~1x plus scheduling noise —
 //     the column reports what the host actually did, never a formula.
 //
-// A second section drives the kSharded walk engine (Lemma 2.5) and publishes
-// its per-shard merged-meter trail: shard{i}_messages must sum to the "walk
-// rounds" phase messages, which scripts/check_bench_json.py re-derives
-// offline from the JSON.
+// A second section drives the walk engine (Lemma 2.5) over the pool and
+// publishes its per-shard merged-meter trail: shard{i}_messages must sum to
+// the "walk rounds" phase messages, which scripts/check_bench_json.py
+// re-derives offline from the JSON.
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
                "in n, and speedup approaches min(threads, cores) as the "
                "per-round work grows.\n";
 
-  // The kSharded walk engine and its merged-meter trail (Lemma 2.5): the
+  // The pooled walk engine and its merged-meter trail (Lemma 2.5): the
   // per-shard message totals are published so the JSON checker can re-derive
   // the merged "walk rounds" charge offline.
   {
@@ -166,11 +166,10 @@ int main(int argc, char** argv) {
     const expander::ExpanderSplit sp =
         expander::expander_split(add_apex(cycle_graph(rw_n)), rng);
     expander::RwParams rp;
-    rp.sim_engine = expander::RwSimEngine::kSharded;
     rp.pool = &pool;
     const expander::RwResult rw =
         expander::gather_random_walks(sp, rw_n, 0.05, rp);
-    std::cout << "\n-- kSharded walk engine (apexed cycle, n=" << rw_n + 1
+    std::cout << "\n-- pooled walk engine (apexed cycle, n=" << rw_n + 1
               << "): delivered " << Table::num(rw.delivered_fraction, 3)
               << ", rounds " << rw.rounds << ", meter shards "
               << rw.shard_messages.size() << "\n";

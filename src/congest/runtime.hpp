@@ -1,8 +1,8 @@
 // The shared CONGEST accounting substrate every layer charges through — an
 // instrumented engine, not a passive log.
 //
-// Historically each layer kept its own ad-hoc accounting (`decomp::Ledger`
-// phase strings, per-round loops in expander/, tracked counters in
+// Historically each layer kept its own ad-hoc accounting (ledger phase
+// strings, per-round loops in expander/, tracked counters in
 // cole_vishkin); Runtime unifies them: one append-only sequence of
 // phase-attributed charges, each carrying the simulated CONGEST rounds a
 // distributed implementation would pay plus the per-phase message count and
@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,16 @@ inline int ceil_log2(std::int64_t x) {
   int bits = 1;
   while (bits < 62 && (std::int64_t{1} << bits) < x) ++bits;
   return bits;
+}
+
+/// a * b for non-negative a and b, saturated at INT64_MAX. The bandwidth
+/// products (rounds * edges * congestion) of long phases on huge graphs can
+/// pass 2^63; a saturated product still compares correctly against any
+/// int64 message count.
+inline std::int64_t saturating_mul(std::int64_t a, std::int64_t b) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (a != 0 && b > kMax / a) return kMax;
+  return a * b;
 }
 
 /// One phase-attributed charge (see the header comment for units). `seq` is
@@ -158,9 +169,10 @@ class MessageMeter {
 inline std::int64_t congestion_floor(std::int64_t messages, std::int64_t rounds,
                                      std::int64_t directed_edges) {
   if (messages <= 0) return 0;
-  const std::int64_t capacity = std::max<std::int64_t>(rounds, 1) *
-                                std::max<std::int64_t>(directed_edges, 1);
-  return std::max<std::int64_t>(1, (messages + capacity - 1) / capacity);
+  const std::int64_t capacity =
+      saturating_mul(std::max<std::int64_t>(rounds, 1),
+                     std::max<std::int64_t>(directed_edges, 1));
+  return (messages - 1) / capacity + 1;
 }
 
 /// Verdict of Runtime::audit(). `ok` is the headline; `violation` names the
@@ -170,9 +182,8 @@ struct AuditResult {
   std::string violation;
 };
 
-/// The substrate itself: append-only phase charges. Replaces decomp::Ledger
-/// (which is now an alias of this class); everything in decomp/, expander/
-/// and apps/ charges simulated rounds through one of these.
+/// The substrate itself: append-only phase charges. Everything in decomp/,
+/// expander/ and apps/ charges simulated rounds through one of these.
 class Runtime {
  public:
   void charge(const std::string& phase, std::int64_t rounds,
@@ -187,7 +198,8 @@ class Runtime {
   void charge_envelope(const std::string& phase, std::int64_t rounds,
                        std::int64_t directed_edges) {
     const bool live = rounds > 0 && directed_edges > 0;
-    charge(phase, rounds, live ? rounds * directed_edges : 0, live ? 1 : 0);
+    charge(phase, rounds, live ? saturating_mul(rounds, directed_edges) : 0,
+           live ? 1 : 0);
   }
 
   /// Fold another runtime's charges into this one, phase names prefixed —
@@ -261,7 +273,8 @@ class Runtime {
         return r;
       }
       if (directed_edges > 0 && e.messages > 0 &&
-          e.messages > e.rounds * directed_edges * e.max_congestion) {
+          e.messages > saturating_mul(saturating_mul(e.rounds, directed_edges),
+                                      e.max_congestion)) {
         fail("messages exceed rounds * edges * peak congestion");
         return r;
       }

@@ -1,8 +1,9 @@
 // The sharded per-round engine: vertex work inside a simulated CONGEST round
 // is embarrassingly parallel (rounds are synchronous barriers), so the hot
-// simulation paths — heavy-stars pointing, the LDD merge/BFS sweeps, the
-// rw_routing walk rounds — partition their vertices across a thread pool and
-// meet at a barrier per round.
+// simulation paths — heavy-stars pointing, the local LDD's per-round sweeps,
+// the rw_routing walk rounds — partition their vertices across a thread pool
+// and meet at a barrier per round. A lent ShardPool* is the only thread
+// input those layers take; nullptr runs the same code inline.
 //
 // Three pieces, shared by every sharded engine in the tree:
 //
@@ -14,8 +15,8 @@
 //   * ShardPool — a persistent pool of worker threads. run(tasks, fn) calls
 //     fn(task, worker) for every task index, claims tasks dynamically (so
 //     skewed cluster sizes still balance), and barriers before returning.
-//     With one thread the loop runs inline on the caller — the serial
-//     reference path and the sharded path share one code body.
+//     With one thread the loop runs inline on the caller, so pooled and
+//     unpooled runs share one code body.
 //   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
 //     Each lane owns a contiguous slot slice and is only ever written by its
 //     owning shard, so metering is race-free without atomics; merging the
@@ -25,13 +26,15 @@
 //     charge order) exact under sharding.
 //
 // Determinism contract: every sharded engine must produce results equal to
-// its serial reference for EVERY shard count. The engines only parallelize
-// loops whose per-vertex effects are independent (pointing, relabeling),
-// whose reductions are integer sums/maxes (associative and commutative, so
-// task grouping cannot change them), or whose cross-shard traffic is
-// exchanged through double-buffered outboxes drained in shard order.
+// its inline (unpooled) run for EVERY shard count. The engines only
+// parallelize loops whose per-vertex effects are independent (pointing,
+// relabeling), whose reductions are integer sums/maxes (associative and
+// commutative, so task grouping cannot change them), or whose cross-shard
+// traffic is exchanged through double-buffered outboxes drained in shard
+// order.
 // tests/test_shard.cpp sweeps shard counts {1, 2, 7, hardware} and asserts
-// bit-identical outputs against the serial engines.
+// bit-identical outputs against the inline runs and, where an engine
+// replaced a simpler formulation, against the oracles in tests/oracles.hpp.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +70,7 @@ struct ShardPlan {
 /// not free); run() executes fn(task, worker) for task in [0, tasks) with
 /// dynamic task claiming, worker in [0, threads()), and returns only after
 /// every task finished (the per-round barrier). threads() == 1 executes
-/// inline with no synchronization at all — the serial reference path.
+/// inline with no synchronization at all.
 class ShardPool {
  public:
   /// threads <= 0 asks for std::thread::hardware_concurrency().

@@ -2,9 +2,7 @@
 //
 // A decomposition is a partition of V into clusters; its quality is the
 // fraction of inter-cluster ("cut") edges and the maximum strong (induced)
-// diameter over clusters. Round accounting lives in congest/runtime.hpp;
-// decomp::Ledger survives as an alias of congest::Runtime so the historical
-// spelling keeps working.
+// diameter over clusters. Round accounting lives in congest/runtime.hpp.
 #pragma once
 
 #include <algorithm>
@@ -74,12 +72,6 @@ struct EvalParams {
   int sample_sources = 8;
   bool force_exact = false;
 };
-
-/// Historical name for the shared round-accounting substrate. New code
-/// should spell it congest::Runtime; the alias keeps the long-standing
-/// `Ledger ledger;` result fields (and their `.total()` / `.charge()` call
-/// sites) source-compatible.
-using Ledger = congest::Runtime;
 
 namespace detail {
 

@@ -13,10 +13,13 @@
 //     w = ceil(passes/ε) at the offset minimizing cut edges; by averaging
 //     the best offset cuts at most m_C/w edges per cluster, so `passes`
 //     budgeted passes cut at most ε·m edges in total. Charges real BFS
-//     depth per pass (Θ(√n) on a grid) — kept selectable for the ablation
-//     bench, which grades exactly that gap.
+//     depth per pass (Θ(√n) on a grid) — kept selectable, serial only, as
+//     the baseline bench_ldd and the ablation bench grade that gap against.
 //
-// Both engines meet the hard ε cut budget deterministically. The Ledger
+// The lent EdtParams::pool parallelizes the local-contraction engine's
+// per-round vertex work; results are identical for every thread count.
+//
+// Both engines meet the hard ε cut budget deterministically. The ledger
 // charges simulated rounds: the O(log* n / ε) preprocessing term, per-pass
 // work (BFS depth + offset aggregation, or heavy-stars + Cole–Vishkin), and
 // the +T routing-structure setup. T_measured distinguishes the paper's two
@@ -29,7 +32,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -67,14 +69,10 @@ struct EdtParams {
   // refinement.
   double merge_filter_c = 32.0;
   int max_merge_passes = 4;  // merge sweeps over the link list
-  // Sharded round engine: forwarded to LocalLddParams::threads under
-  // kLocalContraction; under kGlobalBfs the per-cluster BFS-wave sweep of
-  // each chop pass fans out over the same pool (clusters are
-  // vertex-disjoint, so concurrent cluster BFSes share the level array
-  // without racing). 1 = serial reference; results are bit-identical for
-  // every value (see congest/shard.hpp; gated by tests/test_shard.cpp).
-  int threads = 1;
-  congest::ShardPool* pool = nullptr;  // optional lent pool (benches reuse one)
+  // Optional lent pool, forwarded to LocalLddParams::pool under
+  // kLocalContraction (the kGlobalBfs chop runs serially). Results are
+  // bit-identical for every thread count (gated by tests/test_shard.cpp).
+  congest::ShardPool* pool = nullptr;
 };
 
 /// Output of build_edt_decomposition (Theorem 1.1 / Corollary 6.1).
@@ -90,9 +88,6 @@ struct EdtDecomposition {
   int iterations = 0;  // chop passes (kGlobalBfs) or contraction iterations
   int merges = 0;      // light-link merges (kGlobalBfs) or star merges (local)
 };
-
-/// Historical spelling: the log* helper now lives with the runtime substrate.
-using congest::log_star;
 
 namespace detail {
 
@@ -124,7 +119,7 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
   // envelope-billed at the CONGEST ceiling of 1 message/directed edge/round.
   out.ledger.charge_envelope(
       "preprocess(log* n / eps)",
-      log_star(n) * static_cast<std::int64_t>(std::ceil(1.0 / eps)),
+      congest::log_star(n) * static_cast<std::int64_t>(std::ceil(1.0 / eps)),
       2 * g.m());
 
   if (params.chop == EdtChop::kLocalContraction) {
@@ -134,7 +129,6 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
     LocalLddParams lp;
     lp.ecc_cap = 2 * w;
     lp.eval.exact_cap = params.exact_diameter_cap;
-    lp.threads = params.threads;
     lp.pool = params.pool;
     LocalLdd local = ldd_minor_free_local(g, eps, lp);
     out.ledger.absorb(local.ledger);
@@ -154,20 +148,6 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
   std::vector<int> frontier, next;
   std::int64_t cut_spent = 0;
 
-  // Sharded BFS-wave engine (ldd_local's idiom): threads == 1 and no lent
-  // pool runs every sweep inline — the serial reference path.
-  std::unique_ptr<congest::ShardPool> owned_pool;
-  congest::ShardPool* pool = params.pool;
-  if (pool == nullptr && params.threads != 1) {
-    owned_pool = std::make_unique<congest::ShardPool>(params.threads);
-    pool = owned_pool.get();
-  }
-  const int workers = pool != nullptr ? pool->threads() : 1;
-  struct BfsScratch {
-    std::vector<int> frontier, next;
-  };
-  std::vector<BfsScratch> scratch(static_cast<std::size_t>(workers));
-
   for (int iter = 0; iter < params.max_iterations; ++iter) {
     // Roots: minimum-id vertex of each cluster.
     root_of.assign(k, -1);
@@ -176,51 +156,27 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
     }
     // Cluster-local BFS levels (one simulated parallel BFS over all
     // clusters). Measured traffic: the BFS wave crosses each intra-cluster
-    // directed edge once. One pool task per cluster: clusters are
-    // vertex-disjoint, so concurrent cluster BFSes share `lev` without
-    // racing (a BFS only touches vertices of its own label); per-cluster
-    // message counts and depths fold in cluster order, so the sweep is
-    // bit-identical to the serial reference for every thread count.
+    // directed edge once.
     std::fill(lev.begin(), lev.end(), -1);
     int max_depth = 0;
     std::int64_t pass_msgs = 0;
-    {
-      std::vector<std::int64_t> bfs_msgs(static_cast<std::size_t>(k), 0);
-      std::vector<int> depth_of(static_cast<std::size_t>(k), 0);
-      const auto bfs_cluster = [&](int c, BfsScratch& sc) {
-        const int src = root_of[c];
-        lev[src] = 0;
-        sc.frontier.assign(1, src);
-        int depth = 0;
-        std::int64_t msgs = 0;
-        while (!sc.frontier.empty()) {
-          sc.next.clear();
-          for (int u : sc.frontier) {
-            for (int nb : g.neighbors(u)) {
-              if (label[nb] != label[u]) continue;
-              ++msgs;  // BFS wave over directed edge (u, nb)
-              if (lev[nb] < 0) {
-                lev[nb] = lev[u] + 1;
-                depth = std::max(depth, lev[nb]);
-                sc.next.push_back(nb);
-              }
+    for (int c = 0; c < k; ++c) {
+      lev[root_of[c]] = 0;
+      frontier.assign(1, root_of[c]);
+      while (!frontier.empty()) {
+        next.clear();
+        for (int u : frontier) {
+          for (int nb : g.neighbors(u)) {
+            if (label[nb] != label[u]) continue;
+            ++pass_msgs;  // BFS wave over directed edge (u, nb)
+            if (lev[nb] < 0) {
+              lev[nb] = lev[u] + 1;
+              max_depth = std::max(max_depth, lev[nb]);
+              next.push_back(nb);
             }
           }
-          std::swap(sc.frontier, sc.next);
         }
-        bfs_msgs[static_cast<std::size_t>(c)] = msgs;
-        depth_of[static_cast<std::size_t>(c)] = depth;
-      };
-      if (pool == nullptr || pool->threads() == 1) {
-        for (int c = 0; c < k; ++c) bfs_cluster(c, scratch[0]);
-      } else {
-        pool->run(k, [&](int c, int worker) {
-          bfs_cluster(c, scratch[static_cast<std::size_t>(worker)]);
-        });
-      }
-      for (int c = 0; c < k; ++c) {
-        pass_msgs += bfs_msgs[static_cast<std::size_t>(c)];
-        max_depth = std::max(max_depth, depth_of[static_cast<std::size_t>(c)]);
+        std::swap(frontier, next);
       }
     }
 

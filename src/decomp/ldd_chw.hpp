@@ -16,8 +16,8 @@
 #include <cmath>
 #include <vector>
 
+#include "congest/runtime.hpp"
 #include "decomp/clustering.hpp"
-#include "decomp/edt.hpp"  // log_star
 #include "graph/graph.hpp"
 
 namespace mfd::decomp {
@@ -98,7 +98,7 @@ inline ChwLdd ldd_chw_local_model(const Graph& g, double eps,
   out.clustering.cluster = std::move(assigned);
   out.clustering.k = k;
   out.quality = measure_quality(g, out.clustering);
-  out.ledger.charge("symmetry breaking (log* n)", log_star(n));
+  out.ledger.charge("symmetry breaking (log* n)", congest::log_star(n));
   out.ledger.charge("ball growing",
                     static_cast<std::int64_t>(round_factor) *
                         std::max(out.max_radius, 1));

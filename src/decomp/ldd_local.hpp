@@ -36,7 +36,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -54,14 +53,11 @@ struct LocalLddParams {
   int ecc_cap = 0;
   int max_iterations = 100;  // hard cap; the eps budget normally stops first
   EvalParams eval;           // quality measurement knobs
-  // Sharded per-round engine: > 1 partitions the per-iteration vertex work
+  // Optional lent pool: partitions the per-iteration vertex work
   // (cluster-edge build, heavy-stars phases, relabel sweep, cut recount,
-  // per-cluster designee BFS) across a congest::ShardPool. Results are
-  // bit-identical to threads = 1 — the serial reference — for every thread
-  // count; only wall time changes. `pool` lends an existing pool (benches
-  // reuse one across runs); otherwise one is created per call when
-  // threads > 1. threads = 0 asks for hardware_concurrency.
-  int threads = 1;
+  // per-cluster designee BFS) across its threads. Results are bit-identical
+  // to the inline run (nullptr) for every thread count; only wall time
+  // changes.
   congest::ShardPool* pool = nullptr;
 };
 
@@ -86,14 +82,8 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
-  // Sharding setup (threads == 1 runs every loop inline — the serial
-  // reference path the equivalence tests compare against).
-  std::unique_ptr<congest::ShardPool> owned_pool;
+  // Sharding setup (no pool, or a one-thread pool, runs every loop inline).
   congest::ShardPool* pool = params.pool;
-  if (pool == nullptr && params.threads != 1) {
-    owned_pool = std::make_unique<congest::ShardPool>(params.threads);
-    pool = owned_pool.get();
-  }
   const int tasks = pool != nullptr ? pool->threads() : 1;
   const auto for_ranges = [&](const std::function<void(int, int, int)>& fn) {
     if (pool == nullptr || pool->threads() == 1) {

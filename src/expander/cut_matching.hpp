@@ -16,7 +16,7 @@
 //     residual min cut is a sparse cut of G: the game stops and returns that
 //     side, re-checked by direct conductance computation.
 //
-// THE IMPLICIT-MATRIX ENGINES. The distributed formulation never holds F
+// THE IMPLICIT-MATRIX ENGINE. The distributed formulation never holds F
 // explicitly — the certificate is the matching sequence, which is all the
 // game keeps. Two mechanisms replace the resident n x n matrix:
 //
@@ -38,12 +38,11 @@
 //     doubles is order-free, so the replayed alpha is BIT-IDENTICAL to a
 //     resident-matrix scan for any block size and thread count.
 //
-// Engine selection: kAuto keeps the dense resident-matrix engine below
-// `dense_crossover` vertices (it is faster there and serves as the
-// equivalence-gated reference — tests/test_fuzz.cpp pins dense == implicit
-// across all generator families) and switches to the implicit engine above
-// it, which is what lets certified_phi's cut_matching_cap sit at 65536
-// instead of 1024.
+// The game runs this one engine at every n; its O(n + B*n) state is what
+// lets certified_phi's cut_matching_cap sit at 65536. The resident-matrix
+// reference lives in tests/oracles.hpp: tests/test_fuzz.cpp rebuilds the
+// n x n matrix from the recorded matchings and pins it to the certificate's
+// alpha bit for bit across all generator families and thread counts.
 //
 // Soundness of the certificate (verified by verify_cut_matching, which
 // replays it from the recorded paths alone):
@@ -186,9 +185,9 @@ inline double hash_unit(std::uint64_t seed, int v) {
   return static_cast<double>(z >> 11) * 0x1.0p-53 * 2.0 - 1.0;
 }
 
-/// The doubly-stochastic KRV update on two length-`len` state rows. Every
-/// engine (dense matrix, probe bank, blocked replay, verifier) funnels
-/// through this one body so each state entry sees a syntactically identical
+/// The doubly-stochastic KRV update on two length-`len` state rows. The
+/// probe bank, the blocked replay and the verifier all funnel through this
+/// one body so each state entry sees a syntactically identical
 /// floating-point op sequence — the root of the bit-identity contract.
 inline void average_rows(double* ru, double* rv, int len) {
   for (int j = 0; j < len; ++j) {
@@ -199,8 +198,8 @@ inline void average_rows(double* ru, double* rv, int len) {
 
 /// Column block width for the alpha replay: `block <= 0` derives a width
 /// keeping one resident buffer of n * block doubles near 8 MiB, capped at
-/// n/4 columns so the implicit engine's state stays strictly below the
-/// dense matrix at every size. Total replay work is block-size-invariant
+/// n/4 columns so the game's state stays strictly below a dense n x n
+/// matrix at every size. Total replay work is block-size-invariant
 /// (sum of block widths is n), so the cap costs nothing serially.
 inline int derive_replay_block(int n, int block) {
   if (block <= 0) {
@@ -212,13 +211,6 @@ inline int derive_replay_block(int n, int block) {
 
 }  // namespace detail_cm
 
-/// Which mixing-state engine the game runs.
-enum class CutMatchingEngine {
-  kAuto,      // dense at n <= dense_crossover, implicit above
-  kDense,     // resident n x n matrix (the equivalence reference)
-  kImplicit,  // probe bank + blocked column replay, O(n + B*n) state
-};
-
 struct CutMatchingParams {
   double phi_target = 0.0;  // flow capacity = ceil(1/phi_target); 0 derives
                             // max(Cheeger estimate, 1/n) from the input
@@ -227,8 +219,6 @@ struct CutMatchingParams {
   int power_iters = 60;     // Cheeger probe used when phi_target is derived
   std::uint64_t seed = 0x243f6a8885a308d3ULL;  // published cut-player seed
   int probes = 8;           // cut-player probe bank size k (round-robin)
-  CutMatchingEngine engine = CutMatchingEngine::kAuto;
-  int dense_crossover = 512;  // kAuto: resident matrix at or below this n
   int replay_block = 0;       // alpha replay column width B; 0 derives ~8 MiB
   congest::ShardPool* pool = nullptr;  // replay blocks fan out here
 };
@@ -312,12 +302,11 @@ struct CutMatchingOutcome {
   double cut_phi = 2.0;        // kSparseCut: directly recomputed phi(cut_side)
   int rounds_played = 0;
   double phi_target = 0.0;     // the target the matching player actually used
-  CutMatchingEngine engine_used = CutMatchingEngine::kDense;
   int alpha_evals = 0;         // checkpoint evaluations of alpha performed
-  // Analytic high-water of the mixing state in bytes: probe bank plus either
-  // the resident matrix (dense) or ONE replay block buffer (implicit; a
-  // pool multiplies resident buffers by its thread count, but the reported
-  // figure stays thread-invariant so outcomes are bit-comparable).
+  // Analytic high-water of the mixing state in bytes: probe bank plus ONE
+  // replay block buffer (a pool multiplies resident buffers by its thread
+  // count, but the reported figure stays thread-invariant so outcomes are
+  // bit-comparable).
   std::int64_t state_bytes_peak = 0;
   congest::Runtime ledger;     // CONGEST charges of the whole game
 };
@@ -394,7 +383,7 @@ inline EmbeddingAudit verify_cut_matching(const Graph& g,
           std::max(audit.dilation, static_cast<int>(p.path.size()) - 1);
     }
   }
-  // Alpha via the same blocked column replay the implicit engine runs — the
+  // Alpha via the same blocked column replay the game runs — the
   // verifier scales to exactly the certificates the game can now produce.
   audit.alpha =
       static_cast<double>(n) *
@@ -425,9 +414,8 @@ inline EmbeddingAudit verify_cut_matching(const Graph& g,
 /// The ledger charges the game's CONGEST cost: the cut player's probe
 /// exchanges and the checkpoint alpha replays are envelope-billed, the
 /// matching embeddings are measured (one message per path edge, peak
-/// per-edge path count as congestion). Dense and implicit engines share
-/// every decision path, so the outcome — certificate, cut, ledger — is
-/// bit-identical across engines, block sizes, and thread counts.
+/// per-edge path count as congestion). The outcome — certificate, cut,
+/// ledger — is bit-identical across block sizes and thread counts.
 inline CutMatchingOutcome cut_matching_game(const Graph& g,
                                             CutMatchingParams params = {}) {
   CutMatchingOutcome out;
@@ -450,11 +438,6 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   const int max_rounds =
       params.max_rounds > 0 ? params.max_rounds : 2 * log_n * log_n;
 
-  const bool dense =
-      params.engine == CutMatchingEngine::kDense ||
-      (params.engine == CutMatchingEngine::kAuto && n <= params.dense_crossover);
-  out.engine_used =
-      dense ? CutMatchingEngine::kDense : CutMatchingEngine::kImplicit;
   const int block = detail_cm::derive_replay_block(n, params.replay_block);
   const int k = std::max(1, params.probes);
 
@@ -472,16 +455,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
     }
   }
 
-  // Dense reference engine only: the resident mixing matrix.
-  std::vector<double> mix;
-  if (dense) {
-    mix.assign(static_cast<std::size_t>(n) * n, 0.0);
-    for (int v = 0; v < n; ++v) mix[static_cast<std::size_t>(v) * n + v] = 1.0;
-  }
-  out.state_bytes_peak =
-      8 * (static_cast<std::int64_t>(n) * k +
-           (dense ? static_cast<std::int64_t>(n) * n
-                  : static_cast<std::int64_t>(n) * block));
+  out.state_bytes_peak = 8 * static_cast<std::int64_t>(n) * (k + block);
 
   // Per-edge path counts on canonical (min -> max) CSR arc slots; the
   // running max IS the congestion at every prefix because usage only grows.
@@ -505,26 +479,20 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
   // One alpha evaluation at the current prefix. A distributed run replays
   // the prefix's matchings on a scalar (one averaging exchange per matching,
-  // routed along its paths) — billed below at that cost for BOTH engines so
-  // the ledger stays engine-invariant.
+  // routed along its paths) — billed below at that cost.
   const auto alpha_at = [&](std::size_t prefix) -> double {
     ++out.alpha_evals;
     cut_player_rounds +=
         static_cast<std::int64_t>(prefix) * (dilation_so_far + 1);
-    double mn = 1.0;
-    if (dense) {
-      for (double e : mix) mn = std::min(mn, e);
-    } else {
-      mn = detail_cm::replay_min_entry(n, out.cert.matchings, prefix, block,
+    return static_cast<double>(n) *
+           detail_cm::replay_min_entry(n, out.cert.matchings, prefix, block,
                                        params.pool);
-    }
-    return static_cast<double>(n) * mn;
   };
 
   for (int round = 0; round < max_rounds; ++round) {
     // --- Cut player: median split of the round-robin probe. The probe bank
-    // already holds F * proj exactly, so the split costs a sort — the old
-    // dense engine's O(n^2) F * proj product is gone. A distributed round
+    // already holds F * proj exactly, so the split costs a sort instead of
+    // an O(n^2) dense F * proj product. A distributed round
     // pays one probe exchange along the latest matching plus a median
     // selection, envelope-billed below.
     const int j = round % k;
@@ -648,18 +616,12 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
       ++out.rounds_played;
       continue;
     }
-    // Apply the matching: the probe bank always, the resident matrix only
-    // under the dense engine — the implicit engine's matrix lives solely in
-    // the recorded matchings.
+    // Apply the matching to the probe bank; the mixing matrix itself lives
+    // solely in the recorded matchings.
     for (const MatchedPair& pr : matching) {
       detail_cm::average_rows(probes.data() + static_cast<std::size_t>(pr.u) * k,
                               probes.data() + static_cast<std::size_t>(pr.v) * k,
                               k);
-      if (dense) {
-        detail_cm::average_rows(mix.data() + static_cast<std::size_t>(pr.u) * n,
-                                mix.data() + static_cast<std::size_t>(pr.v) * n,
-                                n);
-      }
     }
     out.cert.matchings.push_back(std::move(matching));
     dilation_so_far = std::max(dilation_so_far, round_dil);
@@ -731,7 +693,7 @@ struct PhiCertParams {
   int exact_cap = 12;        // brute force at or below this many vertices
   int power_iters = 60;      // Fiedler iterations (sweep upper + Cheeger)
   bool cut_matching = true;  // play the game above exact_cap
-  // Skip the game above this size. The implicit engine's state is
+  // Skip the game above this size. The game's state is
   // O(n + m + B*n) — no resident matrix — so the cap is a wall-clock knob
   // (each alpha replay is O(#matching-edges * n)), not a memory wall.
   int cut_matching_cap = 65536;

@@ -21,16 +21,17 @@
 // congest::Runtime substrate, along with the measured message count (edge
 // traversals) and peak per-edge congestion.
 //
-// The default inner loop is the batched per-round engine (walks bucketed by
-// current vertex, one adjacency-row touch per occupied vertex per round);
-// RwSimEngine::kSerial keeps the original token-serial loop as the reference
-// the equivalence test compares against — both are bit-identical in outcome.
+// One engine runs the walks: the per-round loop, walks bucketed by current
+// vertex and the vertices sharded across RwParams::pool (inline when no pool
+// is lent). The token-serial reference loop lives in tests/oracles.hpp, and
+// the equivalence tests pin the engine to it bit for bit at every thread
+// count.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -40,18 +41,6 @@
 
 namespace mfd::expander {
 
-/// Which inner-loop the walk simulation runs. All three are bit-identical in
-/// outcome (same per-walk counter hash, same congestion accounting — the
-/// equivalence tests pin this); kBatched groups the walks by current vertex
-/// so each round touches every adjacency row once instead of once per walk,
-/// which is what lets the simulation scale past the token-serial regime the
-/// ROADMAP flagged. kSharded additionally partitions the vertices across a
-/// congest::ShardPool with double-buffered per-round message exchange
-/// between shards and a per-shard congest::ShardedMeter — the multi-core
-/// engine for the multi-million-vertex benches. kSerial is kept as the
-/// reference implementation.
-enum class RwSimEngine { kBatched, kSerial, kSharded };
-
 struct RwParams {
   double laziness = 0.5;   // stay-put probability per round
   std::int64_t step_budget = 20'000'000;   // walk-steps per simulated seed
@@ -60,11 +49,8 @@ struct RwParams {
   int max_seed_tries = 64;
   double phi_floor = 0.02;  // clamp for the certificate in the length formula
   std::uint64_t base_seed = 0x243F6A8885A308D3ULL;  // published search origin
-  RwSimEngine sim_engine = RwSimEngine::kBatched;
-  // kSharded engine only: worker count (0 = hardware_concurrency) and an
-  // optional lent pool — one pool is created per gather call otherwise, and
-  // reused across the whole seed search.
-  int threads = 0;
+  // Optional lent pool: the walk rounds shard their vertices over it
+  // (results are identical for every thread count); nullptr runs inline.
   congest::ShardPool* pool = nullptr;
 };
 
@@ -89,8 +75,8 @@ struct RwResult {
   std::vector<int> route;
   int walk_length = 0;     // rounds of walking simulated for the chosen seed
   congest::Runtime ledger;
-  // kSharded engine only: per-shard message totals of the accepted seed's
-  // merged meter (sums to the "walk rounds" phase messages) — the merge
+  // Per-shard message totals of the accepted seed's merged meter (one per
+  // pool thread, summing to the "walk rounds" phase messages) — the merge
   // trail bench_scale publishes for offline re-derivation.
   std::vector<std::int64_t> shard_messages;
 };
@@ -170,11 +156,11 @@ struct SimOutcome {
   std::int64_t moves = 0;      // edge traversals (messages actually sent)
   std::int64_t peak_load = 0;  // worst per-edge per-round congestion seen
   std::vector<int> route;
-  std::vector<std::int64_t> shard_messages;  // kSharded: per-lane totals
+  std::vector<std::int64_t> shard_messages;  // per-lane meter totals
 };
 
-/// Shared fixed-point bookkeeping of both simulation engines: the walk-count
-/// delivery target, scaled when the population was subsampled.
+/// Fixed-point bookkeeping shared by the engine and the serial oracle: the
+/// walk-count delivery target, scaled when the population was subsampled.
 struct SimTargets {
   double walk_target_scaled = 0.0;
   double scale = 1.0;
@@ -204,142 +190,33 @@ struct SimTargets {
   }
 };
 
-/// Reference engine: run every walk for up to `T` rounds under seed `seed`,
-/// one walk at a time, metering per-round directed-edge congestion through
-/// congest::MessageMeter (every token move is one O(log n)-bit message over
-/// its edge slot). Stops early once the target fraction is in.
-inline SimOutcome simulate_serial(const Arena& a, std::uint64_t seed, int T,
-                                  double laziness, double target_fraction) {
-  SimOutcome out;
-  std::vector<int> pos(a.start);
-  std::vector<char> active(a.start.size(), 1);
-  out.route.assign(a.start.size(), -1);
-  std::int64_t delivered_walks = 0;
-  const SimTargets targets(a, target_fraction);
-  const auto lazy_cut =
-      static_cast<std::uint32_t>(laziness * 4294967296.0);
-  congest::MessageMeter meter(a.slots);
-  for (int t = 1; t <= T; ++t) {
-    if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
-      break;
-    }
-    bool any_active = false;
-    for (std::size_t w = 0; w < pos.size(); ++w) {
-      if (!active[w]) continue;
-      any_active = true;
-      ++out.steps;
-      const std::uint64_t z = rw_mix(seed, w, static_cast<std::uint64_t>(t));
-      if (static_cast<std::uint32_t>(z >> 32) < lazy_cut) continue;
-      const int u = pos[w];
-      const int deg = static_cast<int>(a.nbr[u].size());
-      if (deg == 0) continue;
-      const int j = static_cast<int>((z & 0xffffffffULL) % deg);
-      meter.send(a.slot[u][j]);
-      pos[w] = a.nbr[u][j];
-      if (pos[w] == a.star) {
-        active[w] = 0;
-        out.route[w] = a.star;
-        ++delivered_walks;
-      }
-    }
-    if (!any_active) break;
-    ++out.walk_rounds;
-    out.rounds += std::max<std::int64_t>(1, meter.round_peak());
-    meter.end_round();
-  }
-  for (std::size_t w = 0; w < pos.size(); ++w) {
-    if (out.route[w] < 0) out.route[w] = pos[w];
-  }
-  out.moves = meter.total_messages();
-  out.peak_load = meter.peak_congestion();
-  targets.finish(a, delivered_walks, out);
-  return out;
-}
-
-/// Batched engine: walks are bucketed by current vertex, so each round
-/// touches every occupied adjacency row once (and in vertex order) instead
-/// of hopping rows once per walk. Every per-walk effect — the counter hash
-/// rw_mix(seed, w, t), the slot congestion counts, delivery — is identical
-/// to the serial engine, so the two produce bit-equal SimOutcomes; only the
-/// memory access pattern changes.
-inline SimOutcome simulate_batched(const Arena& a, std::uint64_t seed, int T,
-                                   double laziness, double target_fraction) {
+/// The walk engine: run every walk for up to `T` rounds under seed `seed`,
+/// stopping early once the target fraction is in. The vertices are split
+/// into one contiguous shard per pool thread (one shard, run inline, when
+/// `pool` is null); each shard owns its vertex slice, the matching
+/// ShardedMeter lane (slot ids are assigned in vertex order), and the walks
+/// parked there, kept grouped by vertex in a flat CSR layout so each round
+/// touches every occupied adjacency row once. A round is two barriers:
+/// phase A advances every shard's walks — lazy stays and intra-shard moves
+/// land in the shard's own move list, cross-shard moves in a double-buffered
+/// outbox — and phase B regroups each shard's moves and inboxes (drained in
+/// source-shard order) by vertex with a counting sort. Per-walk moves depend
+/// only on (seed, w, t) through the counter hash and per-round counters are
+/// order-free sums/maxes, so the SimOutcome is the same for every shard
+/// count — and bit-equal to the token-serial oracle in tests/oracles.hpp.
+inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
+                           double laziness, double target_fraction,
+                           congest::ShardPool* pool) {
   SimOutcome out;
   const int k = static_cast<int>(a.nbr.size());
-  std::vector<int> pos(a.start);
-  out.route.assign(a.start.size(), -1);
-  std::int64_t delivered_walks = 0;
-  const SimTargets targets(a, target_fraction);
-  const auto lazy_cut =
-      static_cast<std::uint32_t>(laziness * 4294967296.0);
-  std::vector<std::vector<int>> bucket(k), next_bucket(k);
-  for (std::size_t w = 0; w < a.start.size(); ++w) {
-    bucket[a.start[w]].push_back(static_cast<int>(w));
-  }
-  congest::MessageMeter meter(a.slots);
-  for (int t = 1; t <= T; ++t) {
-    if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
-      break;
+  const int S = pool != nullptr ? pool->threads() : 1;
+  const auto run_shards = [pool, S](const std::function<void(int, int)>& fn) {
+    if (pool != nullptr) {
+      pool->run(S, fn);
+    } else {
+      fn(0, 0);
     }
-    bool any_active = false;
-    for (int u = 0; u < k; ++u) {
-      if (bucket[u].empty()) continue;
-      any_active = true;
-      const int deg = static_cast<int>(a.nbr[u].size());
-      const int* nbrs = a.nbr[u].data();
-      const int* slots = a.slot[u].data();
-      for (int w : bucket[u]) {
-        ++out.steps;
-        const std::uint64_t z = rw_mix(seed, w, static_cast<std::uint64_t>(t));
-        if (static_cast<std::uint32_t>(z >> 32) < lazy_cut || deg == 0) {
-          next_bucket[u].push_back(w);  // lazy stay (or stranded walk)
-          continue;
-        }
-        const int j = static_cast<int>((z & 0xffffffffULL) % deg);
-        meter.send(slots[j]);
-        const int v = nbrs[j];
-        pos[w] = v;
-        if (v == a.star) {
-          out.route[w] = a.star;
-          ++delivered_walks;
-        } else {
-          next_bucket[v].push_back(w);
-        }
-      }
-      bucket[u].clear();
-    }
-    if (!any_active) break;
-    ++out.walk_rounds;
-    out.rounds += std::max<std::int64_t>(1, meter.round_peak());
-    meter.end_round();
-    bucket.swap(next_bucket);
-  }
-  for (std::size_t w = 0; w < pos.size(); ++w) {
-    if (out.route[w] < 0) out.route[w] = pos[w];
-  }
-  out.moves = meter.total_messages();
-  out.peak_load = meter.peak_congestion();
-  targets.finish(a, delivered_walks, out);
-  return out;
-}
-
-/// Sharded engine: the batched round loop partitioned across a ShardPool.
-/// Each shard owns a contiguous vertex slice (and, because slot ids are
-/// assigned in vertex order, the matching ShardedMeter lane). A round is two
-/// barriers: phase A walks every shard's occupied buckets — lazy stays and
-/// intra-shard moves land directly in the shard's own next buckets, cross-
-/// shard moves go to a double-buffered outbox — and phase B drains each
-/// shard's inboxes in source-shard order. Every per-walk effect (the counter
-/// hash, slot congestion, delivery) is identical to the serial engine, and
-/// bucket order never influences outcomes (per-walk moves depend only on
-/// (seed, w, t); per-round counters are order-free sums/maxes), so the
-/// SimOutcome is bit-equal to kSerial/kBatched for every shard count.
-inline SimOutcome simulate_sharded(const Arena& a, std::uint64_t seed, int T,
-                                   double laziness, double target_fraction,
-                                   congest::ShardPool& pool) {
-  SimOutcome out;
-  const int k = static_cast<int>(a.nbr.size());
-  const int S = pool.threads();
+  };
   const congest::ShardPlan plan(k, S);
   std::vector<int> owner(k, 0);
   for (int s = 0; s < S; ++s) {
@@ -364,43 +241,78 @@ inline SimOutcome simulate_sharded(const Arena& a, std::uint64_t seed, int T,
   const SimTargets targets(a, target_fraction);
   const auto lazy_cut =
       static_cast<std::uint32_t>(laziness * 4294967296.0);
-  std::vector<std::vector<int>> bucket(k), next_bucket(k);
-  for (std::size_t w = 0; w < a.start.size(); ++w) {
-    bucket[a.start[w]].push_back(static_cast<int>(w));
-  }
-  struct alignas(64) LaneState {
-    std::int64_t delivered = 0;
-    std::int64_t steps = 0;
-    char active = 0;
-  };
-  std::vector<LaneState> lanes(static_cast<std::size_t>(S));
   struct Move {
     int v;
     int w;
   };
+  struct alignas(64) Shard {
+    std::vector<int> walks;   // parked walks, grouped by vertex
+    std::vector<int> off;     // CSR offsets over the shard's vertex slice
+    std::vector<Move> moves;  // this round's moves that stay in the shard
+    std::int64_t delivered = 0;
+    std::int64_t steps = 0;
+  };
+  std::vector<Shard> shards(static_cast<std::size_t>(S));
   std::vector<std::vector<Move>> outbox(static_cast<std::size_t>(S) * S);
+  // Counting sort of shard d's moves (its own list, then its inboxes in
+  // source-shard order) into the CSR layout; empties the move lists.
+  const auto regroup = [&](int d) {
+    Shard& sh = shards[static_cast<std::size_t>(d)];
+    const int lo = plan.begin(d);
+    sh.off.assign(static_cast<std::size_t>(plan.end(d) - lo) + 1, 0);
+    const auto for_each_inbox = [&](const auto& fn) {
+      fn(sh.moves);
+      for (int s = 0; s < S; ++s) {
+        if (s != d) fn(outbox[static_cast<std::size_t>(s) * S + d]);
+      }
+    };
+    for_each_inbox([&](const std::vector<Move>& box) {
+      for (const Move& m : box) ++sh.off[m.v - lo + 1];
+    });
+    for (std::size_t i = 1; i < sh.off.size(); ++i) sh.off[i] += sh.off[i - 1];
+    sh.walks.resize(static_cast<std::size_t>(sh.off.back()));
+    // Scatter with off[i] as bucket i's cursor, then shift the cursors
+    // (now bucket ends) back into bucket starts.
+    for_each_inbox([&](std::vector<Move>& box) {
+      for (const Move& m : box) sh.walks[sh.off[m.v - lo]++] = m.w;
+      box.clear();
+    });
+    for (std::size_t i = sh.off.size() - 1; i > 0; --i) sh.off[i] = sh.off[i - 1];
+    sh.off[0] = 0;
+  };
+  for (std::size_t w = 0; w < a.start.size(); ++w) {
+    const int v = a.start[w];
+    shards[static_cast<std::size_t>(owner[v])].moves.push_back(
+        {v, static_cast<int>(w)});
+  }
+  for (int d = 0; d < S; ++d) regroup(d);
 
   std::int64_t delivered_walks = 0;
   for (int t = 1; t <= T; ++t) {
     if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
       break;
     }
+    bool any_active = false;
+    for (const Shard& sh : shards) any_active = any_active || !sh.walks.empty();
+    if (!any_active) break;
     // Phase A: every shard advances the walks parked in its vertex slice.
-    pool.run(S, [&](int s, int /*worker*/) {
-      LaneState& lane = lanes[static_cast<std::size_t>(s)];
-      for (int u = plan.begin(s); u < plan.end(s); ++u) {
-        if (bucket[u].empty()) continue;
-        lane.active = 1;
+    run_shards([&](int s, int /*worker*/) {
+      Shard& sh = shards[static_cast<std::size_t>(s)];
+      const int lo = plan.begin(s);
+      for (int u = lo; u < plan.end(s); ++u) {
+        const int b = sh.off[u - lo], e = sh.off[u - lo + 1];
+        if (b == e) continue;
         const int deg = static_cast<int>(a.nbr[u].size());
         const int* nbrs = a.nbr[u].data();
         const int* slots = a.slot[u].data();
-        for (int w : bucket[u]) {
-          ++lane.steps;
+        for (int i = b; i < e; ++i) {
+          const int w = sh.walks[i];
+          ++sh.steps;
           const std::uint64_t z =
               rw_mix(seed, static_cast<std::uint64_t>(w),
                      static_cast<std::uint64_t>(t));
           if (static_cast<std::uint32_t>(z >> 32) < lazy_cut || deg == 0) {
-            next_bucket[u].push_back(w);  // lazy stay (or stranded walk)
+            sh.moves.push_back({u, w});  // lazy stay (or stranded walk)
             continue;
           }
           const int j = static_cast<int>((z & 0xffffffffULL) % deg);
@@ -409,65 +321,34 @@ inline SimOutcome simulate_sharded(const Arena& a, std::uint64_t seed, int T,
           pos[w] = v;
           if (v == a.star) {
             out.route[w] = a.star;
-            ++lane.delivered;
+            ++sh.delivered;
           } else if (owner[v] == s) {
-            next_bucket[v].push_back(w);
+            sh.moves.push_back({v, w});
           } else {
             outbox[static_cast<std::size_t>(s) * S + owner[v]].push_back({v, w});
           }
         }
-        bucket[u].clear();
       }
     });
-    // Phase B: each shard drains its inboxes (in source-shard order) into
-    // its own next buckets — the double-buffered message exchange.
-    pool.run(S, [&](int d, int /*worker*/) {
-      for (int s = 0; s < S; ++s) {
-        std::vector<Move>& box = outbox[static_cast<std::size_t>(s) * S + d];
-        for (const Move& mv : box) next_bucket[mv.v].push_back(mv.w);
-        box.clear();
-      }
-    });
-    bool any_active = false;
+    // Phase B: each shard regroups its moves and inboxes by vertex — the
+    // double-buffered message exchange.
+    run_shards([&](int d, int /*worker*/) { regroup(d); });
     delivered_walks = 0;
-    for (LaneState& lane : lanes) {
-      any_active = any_active || lane.active != 0;
-      lane.active = 0;
-      delivered_walks += lane.delivered;
-    }
-    if (!any_active) break;
+    for (const Shard& sh : shards) delivered_walks += sh.delivered;
     ++out.walk_rounds;
     out.rounds += std::max<std::int64_t>(1, meter.round_peak());
     meter.end_round();
-    bucket.swap(next_bucket);
   }
   for (std::size_t w = 0; w < pos.size(); ++w) {
     if (out.route[w] < 0) out.route[w] = pos[w];
   }
-  delivered_walks = 0;
-  for (const LaneState& lane : lanes) {
-    out.steps += lane.steps;
-    delivered_walks += lane.delivered;
-  }
+  for (const Shard& sh : shards) out.steps += sh.steps;
   out.moves = meter.total_messages();
   out.peak_load = meter.peak_congestion();
   out.shard_messages.resize(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) out.shard_messages[s] = meter.shard_messages(s);
   targets.finish(a, delivered_walks, out);
   return out;
-}
-
-inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
-                           double laziness, double target_fraction,
-                           RwSimEngine engine = RwSimEngine::kBatched,
-                           congest::ShardPool* pool = nullptr) {
-  if (engine == RwSimEngine::kSerial) {
-    return simulate_serial(a, seed, T, laziness, target_fraction);
-  }
-  if (engine == RwSimEngine::kSharded && pool != nullptr) {
-    return simulate_sharded(a, seed, T, laziness, target_fraction, *pool);
-  }
-  return simulate_batched(a, seed, T, laziness, target_fraction);
 }
 
 inline int walk_length(const Arena& a, double phi, double f,
@@ -502,14 +383,6 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
     return out;
   }
 
-  // kSharded: lend the caller's pool, or spin one up for the whole search.
-  congest::ShardPool* pool = p.pool;
-  std::unique_ptr<congest::ShardPool> owned_pool;
-  if (p.sim_engine == RwSimEngine::kSharded && pool == nullptr) {
-    owned_pool = std::make_unique<congest::ShardPool>(p.threads);
-    pool = owned_pool.get();
-  }
-
   int T = detail::walk_length(arena, phi, f, p);
   std::int64_t steps_spent = 0;
   detail::SimOutcome best;
@@ -517,8 +390,8 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   int best_T = T;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
     const std::uint64_t seed = detail::rw_mix(p.base_seed, attempt, 0);
-    const detail::SimOutcome sim = detail::simulate(
-        arena, seed, T, p.laziness, 1.0 - f, p.sim_engine, pool);
+    const detail::SimOutcome sim =
+        detail::simulate(arena, seed, T, p.laziness, 1.0 - f, p.pool);
     steps_spent += sim.steps;
     out.schedule.seed_tries = attempt;
     if (sim.delivered_fraction > best.delivered_fraction ||
@@ -569,14 +442,6 @@ inline std::vector<RwResult> gather_random_walks_shared(
     lengths.push_back(detail::walk_length(arenas.back(), phis.back(), f, p));
   }
 
-  // kSharded: lend the caller's pool, or spin one up for the whole search.
-  congest::ShardPool* pool = p.pool;
-  std::unique_ptr<congest::ShardPool> owned_pool;
-  if (p.sim_engine == RwSimEngine::kSharded && pool == nullptr) {
-    owned_pool = std::make_unique<congest::ShardPool>(p.threads);
-    pool = owned_pool.get();
-  }
-
   std::vector<RwResult> results(sps.size());
   std::vector<detail::SimOutcome> best(sps.size());
   std::uint64_t best_seed = 0;
@@ -588,7 +453,7 @@ inline std::vector<RwResult> gather_random_walks_shared(
     double min_fraction = 1.0;
     for (std::size_t i = 0; i < sps.size(); ++i) {
       sims[i] = detail::simulate(arenas[i], seed, lengths[i], p.laziness,
-                                 1.0 - f, p.sim_engine, pool);
+                                 1.0 - f, p.pool);
       steps_spent += sims[i].steps;
       min_fraction = std::min(min_fraction, sims[i].delivered_fraction);
     }

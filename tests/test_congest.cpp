@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "congest/cole_vishkin.hpp"
-#include "decomp/edt.hpp"  // log_star
+#include "congest/runtime.hpp"
 #include "graph/generators.hpp"
 #include "test_main.hpp"
 
@@ -49,7 +49,7 @@ TEST_CASE(cv_rounds_log_star_bound) {
   for (int n : {64, 4096, 65536, 1 << 20}) {
     const auto parent = path_parents(n);
     const auto cv = congest::cole_vishkin_3color_forest(n, parent);
-    const int bound = 2 * decomp::log_star(static_cast<double>(n)) + 8;
+    const int bound = 2 * congest::log_star(static_cast<double>(n)) + 8;
     CHECK_MSG(cv.rounds <= bound,
               "n=" + std::to_string(n) + " rounds=" + std::to_string(cv.rounds));
     CHECK_MSG(cv.rounds >= 6, "palette reduction rounds missing");

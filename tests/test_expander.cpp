@@ -9,7 +9,8 @@
 //   * load balancing converges to 1 - f with token splitting enabled and
 //     stalls below target when the Lemma 2.2 splitting fix is disabled;
 //   * the whole pipeline is deterministic under a fixed seed (identical route
-//     tables, seeds, and round counts).
+//     tables, seeds, and round counts), and the walk engine reproduces the
+//     token-serial oracle of tests/oracles.hpp bit for bit.
 #include <vector>
 
 #include "expander/load_balance.hpp"
@@ -18,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/ops.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 #include "util/table.hpp"
 
@@ -196,30 +198,30 @@ TEST_CASE(lb_deterministic) {
   CHECK(a.max_load == b.max_load);
 }
 
-// The batched per-round walk engine must be bit-identical to the reference
-// token-serial loop — same hash stream, same congestion accounting, same
+// The walk engine, run inline (no pool), must be bit-identical to the
+// token-serial oracle — same hash stream, same congestion accounting, same
 // delivered fraction, routes, and round bill (n <= 4k instances).
-TEST_CASE(rw_batched_matches_serial) {
-  const auto run = [](RwSimEngine engine, int cycle_n, double f) {
+TEST_CASE(rw_engine_matches_serial_oracle) {
+  for (int cycle_n : {24, 257, 2047}) {
     Rng rng(17);
     const ExpanderSplit sp = expander_split(add_apex(cycle_graph(cycle_n)), rng);
-    RwParams p;
-    p.sim_engine = engine;
-    return gather_random_walks(sp, cycle_n, f, p);
-  };
-  for (int cycle_n : {24, 257, 2047}) {
     for (double f : {0.25, 0.05}) {
-      const RwResult serial = run(RwSimEngine::kSerial, cycle_n, f);
-      const RwResult batched = run(RwSimEngine::kBatched, cycle_n, f);
+      const RwResult serial =
+          oracles::gather_random_walks_serial(sp, cycle_n, f);
+      const RwResult engine = gather_random_walks(sp, cycle_n, f);
       const std::string ctx =
           "n=" + std::to_string(cycle_n) + " f=" + Table::num(f, 2);
-      CHECK_MSG(serial.delivered_fraction == batched.delivered_fraction, ctx);
-      CHECK_MSG(serial.rounds == batched.rounds, ctx);
-      CHECK_MSG(serial.walk_length == batched.walk_length, ctx);
-      CHECK_MSG(serial.schedule.seed == batched.schedule.seed, ctx);
-      CHECK_MSG(serial.schedule.seed_tries == batched.schedule.seed_tries, ctx);
-      CHECK_MSG(serial.route == batched.route, ctx);
-      CHECK_MSG(serial.ledger.total() == batched.ledger.total(), ctx);
+      CHECK_MSG(serial.delivered_fraction == engine.delivered_fraction, ctx);
+      CHECK_MSG(serial.rounds == engine.rounds, ctx);
+      CHECK_MSG(serial.walk_length == engine.walk_length, ctx);
+      CHECK_MSG(serial.schedule.seed == engine.schedule.seed, ctx);
+      CHECK_MSG(serial.schedule.seed_tries == engine.schedule.seed_tries, ctx);
+      CHECK_MSG(serial.route == engine.route, ctx);
+      CHECK_MSG(serial.ledger.total() == engine.ledger.total(), ctx);
+      CHECK_MSG(serial.ledger.total_messages() ==
+                    engine.ledger.total_messages(),
+                ctx);
+      CHECK_MSG(engine.shard_messages.size() == 1, ctx);
     }
   }
 }

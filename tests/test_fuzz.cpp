@@ -21,6 +21,7 @@
 // reproduces exactly from the printed context string.
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "decomp/expander_decomp.hpp"
 #include "decomp/overlap_decomp.hpp"
 #include "expander/cut_matching.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 
 using namespace mfd;
@@ -68,8 +70,8 @@ Graph small_connected(std::uint64_t seed, int* n_out = nullptr) {
 
 /// Full bit-identity comparison of two game outcomes — verdict, certificate
 /// (including every matched pair and path), sparse-cut witness, and the
-/// CONGEST ledger. This is the dense-vs-implicit equivalence contract: the
-/// engines share every decision path, so nothing may differ.
+/// CONGEST ledger. Replay block size and thread count only change how alpha
+/// is computed, never a decision, so nothing may differ.
 bool same_outcome(const expander::CutMatchingOutcome& a,
                   const expander::CutMatchingOutcome& b,
                   const std::string& ctx) {
@@ -106,7 +108,7 @@ bool same_outcome(const expander::CutMatchingOutcome& a,
   } else if (a.ledger.entries().size() != b.ledger.entries().size()) {
     ok = false;
   }
-  CHECK_MSG(ok, ctx + ": dense/implicit outcomes diverged");
+  CHECK_MSG(ok, ctx + ": outcomes diverged");
   return ok;
 }
 
@@ -269,27 +271,23 @@ TEST_CASE(fuzz_phi_degenerate) {
 TEST_CASE(fuzz_certificate_replay_rejects_tampering) {
   // Replay semantics: the certificate is only as good as its recorded paths,
   // so every class of tampering must be caught by verify_cut_matching — by
-  // both the serial replay and the pooled blocked replay, and for
-  // certificates produced by either engine.
+  // both the serial replay and the pooled blocked replay.
   Rng rng(5);
   const Graph g = make_family("grid", 64, rng);
   congest::ShardPool pool(3);
-  for (const auto engine :
-       {expander::CutMatchingEngine::kDense,
-        expander::CutMatchingEngine::kImplicit}) {
-    expander::CutMatchingParams gp;
-    gp.phi_target = 0.05;
-    gp.engine = engine;
-    const bool pooled = engine == expander::CutMatchingEngine::kImplicit;
+  expander::CutMatchingParams gp;
+  gp.phi_target = 0.05;
+  const expander::CutMatchingOutcome out = expander::cut_matching_game(g, gp);
+  CHECK(out.verdict == expander::CutMatchingVerdict::kCertified);
+  CHECK(oracles::dense_mixing_alpha(g.n(), out.cert.matchings) ==
+        out.cert.alpha);
+  for (const bool pooled : {false, true}) {
     expander::VerifyParams vp;
     vp.replay_block = pooled ? 5 : 0;  // force multi-block on the pooled leg
     vp.pool = pooled ? &pool : nullptr;
     const auto verify = [&](const expander::CutMatchingCertificate& c) {
       return expander::verify_cut_matching(g, c, vp);
     };
-    const expander::CutMatchingOutcome out = expander::cut_matching_game(g, gp);
-    CHECK(out.verdict == expander::CutMatchingVerdict::kCertified);
-    CHECK(out.engine_used == engine);
     CHECK(verify(out.cert).ok);
 
     {  // Inflated headline bound.
@@ -322,12 +320,13 @@ TEST_CASE(fuzz_certificate_replay_rejects_tampering) {
   }
 }
 
-TEST_CASE(fuzz_dense_implicit_equivalence) {
-  // The tentpole contract: the implicit-matrix engine (probe bank + blocked
-  // column replay) is a pure re-representation of the dense reference — the
-  // entire outcome must match bit for bit on every family, at a derived and
-  // a pinned target, for any replay block size, with and without a pool.
-  congest::ShardPool pool(3);
+TEST_CASE(fuzz_implicit_matches_dense_oracle) {
+  // The implicit-matrix game (probe bank + blocked column replay) is a pure
+  // re-representation of a resident mixing matrix: its certified alpha must
+  // equal the dense matrix the oracle rebuilds from the recorded matchings,
+  // bit for bit, on every family at a derived and a pinned target — and the
+  // entire outcome must be invariant under the replay block size and the
+  // pool's thread count.
   for (const std::string& family : kFamilies) {
     for (int n : {96, 160}) {
       Rng rng(23);
@@ -337,41 +336,50 @@ TEST_CASE(fuzz_dense_implicit_equivalence) {
                                 " target=" + Table::num(target, 2);
         expander::CutMatchingParams gp;
         gp.phi_target = target;
-        gp.engine = expander::CutMatchingEngine::kDense;
-        const expander::CutMatchingOutcome dense =
+        const expander::CutMatchingOutcome serial =
             expander::cut_matching_game(g, gp);
-        CHECK_MSG(dense.engine_used == expander::CutMatchingEngine::kDense,
-                  ctx);
-
-        gp.engine = expander::CutMatchingEngine::kImplicit;
-        const expander::CutMatchingOutcome implicit_ =
-            expander::cut_matching_game(g, gp);
-        CHECK_MSG(
-            implicit_.engine_used == expander::CutMatchingEngine::kImplicit,
-            ctx);
-        same_outcome(dense, implicit_, ctx + " [implicit]");
-        // The implicit engine's state high-water must beat the dense n^2.
-        CHECK_MSG(implicit_.state_bytes_peak < dense.state_bytes_peak,
+        // The state high-water must beat the dense 8 n^2 bytes.
+        CHECK_MSG(serial.state_bytes_peak <
+                      8 * static_cast<std::int64_t>(g.n()) * g.n(),
                   ctx + ": state not smaller");
+        if (serial.verdict == expander::CutMatchingVerdict::kCertified) {
+          const auto& ms = serial.cert.matchings;
+          CHECK_MSG(oracles::dense_mixing_alpha(g.n(), ms) == serial.cert.alpha,
+                    ctx + ": alpha differs from the dense oracle");
+          // Every checkpoint prefix the game can evaluate, at the default
+          // and an awkward replay block width.
+          for (std::size_t p = 1; p <= ms.size(); p *= 2) {
+            const auto end = ms.begin() + static_cast<std::ptrdiff_t>(p);
+            const double dense =
+                oracles::dense_mixing_alpha(g.n(), {ms.begin(), end});
+            for (int block : {0, 7}) {
+              CHECK_MSG(g.n() * expander::detail_cm::replay_min_entry(
+                                    g.n(), ms, p, block, nullptr) == dense,
+                        ctx + " prefix=" + std::to_string(p));
+            }
+          }
+          CHECK_MSG(expander::verify_cut_matching(g, serial.cert).ok, ctx);
+        }
 
-        // An awkward block size that does not divide n, plus a pool: the
-        // replay is block- and thread-invariant by construction.
-        gp.replay_block = 7;
-        gp.pool = &pool;
-        const expander::CutMatchingOutcome blocked =
-            expander::cut_matching_game(g, gp);
-        same_outcome(dense, blocked, ctx + " [blocked+pooled]");
-        gp.replay_block = 0;
-        gp.pool = nullptr;
-
-        if (dense.verdict == expander::CutMatchingVerdict::kCertified) {
-          // Both serial and pooled verification accept the shared cert.
-          CHECK_MSG(expander::verify_cut_matching(g, dense.cert).ok, ctx);
-          expander::VerifyParams vp;
-          vp.replay_block = 11;
-          vp.pool = &pool;
-          CHECK_MSG(expander::verify_cut_matching(g, implicit_.cert, vp).ok,
-                    ctx);
+        // An awkward block size that does not divide n, plus a pool at every
+        // sweep size: the replay is block- and thread-invariant by
+        // construction.
+        for (int threads : {1, 2, 7, 0}) {
+          congest::ShardPool pool(threads);
+          gp.replay_block = 7;
+          gp.pool = &pool;
+          const std::string tctx =
+              ctx + " threads=" + std::to_string(pool.threads());
+          const expander::CutMatchingOutcome blocked =
+              expander::cut_matching_game(g, gp);
+          same_outcome(serial, blocked, tctx + " [blocked+pooled]");
+          if (serial.verdict == expander::CutMatchingVerdict::kCertified) {
+            expander::VerifyParams vp;
+            vp.replay_block = 11;
+            vp.pool = &pool;
+            CHECK_MSG(expander::verify_cut_matching(g, blocked.cert, vp).ok,
+                      tctx);
+          }
         }
       }
     }
@@ -379,9 +387,9 @@ TEST_CASE(fuzz_dense_implicit_equivalence) {
 }
 
 TEST_CASE(fuzz_large_cluster_certify) {
-  // A cluster far above the old 1024-vertex cap certifies end to end on the
-  // implicit engine: positive replayed bound, passing pooled verification,
-  // mixing state well under the dense engine's 8 n^2 bytes.
+  // A cluster far above the old 1024-vertex cap certifies end to end:
+  // positive replayed bound, passing pooled verification, mixing state well
+  // under a dense matrix's 8 n^2 bytes.
   Rng rng(7);
   const Graph g = make_family("planar", 700, rng);
   congest::ShardPool pool(3);

@@ -3,6 +3,7 @@
 //     negatives, NaN/inf),
 //   * MessageMeter counting and per-round peaks,
 //   * Runtime::audit() accepts measured pipelines and flags violations,
+//     and its bandwidth products stay overflow-free near 2^62,
 //   * ChargeScope nesting/prefixing is exactly manual absorb-with-prefix,
 //   * message conservation on hand-computable graphs (path, star, cycle),
 //   * heavy-stars messages <= c*m per iteration and O(1) LDD peak
@@ -168,6 +169,28 @@ TEST_CASE(audit_bandwidth_inequality) {
   congest::Runtime bad;
   bad.charge("overfull", 2, 13, 3);
   CHECK(!bad.audit(2).ok);
+}
+
+TEST_CASE(audit_products_do_not_overflow) {
+  // Charges near 2^62: every bandwidth product below passes 2^63, so the
+  // audit, the envelope bill and the congestion floor must compare without
+  // forming the product in signed 64-bit arithmetic.
+  const std::int64_t big = std::int64_t{1} << 62;
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t wide = std::int64_t{1} << 31;
+  congest::Runtime r;
+  r.charge("huge but sound", wide, big, wide);  // 2^62 <= 2^31 * 2^31 * 2^31
+  CHECK(r.audit(wide).ok);
+  congest::Runtime bad;
+  bad.charge("overfull", 2, big, 1);  // 2^62 > 2 * 2^30 * 1
+  CHECK(!bad.audit(std::int64_t{1} << 30).ok);
+  congest::Runtime env;
+  env.charge_envelope("envelope", big, big);  // saturates at INT64_MAX
+  CHECK(env.entries()[0].messages == max);
+  CHECK(env.audit(big).ok);
+  CHECK(congest::congestion_floor(big, big, big) == 1);
+  CHECK(congest::congestion_floor(max, 1, 1) == max);
+  CHECK(congest::congestion_floor(max, 2, 1) == big);
 }
 
 TEST_CASE(chargescope_equals_manual_absorb) {

@@ -7,8 +7,8 @@
 //   * heavy-stars contraction on a weighted cluster graph,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
 //     cut edges, per-phase ledger entries, and Runtime::audit totals),
-//   * the kSharded walk engine vs the kSerial reference (routes, rounds,
-//     accepted seed, and the merged-meter congestion gate).
+//   * the pooled walk engine vs the token-serial oracle of tests/oracles.hpp
+//     (routes, rounds, accepted seed, and the merged-meter congestion gate).
 // They also run under ThreadSanitizer in CI — the race gate for the pool and
 // the per-shard meter lanes.
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "apps/domination.hpp"
 #include "apps/maxcut.hpp"
 #include "congest/shard.hpp"
-#include "decomp/edt.hpp"
 #include "decomp/expander_decomp.hpp"
 #include "decomp/heavy_stars.hpp"
 #include "decomp/ldd_local.hpp"
@@ -29,6 +28,7 @@
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/weighted.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -213,74 +213,23 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
   }
 }
 
-TEST_CASE(edt_global_chop_sharded_bit_identical) {
-  // The kGlobalBfs chop's per-pass BFS-wave sweep fans one task per cluster
-  // over the pool (ROADMAP item (b), first half). Clusterings, pass counts,
-  // merges, every ledger charge and the audit totals must match the serial
-  // reference bit for bit at every thread count.
-  struct Family {
-    const char* name;
-    Graph g;
-  };
-  const Family families[] = {{"grid", grid_graph(64, 64)},
-                             {"torus", torus_graph(40, 40)}};
-  for (const Family& fam : families) {
-    decomp::EdtParams serial_params;
-    serial_params.chop = decomp::EdtChop::kGlobalBfs;
-    const decomp::EdtDecomposition serial =
-        decomp::build_edt_decomposition(fam.g, 0.25, serial_params);
-    for (int threads : kThreadSweep) {
-      ShardPool pool(threads);
-      decomp::EdtParams p;
-      p.chop = decomp::EdtChop::kGlobalBfs;
-      p.pool = &pool;
-      const decomp::EdtDecomposition sharded =
-          decomp::build_edt_decomposition(fam.g, 0.25, p);
-      const std::string ctx = std::string(fam.name) +
-                              " threads=" + std::to_string(pool.threads());
-      CHECK_MSG(serial.clustering.cluster == sharded.clustering.cluster, ctx);
-      CHECK_MSG(serial.clustering.k == sharded.clustering.k, ctx);
-      CHECK_MSG(serial.iterations == sharded.iterations, ctx);
-      CHECK_MSG(serial.merges == sharded.merges, ctx);
-      CHECK_MSG(serial.quality.cut_edges == sharded.quality.cut_edges, ctx);
-      CHECK_MSG(serial.quality.max_diameter == sharded.quality.max_diameter,
-                ctx);
-      same_charges(serial.ledger, sharded.ledger, ctx);
-      CHECK_MSG(serial.ledger.total() == sharded.ledger.total(), ctx);
-      CHECK_MSG(
-          serial.ledger.total_messages() == sharded.ledger.total_messages(),
-          ctx);
-      CHECK_MSG(
-          serial.ledger.peak_congestion() == sharded.ledger.peak_congestion(),
-          ctx);
-      const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
-      const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
-      CHECK_MSG(sa.ok && ha.ok, ctx);
-    }
-  }
-}
-
-TEST_CASE(rw_sharded_matches_serial) {
-  const auto run = [](expander::RwSimEngine engine, int threads, int cycle_n,
-                      double f) {
+TEST_CASE(rw_pooled_matches_serial_oracle) {
+  for (int cycle_n : {24, 257, 2047}) {
     Rng rng(17);
     const expander::ExpanderSplit sp =
         expander::expander_split(add_apex(cycle_graph(cycle_n)), rng);
-    expander::RwParams p;
-    p.sim_engine = engine;
-    p.threads = threads;
-    return expander::gather_random_walks(sp, cycle_n, f, p);
-  };
-  for (int cycle_n : {24, 257, 2047}) {
     for (double f : {0.25, 0.05}) {
       const expander::RwResult serial =
-          run(expander::RwSimEngine::kSerial, 1, cycle_n, f);
+          oracles::gather_random_walks_serial(sp, cycle_n, f);
       for (int threads : kThreadSweep) {
+        ShardPool pool(threads);
+        expander::RwParams p;
+        p.pool = &pool;
         const expander::RwResult sharded =
-            run(expander::RwSimEngine::kSharded, threads, cycle_n, f);
+            expander::gather_random_walks(sp, cycle_n, f, p);
         const std::string ctx = "n=" + std::to_string(cycle_n) +
                                 " f=" + Table::num(f, 2) +
-                                " threads=" + std::to_string(threads);
+                                " threads=" + std::to_string(pool.threads());
         CHECK_MSG(serial.delivered_fraction == sharded.delivered_fraction, ctx);
         CHECK_MSG(serial.rounds == sharded.rounds, ctx);
         CHECK_MSG(serial.walk_length == sharded.walk_length, ctx);
@@ -291,7 +240,9 @@ TEST_CASE(rw_sharded_matches_serial) {
         same_charges(serial.ledger, sharded.ledger, ctx);
         // Merged-meter congestion gate: the sharded engine's per-lane merge
         // trail must re-derive the serial "walk rounds" phase exactly.
-        CHECK_MSG(!sharded.shard_messages.empty(), ctx);
+        CHECK_MSG(static_cast<int>(sharded.shard_messages.size()) ==
+                      pool.threads(),
+                  ctx);
         std::int64_t lane_sum = 0;
         for (std::int64_t m : sharded.shard_messages) lane_sum += m;
         CHECK_MSG(lane_sum == serial.ledger.entries()[0].messages, ctx);
