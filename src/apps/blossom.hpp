@@ -1,7 +1,7 @@
 // Exact maximum matching in general graphs — Edmonds' blossom algorithm,
-// O(V^3). The exact baseline the Theorem 1.2 matching application will be
-// graded against (bench_matching_vc, bench_kernels); the distributed
-// approximation layer lands with the rest of apps/.
+// O(V^3). The exact baseline the Theorem 1.2 matching application is
+// graded against (bench_matching_vc), and the per-cluster solver of
+// apps/approx.hpp's (1-eps)-matching.
 //
 // Standard contract-blossoms-implicitly formulation: repeated BFS
 // augmenting-path search where `base[v]` tracks the base of the blossom

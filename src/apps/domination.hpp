@@ -27,9 +27,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "apps/approx.hpp"
+#include "apps/exact.hpp"
 #include "apps/treewidth.hpp"
 #include "congest/runtime.hpp"
 #include "congest/shard.hpp"
@@ -209,23 +211,37 @@ inline void prune_redundant(const Graph& g, std::vector<int>& set) {
 
 /// Branch and bound for exact MDS. Branches over the candidate dominators
 /// of a fewest-candidates white vertex; prunes with a greedy 2-packing
-/// lower bound. node_budget < 0 means unlimited (the exact baseline).
+/// lower bound. node_budget < 0 means unlimited (the exact baseline); every
+/// node counts toward nodes() either way.
+/// Incremental state keeps a node at O(vertices it touches + n/64): a
+/// white (undominated) bitset drives the packing and pivot scans, each
+/// vertex's candidate count |N[v] \ banned| moves only when a neighbor is
+/// banned or unbanned, packing marks are epoch stamps, and the packing
+/// stops once it reaches best - chosen — the bound feeds only that one
+/// prune comparison, so every decision matches the whole-array search
+/// (tests/oracles.hpp).
 class MdsBranch {
  public:
   MdsBranch(const Graph& g, std::int64_t node_budget)
       : g_(g),
         n_(g.n()),
         white_(g.n()),
-        dominated_(n_, 0),
+        white_bits_(g.n()),
         banned_(n_, 0),
-        budget_(node_budget) {}
+        cands_(n_),
+        packed_near_(n_),
+        budget_(node_budget) {
+    for (int v = 0; v < n_; ++v) {
+      white_bits_.set(v);
+      cands_[v] = g.degree(v) + 1;
+    }
+  }
 
   /// Runs the search; exact() reports whether the budget survived.
   std::vector<int> solve() {
     best_ = greedy_mds(g_);
     prune_redundant(g_, best_);
-    std::vector<int> chosen;
-    descend(chosen);
+    descend();
     return best_;
   }
 
@@ -234,106 +250,120 @@ class MdsBranch {
 
  private:
   int coverage(int v) const {
-    int c = dominated_[v] ? 0 : 1;
-    for (int w : g_.neighbors(v)) c += dominated_[w] ? 0 : 1;
+    int c = white_bits_.test(v) ? 1 : 0;
+    for (int w : g_.neighbors(v)) c += white_bits_.test(w) ? 1 : 0;
     return c;
   }
 
   /// Greedy 2-packing of white vertices: closed neighborhoods of packed
   /// vertices are disjoint, and every dominating set spends a distinct
   /// vertex per packed vertex — a lower bound on what remains to pay.
-  int packing_bound() {
-    pack_mark_.assign(n_, 0);
+  /// Returns whether the packing reaches `target` (it stops there).
+  bool packing_reaches(int target) {
+    packed_near_.clear();
     int packed = 0;
-    for (int v = 0; v < n_; ++v) {
-      if (dominated_[v]) continue;
-      bool free = !pack_mark_[v];
+    for (int v = white_bits_.next(0); v >= 0; v = white_bits_.next(v + 1)) {
+      bool free = !packed_near_.marked(v);
       if (free) {
         for (int w : g_.neighbors(v)) {
-          if (pack_mark_[w]) {
+          if (packed_near_.marked(w)) {
             free = false;
             break;
           }
         }
       }
       if (!free) continue;
-      ++packed;
+      if (++packed >= target) return true;
       // Block everything within distance 2 (mark the closed neighborhood;
       // a later candidate checks its own closed neighborhood against it).
-      pack_mark_[v] = 1;
-      for (int w : g_.neighbors(v)) pack_mark_[w] = 1;
+      packed_near_.mark(v);
+      for (int w : g_.neighbors(v)) packed_near_.mark(w);
     }
-    return packed;
+    return false;
   }
 
-  void descend(std::vector<int>& chosen) {
+  void set_banned(int u, bool on) {
+    banned_[u] = on ? 1 : 0;
+    const int delta = on ? -1 : 1;
+    cands_[u] += delta;
+    for (int w : g_.neighbors(u)) cands_[w] += delta;
+  }
+
+  void dominate(int x) {
+    if (!white_bits_.test(x)) return;
+    white_bits_.reset(x);
+    --white_;
+    newly_dominated_.push_back(x);
+  }
+
+  void descend() {
     if (!exact_) return;
-    if (budget_ >= 0 && ++nodes_ > budget_) {
+    ++nodes_;
+    if (budget_ >= 0 && nodes_ > budget_) {
       exact_ = false;
       return;
     }
-    if (static_cast<int>(chosen.size()) +
-            (white_ > 0 ? packing_bound() : 0) >=
-        static_cast<int>(best_.size())) {
-      return;
-    }
-    // Fewest-candidates white vertex.
+    const int gap =
+        static_cast<int>(best_.size()) - static_cast<int>(chosen_.size());
+    if (gap <= 0 || (white_ > 0 && packing_reaches(gap))) return;
+    // Fewest-candidates white vertex (the leftmost one on ties).
     int pivot = -1, pivot_cands = n_ + 1;
-    for (int v = 0; v < n_; ++v) {
-      if (dominated_[v]) continue;
-      int cands = banned_[v] ? 0 : 1;
-      for (int w : g_.neighbors(v)) cands += banned_[w] ? 0 : 1;
-      if (cands < pivot_cands) {
+    for (int v = white_bits_.next(0); v >= 0; v = white_bits_.next(v + 1)) {
+      if (cands_[v] < pivot_cands) {
         pivot = v;
-        pivot_cands = cands;
+        pivot_cands = cands_[v];
       }
     }
     if (pivot < 0) {  // everything dominated: chosen is a full solution
-      best_ = chosen;
+      best_ = chosen_;
       std::sort(best_.begin(), best_.end());
       return;
     }
     if (pivot_cands == 0) return;  // infeasible branch
-    std::vector<int> cands;
-    if (!banned_[pivot]) cands.push_back(pivot);
+    // Candidates on a shared stack as (-coverage, id): ascending order is
+    // coverage descending, then id ascending.
+    const std::size_t first = cand_.size();
+    if (!banned_[pivot]) cand_.emplace_back(-coverage(pivot), pivot);
     for (int w : g_.neighbors(pivot)) {
-      if (!banned_[w]) cands.push_back(w);
+      if (!banned_[w]) cand_.emplace_back(-coverage(w), w);
     }
-    std::sort(cands.begin(), cands.end(), [this](int a, int b) {
-      const int ca = coverage(a), cb = coverage(b);
-      return ca != cb ? ca > cb : a < b;
-    });
-    std::vector<int> newly_banned;
-    for (int u : cands) {
-      std::vector<int> newly_dominated;
-      const auto mark = [&](int x) {
-        if (!dominated_[x]) {
-          dominated_[x] = 1;
-          --white_;
-          newly_dominated.push_back(x);
-        }
-      };
-      mark(u);
-      for (int w : g_.neighbors(u)) mark(w);
-      chosen.push_back(u);
-      descend(chosen);
-      chosen.pop_back();
-      for (int x : newly_dominated) dominated_[x] = 0;
-      white_ += static_cast<int>(newly_dominated.size());
+    const std::size_t last = cand_.size();
+    std::sort(cand_.begin() + first, cand_.end());
+    std::size_t done = first;
+    while (done < last) {
+      const int u = cand_[done++].second;
+      const std::size_t mark = newly_dominated_.size();
+      dominate(u);
+      for (int w : g_.neighbors(u)) dominate(w);
+      chosen_.push_back(u);
+      descend();
+      chosen_.pop_back();
+      for (std::size_t i = mark; i < newly_dominated_.size(); ++i) {
+        white_bits_.set(newly_dominated_[i]);
+      }
+      white_ += static_cast<int>(newly_dominated_.size() - mark);
+      newly_dominated_.resize(mark);
       // Completeness: some dominator of pivot is in an optimal solution;
       // having explored "u in", the remaining branches may assume "u out".
-      banned_[u] = 1;
-      newly_banned.push_back(u);
+      set_banned(u, true);
       if (!exact_) break;
     }
-    for (int u : newly_banned) banned_[u] = 0;
+    for (std::size_t i = first; i < done; ++i) {
+      set_banned(cand_[i].second, false);
+    }
+    cand_.resize(first);
   }
 
   const Graph& g_;
   int n_;
-  int white_ = 0;
-  std::vector<char> dominated_, banned_, pack_mark_;
-  std::vector<int> best_;
+  int white_ = 0;                 // undominated vertex count
+  VertexBits white_bits_;         // undominated vertices
+  std::vector<char> banned_;
+  std::vector<int> cands_;        // |N[v] \ banned| per vertex
+  EpochMarks packed_near_;        // closed neighborhoods of packed vertices
+  std::vector<int> best_, chosen_;
+  std::vector<int> newly_dominated_;       // undo stack
+  std::vector<std::pair<int, int>> cand_;  // per-node candidates
   std::int64_t nodes_ = 0, budget_;
   bool exact_ = true;
 };

@@ -1,12 +1,14 @@
 // apps/ exact kernels vs brute force on small random graphs, plus known
-// closed-form instances. These are the centralized baselines bench_kernels
-// and the Theorem 1.2 application benches grade against.
+// closed-form instances and the exact searches' effort accounting and
+// memory footprint. These are the centralized baselines the Theorem 1.2
+// application benches grade against.
 #include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/blossom.hpp"
+#include "apps/domination.hpp"
 #include "apps/exact.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
@@ -97,12 +99,23 @@ namespace {
 
 // The reported set must actually be independent in g.
 bool is_independent(const Graph& g, const std::vector<int>& set) {
-  for (int u : set) {
-    for (int v : set) {
-      if (u < v && g.has_edge(u, v)) return false;
+  std::vector<char> in(g.n(), 0);
+  for (int v : set) in[v] = 1;
+  for (int v : set) {
+    for (int w : g.neighbors(v)) {
+      if (in[w]) return false;
     }
   }
   return true;
+}
+
+bool is_dominating(const Graph& g, const std::vector<int>& set) {
+  std::vector<char> dominated(g.n(), 0);
+  for (int v : set) {
+    dominated[v] = 1;
+    for (int w : g.neighbors(v)) dominated[w] = 1;
+  }
+  return std::find(dominated.begin(), dominated.end(), 0) == dominated.end();
 }
 
 }  // namespace
@@ -156,4 +169,41 @@ TEST_CASE(exact_vertex_cover_complement) {
     for (const auto& [u, v] : g.edges()) CHECK(in[u] || in[v]);
     CHECK(static_cast<int>(vc.set.size()) == g.n() - brute_mis(g));
   }
+}
+
+TEST_CASE(exact_mds_counts_every_node) {
+  // An unbounded search counts its nodes too, and a budget changes only
+  // where the search stops: a roomy budget sees the same count, a blown one
+  // stops one node past it.
+  const Graph g = grid_graph(4, 4);
+  apps::detail::MdsBranch unbounded(g, -1);
+  const std::vector<int> set = unbounded.solve();
+  CHECK(unbounded.exact());
+  CHECK(unbounded.nodes() > 0);
+  CHECK(set.size() == 4);  // gamma(P4 x P4) = 4
+  CHECK(is_dominating(g, set));
+  apps::detail::MdsBranch roomy(g, unbounded.nodes());
+  CHECK(roomy.solve() == set);
+  CHECK(roomy.exact());
+  CHECK(roomy.nodes() == unbounded.nodes());
+  apps::detail::MdsBranch tight(g, unbounded.nodes() - 1);
+  tight.solve();
+  CHECK(!tight.exact());
+  CHECK(tight.nodes() == unbounded.nodes());
+}
+
+TEST_CASE(exact_search_hub_cluster) {
+  // A 200000-spoke wheel: one hub of degree 2e5. The budgeted searches must
+  // return valid sets without state that grows with the maximum degree.
+  const Graph g = add_apex(cycle_graph(200000));
+  apps::MisSearchReport rep;
+  const apps::MisResult mis = apps::max_independent_set(g, 1000, &rep);
+  CHECK(is_independent(g, mis.set));
+  CHECK(rep.exact);
+  CHECK(mis.set.size() == 100000);
+  apps::detail::MdsBranch mds(g, 1000);
+  const std::vector<int> dom = mds.solve();
+  CHECK(is_dominating(g, dom));
+  CHECK(mds.exact());
+  CHECK(dom.size() == 1);
 }

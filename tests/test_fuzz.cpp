@@ -14,7 +14,10 @@
 //     cut-matching certificate is rejected by the replay audit;
 //   * the engines' certify mode: every emitted cluster re-certifies, the
 //     certified/estimated split covers the cluster count, and the games'
-//     CONGEST charges keep the ledger auditable.
+//     CONGEST charges keep the ledger auditable;
+//   * the exact MIS and MDS searches: the incremental engines return the
+//     whole-array oracles' witnesses, node counts and exact() flags at every
+//     budget, on every family and on the wide 36x36 grid clusters.
 //
 // Iteration counts are bounded (the whole binary is a few seconds in Release)
 // and every draw derives from the case's fixed base seed, so a failure
@@ -22,16 +25,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/approx.hpp"
+#include "apps/domination.hpp"
+#include "apps/exact.hpp"
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
 #include "decomp/edt.hpp"
 #include "decomp/expander_decomp.hpp"
 #include "decomp/overlap_decomp.hpp"
 #include "expander/cut_matching.hpp"
+#include "graph/ops.hpp"
 #include "oracles.hpp"
 #include "test_main.hpp"
 
@@ -459,4 +468,101 @@ TEST_CASE(fuzz_certify_audit) {
     CHECK_MSG(again.min_phi_lower == ed.min_phi_lower, ctx + ": deterministic");
     CHECK_MSG(again.clusters_certified == ed.clusters_certified, ctx);
   }
+}
+
+namespace {
+
+/// Both exact searches against their oracles on one graph and budget: the
+/// same witness, the same nodes() and the same exact(). Returns the number
+/// of comparisons made (MIS plus MDS).
+int exact_searches_match(const Graph& g, std::int64_t budget,
+                         const std::string& ctx, bool mis = true,
+                         bool mds = true) {
+  int compared = 0;
+  if (mis) {
+    apps::detail::MisSolver fast(g, budget);
+    oracles::MisSolver ref(g, budget);
+    const std::vector<int> a = fast.solve(), b = ref.solve();
+    CHECK_MSG(a == b, ctx + ": MIS witness differs");
+    CHECK_MSG(fast.nodes() == ref.nodes(), ctx + ": MIS nodes differ");
+    CHECK_MSG(fast.exact() == ref.exact(), ctx + ": MIS exact() differs");
+    ++compared;
+  }
+  if (mds) {
+    apps::detail::MdsBranch fast(g, budget);
+    oracles::MdsBranch ref(g, budget);
+    const std::vector<int> a = fast.solve(), b = ref.solve();
+    CHECK_MSG(a == b, ctx + ": MDS witness differs");
+    CHECK_MSG(fast.nodes() == ref.nodes(), ctx + ": MDS nodes differ");
+    CHECK_MSG(fast.exact() == ref.exact(), ctx + ": MDS exact() differs");
+    ++compared;
+  }
+  return compared;
+}
+
+}  // namespace
+
+TEST_CASE(fuzz_exact_search_matches_oracle) {
+  // Every family at several sizes, plus hubs (degrees past the exact
+  // buckets) and dense small graphs, over budgets that stop the search at
+  // the root, a few nodes in, and deep in the tree; unbounded where small.
+  const std::vector<std::int64_t> budgets = {-1, 0, 1, 2, 5, 37, 1000};
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const std::string& family : kFamilies) {
+    for (int n : {5, 17, 40, 60, 150, 400}) {
+      for (std::uint64_t seed : {3, 41}) {
+        Rng rng(seed);
+        graphs.emplace_back(family + " n=" + std::to_string(n) + " seed=" +
+                                std::to_string(seed),
+                            make_family(family, n, rng));
+      }
+    }
+  }
+  graphs.emplace_back("wheel 40", add_apex(cycle_graph(40)));
+  graphs.emplace_back("apex grid 7x7", add_apex(grid_graph(7, 7)));
+  graphs.emplace_back("K20", complete_graph(20));
+  graphs.emplace_back("empty 9", Graph::from_edges(9, {}));
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    graphs.emplace_back("small seed=" + std::to_string(seed),
+                        small_connected(seed));
+  }
+  int compared = 0;
+  for (const auto& [name, g] : graphs) {
+    for (std::int64_t budget : budgets) {
+      if (budget < 0 && g.n() > 60) continue;
+      compared += exact_searches_match(
+          g, budget, name + " budget=" + std::to_string(budget));
+    }
+  }
+
+  // The wide clusters the Section-6 solvers hand their ladders on a 36x36
+  // grid (eps 0.5, alpha 3, the eps* each solver derives), at the ladder's
+  // default budget.
+  const Graph grid = grid_graph(36, 36);
+  const double eps = 0.5, a = 3.0, delta = grid.max_degree();
+  const struct {
+    const char* solver;
+    double eps_star;
+    bool mis;
+  } runs[] = {{"mis", eps / (a * (2.0 * a + 1.0)), true},
+              {"vc", eps / (2.0 * delta + 1.0), true},
+              {"mds", eps / (a * (delta + 1.0)), false}};
+  const std::int64_t ladder_budget = apps::LadderConfig{}.node_budget;
+  int wide = 0;
+  for (const auto& run : runs) {
+    congest::SolverStats stats;
+    const apps::detail::AppDecomposition dec = apps::detail::decompose_for_app(
+        grid, apps::detail::clamp_eps_star(run.eps_star), stats);
+    for (std::size_t c = 0; c < dec.members.size(); ++c) {
+      const Graph h = induced_subgraph(grid, dec.members[c]).graph;
+      wide += h.n() >= 400 ? 1 : 0;
+      compared += exact_searches_match(
+          h, ladder_budget,
+          std::string(run.solver) + " cluster " + std::to_string(c) +
+              " n=" + std::to_string(h.n()),
+          run.mis, !run.mis);
+    }
+  }
+  CHECK_MSG(wide >= 3, "grid decompositions lost their wide clusters");
+  std::printf("exact search: %d oracle comparisons\n", compared);
 }
