@@ -6,6 +6,8 @@
 // metrics so scripts/check_bench_json.py can audit tier coverage offline.
 #pragma once
 
+#include <iostream>
+#include <optional>
 #include <string>
 
 #include "apps/treewidth.hpp"
@@ -18,7 +20,14 @@ namespace mfd::bench {
 inline apps::LadderConfig ladder_from_cli(const Cli& cli, BenchJson& json) {
   apps::LadderConfig ladder;
   ladder.tw_cap = static_cast<int>(cli.get_int("tw_cap", ladder.tw_cap));
-  ladder.mode = apps::solver_mode_from_string(cli.get("solver", "auto"));
+  const std::string solver = cli.get("solver", "auto");
+  const std::optional<apps::SolverMode> mode =
+      apps::solver_mode_from_string(solver);
+  if (!mode) {
+    std::cerr << "warning: --solver '" << solver
+              << "' is not one of auto|tw|bb|greedy; using auto\n";
+  }
+  ladder.mode = mode.value_or(apps::SolverMode::kAuto);
   json.param("tw_cap", static_cast<std::int64_t>(ladder.tw_cap));
   json.param("solver", std::string(apps::solver_mode_name(ladder.mode)));
   return ladder;

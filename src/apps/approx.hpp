@@ -7,6 +7,11 @@
 // centralized baselines (branch-and-bound MIS, blossom matching) — the
 // simulation stand-in for the paper's free local computation inside
 // O(1/ε)-diameter clusters — and repair the seams along cut edges.
+// detail::solve_clusters is the one per-cluster driver all five Section-6
+// solvers (here, maxcut.hpp and domination.hpp) share: it fans the cluster
+// solves over a lent congest::ShardPool and folds their ladder reports in
+// cluster order. The ladders themselves are apps/treewidth.hpp's run_ladder
+// with per-problem tier bodies; the seam sweeps are serial O(m) passes.
 //
 // Guarantee bookkeeping (alpha = the minor-free density bound the caller
 // asserts for its family: m <= alpha * n; trees 1, outerplanar 2, planar 3):
@@ -31,10 +36,9 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -103,44 +107,72 @@ inline double clamp_eps_star(double eps_star) {
   return std::max(eps_star, 1e-6);
 }
 
-/// The width-gated cluster MIS ladder (apps/treewidth.hpp tiers): forest
-/// clusters solve by reductions alone (every tree has a leaf, so MisSolver
-/// never branches there), medium clusters by the treewidth DP when the
-/// capped probe certifies width <= tw_cap, then the budgeted B&B, then the
-/// greedy completion (a budget-0 solve: reductions + min-degree greedy).
+/// The per-cluster driver every Section-6 solver shares: solve(sub, rep)
+/// runs on the induced subgraph of every non-empty cluster, fanned over
+/// `pool` — clusters are vertex-disjoint and every cluster solver is
+/// deterministic — and the tier reports fold into `stats` in cluster order,
+/// so results and the ladder trail are bit-identical at every thread count
+/// (test_shard gates it). A solver without a ladder (matching) leaves `rep`
+/// unsolved, which the fold skips. Empty clusters keep a default result.
+template <class Solve>
+auto solve_clusters(const Graph& g, const AppDecomposition& dec,
+                    congest::ShardPool* pool, congest::SolverStats& stats,
+                    Solve&& solve) {
+  using Result = decltype(solve(std::declval<const InducedSubgraph&>(),
+                                std::declval<TierReport&>()));
+  const int k = static_cast<int>(dec.members.size());
+  std::vector<Result> local(k);
+  std::vector<TierReport> reports(k);
+  congest::for_each_task(pool, k, [&](int c, int /*worker*/) {
+    if (dec.members[c].empty()) return;
+    local[c] = solve(induced_subgraph(g, dec.members[c]), reports[c]);
+  });
+  for (const TierReport& r : reports) accumulate_tier(stats, r);
+  return local;
+}
+
+/// The vertex-set solvers' use of the driver: `ladder` is a cluster_*
+/// entry (cluster_mis, cluster_vc, cluster_mds); returns the union of the
+/// cluster witnesses as 0/1 marks over parent vertex ids.
+using SetLadder = std::vector<int> (*)(const Graph&, const LadderConfig&,
+                                       TierReport&);
+inline std::vector<char> cluster_union(const Graph& g,
+                                       const AppDecomposition& dec,
+                                       congest::ShardPool* pool,
+                                       const LadderConfig& cfg,
+                                       SetLadder ladder,
+                                       congest::SolverStats& stats) {
+  const std::vector<std::vector<int>> local = solve_clusters(
+      g, dec, pool, stats, [&](const InducedSubgraph& sub, TierReport& rep) {
+        std::vector<int> s = ladder(sub.graph, cfg, rep);
+        for (int& v : s) v = sub.to_parent[v];
+        return s;
+      });
+  std::vector<char> in_set(g.n(), 0);
+  for (const std::vector<int>& s : local) {
+    for (int v : s) in_set[v] = 1;
+  }
+  return in_set;
+}
+
+/// The cluster MIS ladder (run_ladder's tiers): forest clusters solve by
+/// reductions alone (every tree has a leaf, so MisSolver never branches
+/// there), then the treewidth DP, then the budgeted B&B (a blown budget
+/// keeps its greedy-completed incumbent), then the greedy completion (a
+/// budget-0 solve: reductions + min-degree greedy).
 inline std::vector<int> cluster_mis(const Graph& h, const LadderConfig& cfg,
                                     TierReport& rep) {
-  rep = TierReport{};
-  if (h.n() == 0) return {};
-  const auto t0 = std::chrono::steady_clock::now();
-  rep.solved = true;
-  std::vector<int> sol;
-  NiceTreeDecomposition nd;
-  if (cfg.mode == SolverMode::kGreedy) {
-    sol = max_independent_set(h, 0, nullptr).set;
-    rep.tier = SolveTier::kGreedy;
-  } else if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
-    sol = max_independent_set(h).set;
-    rep.tier = SolveTier::kForest;
-  } else if (ladder_tw_probe(h, cfg, nd)) {
-    sol = tw_max_independent_set(h, nd);
-    rep.tier = SolveTier::kTreewidthDp;
-    rep.width = nd.width;
-  } else if (cfg.mode != SolverMode::kTreewidth) {
-    MisSearchReport r;
-    sol = max_independent_set(h, cfg.node_budget, &r).set;
-    rep.bb_ran = true;
-    rep.bb_nodes = r.nodes;
-    rep.bb_exact = r.exact;
-    rep.tier = r.exact ? SolveTier::kBranchBound : SolveTier::kGreedy;
-  } else {  // kTreewidth mode past the width gate: no B&B rescue
-    sol = max_independent_set(h, 0, nullptr).set;
-    rep.tier = SolveTier::kGreedy;
-  }
-  rep.ms = std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-               .count();
-  return sol;
+  return run_ladder(
+      h, cfg, rep, [&h] { return max_independent_set(h).set; },
+      [&h](const NiceTreeDecomposition& nd) {
+        return tw_max_independent_set(h, nd);
+      },
+      [&h]() -> std::optional<LadderSearch<std::vector<int>>> {
+        MisSearchReport r;
+        std::vector<int> s = max_independent_set(h, kLadderNodeBudget, &r).set;
+        return LadderSearch<std::vector<int>>{std::move(s), r.exact, r.nodes};
+      },
+      [&h] { return max_independent_set(h, 0, nullptr).set; });
 }
 
 /// Cluster VC: the complement of the cluster MIS ladder's witness — a valid
@@ -158,51 +190,13 @@ inline std::vector<int> cluster_vc(const Graph& h, const LadderConfig& cfg,
   return out;
 }
 
-/// Sharded seam-candidate scan: collect the cut-edge pairs (u, v), u < v,
-/// for which `want(u, v)` holds on the PRE-SWEEP state, in lexicographic
-/// order. The O(m) adjacency walk is the hot part of both seam sweeps, and
-/// it reads only frozen state, so vertex ranges fan out over the pool and
-/// the per-task vectors concatenate in task order — which IS lex order,
-/// because ranges are contiguous and ascending (congest::ShardPlan).
-/// The caller replays the candidates serially with live-state checks; the
-/// monotone sweeps (in_set only falls, in_cover only rises) make that replay
-/// provably identical to the serial adjacency sweep — see each call site.
-inline std::vector<std::pair<int, int>> collect_seam_candidates(
-    const Graph& g, const std::vector<int>& cluster,
-    const std::function<bool(int, int)>& want, congest::ShardPool* pool) {
-  const auto scan = [&](int lo, int hi, std::vector<std::pair<int, int>>& out) {
-    for (int u = lo; u < hi; ++u) {
-      for (int v : g.neighbors(u)) {
-        if (u < v && cluster[u] != cluster[v] && want(u, v)) {
-          out.emplace_back(u, v);
-        }
-      }
-    }
-  };
-  if (pool == nullptr || pool->threads() == 1 || g.n() == 0) {
-    std::vector<std::pair<int, int>> out;
-    scan(0, g.n(), out);
-    return out;
-  }
-  const int tasks = std::min(g.n(), 4 * pool->threads());
-  std::vector<std::vector<std::pair<int, int>>> partial(tasks);
-  congest::parallel_ranges(*pool, g.n(), tasks,
-                           [&](int lo, int hi, int t) { scan(lo, hi, partial[t]); });
-  std::vector<std::pair<int, int>> out;
-  for (auto& p : partial) {
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
 }  // namespace detail
 
 /// Corollary 6.5: deterministic (1-eps)-approximate maximum independent set.
 /// alpha is the family's density bound (m <= alpha*n). `pool` fans the
-/// per-cluster ladder solves (vertex-disjoint clusters, deterministic
-/// ladder, folded in cluster order) and shards the seam-repair candidate
-/// scan; the result is bit-identical to the serial sweep at every thread
-/// count (test_shard gates it). `ladder` selects the solver tiers.
+/// per-cluster ladder solves (detail::solve_clusters: bit-identical at every
+/// thread count); the seam repair is one serial sweep over the cut edges.
+/// `ladder` selects the solver tiers.
 inline SetSolution approx_max_independent_set(const Graph& g, double eps,
                                               int alpha,
                                               congest::ShardPool* pool = nullptr,
@@ -214,45 +208,18 @@ inline SetSolution approx_max_independent_set(const Graph& g, double eps,
   const detail::AppDecomposition dec =
       detail::decompose_for_app(g, eps_star, out.stats);
 
-  const int k = static_cast<int>(dec.members.size());
-  std::vector<std::vector<int>> local(k);
-  std::vector<TierReport> reports(k);
-  const auto solve_one = [&](int c) {
-    const std::vector<int>& verts = dec.members[c];
-    if (verts.empty()) return;
-    const InducedSubgraph sub = induced_subgraph(g, verts);
-    const std::vector<int> s =
-        detail::cluster_mis(sub.graph, ladder, reports[c]);
-    local[c].reserve(s.size());
-    for (int i : s) local[c].push_back(sub.to_parent[i]);
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->run(k, [&](int task, int) { solve_one(task); });
-  } else {
-    for (int c = 0; c < k; ++c) solve_one(c);
-  }
-  std::vector<char> in_set(g.n(), 0);
-  for (int c = 0; c < k; ++c) {
-    accumulate_tier(out.stats, reports[c]);
-    for (int v : local[c]) in_set[v] = 1;
-  }
+  std::vector<char> in_set = detail::cluster_union(
+      g, dec, pool, ladder, detail::cluster_mis, out.stats);
   // Seam repair: a cut edge with both endpoints chosen drops its larger
   // endpoint — at most one loss per cut edge, which eps* budgeted for.
-  // Sharded form: collect the cut pairs with both endpoints in the
-  // PRE-SWEEP set (lex order), then replay them serially with live checks.
-  // This equals the serial adjacency sweep exactly: membership only falls
-  // during the sweep, so every pair the serial sweep acts on was in the
-  // pre-sweep candidate set, and pairs whose live check fails are skipped
-  // by both versions — same drops, same conflict count, in the same order.
-  const std::vector<std::pair<int, int>> candidates =
-      detail::collect_seam_candidates(
-          g, dec.edt.clustering.cluster,
-          [&in_set](int u, int v) { return in_set[u] && in_set[v]; }, pool);
+  const std::vector<int>& cl = dec.edt.clustering.cluster;
   std::int64_t conflicts = 0;
-  for (const auto& [u, v] : candidates) {
-    if (in_set[u] && in_set[v]) {
-      in_set[v] = 0;
-      ++conflicts;
+  for (int u = 0; u < g.n(); ++u) {
+    for (int v : g.neighbors(u)) {
+      if (u < v && cl[u] != cl[v] && in_set[u] && in_set[v]) {
+        in_set[v] = 0;
+        ++conflicts;
+      }
     }
   }
   out.stats.runtime.charge("seam repair (1 round)", 1, conflicts,
@@ -267,9 +234,8 @@ inline SetSolution approx_max_independent_set(const Graph& g, double eps,
 /// Corollary 6.4 (matching half): deterministic (1-eps)-approximate maximum
 /// matching via per-cluster blossom on the (ε*, D, T)-decomposition.
 /// Blossom is polynomial, so there is no solver ladder here — but the
-/// per-cluster solves still fan over `pool` (vertex-disjoint clusters,
-/// deterministic solver, edges folded in cluster order then sorted:
-/// bit-identical to the serial sweep).
+/// per-cluster solves still fan over `pool` through the same driver (edges
+/// folded in cluster order, then sorted).
 inline MatchingSolution approx_max_matching(const Graph& g, double eps,
                                             int alpha,
                                             congest::ShardPool* pool = nullptr) {
@@ -280,24 +246,19 @@ inline MatchingSolution approx_max_matching(const Graph& g, double eps,
   const detail::AppDecomposition dec =
       detail::decompose_for_app(g, eps_star, out.stats);
 
-  const int k = static_cast<int>(dec.members.size());
-  std::vector<std::vector<std::pair<int, int>>> local(k);
-  const auto solve_one = [&](int c) {
-    const std::vector<int>& verts = dec.members[c];
-    if (verts.size() < 2) return;
-    const InducedSubgraph sub = induced_subgraph(g, verts);
-    for (const auto& [a, b] : max_matching_edges(sub.graph)) {
-      const int u = sub.to_parent[a], v = sub.to_parent[b];
-      local[c].emplace_back(std::min(u, v), std::max(u, v));
-    }
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->run(k, [&](int task, int) { solve_one(task); });
-  } else {
-    for (int c = 0; c < k; ++c) solve_one(c);
-  }
-  for (int c = 0; c < k; ++c) {
-    out.edges.insert(out.edges.end(), local[c].begin(), local[c].end());
+  const std::vector<std::vector<std::pair<int, int>>> local =
+      detail::solve_clusters(
+          g, dec, pool, out.stats,
+          [](const InducedSubgraph& sub, TierReport& /*rep*/) {
+            std::vector<std::pair<int, int>> edges;
+            for (const auto& [a, b] : max_matching_edges(sub.graph)) {
+              const int u = sub.to_parent[a], v = sub.to_parent[b];
+              edges.emplace_back(std::min(u, v), std::max(u, v));
+            }
+            return edges;
+          });
+  for (const auto& edges : local) {
+    out.edges.insert(out.edges.end(), edges.begin(), edges.end());
   }
   std::sort(out.edges.begin(), out.edges.end());
   out.stats.finish();
@@ -306,8 +267,8 @@ inline MatchingSolution approx_max_matching(const Graph& g, double eps,
 
 /// Corollary 6.4 (cover half): deterministic (1+eps)-approximate minimum
 /// vertex cover — per-cluster ladder covers plus one endpoint per cut edge.
-/// `pool` fans the per-cluster solves and shards the seam scan; `ladder`
-/// selects the solver tiers.
+/// `pool` fans the per-cluster solves; the seam patch is a serial sweep.
+/// `ladder` selects the solver tiers.
 inline SetSolution approx_min_vertex_cover(const Graph& g, double eps,
                                            int alpha,
                                            congest::ShardPool* pool = nullptr,
@@ -319,44 +280,18 @@ inline SetSolution approx_min_vertex_cover(const Graph& g, double eps,
   const detail::AppDecomposition dec =
       detail::decompose_for_app(g, eps_star, out.stats);
 
-  const int k = static_cast<int>(dec.members.size());
-  std::vector<std::vector<int>> local(k);
-  std::vector<TierReport> reports(k);
-  const auto solve_one = [&](int c) {
-    const std::vector<int>& verts = dec.members[c];
-    if (verts.empty()) return;
-    const InducedSubgraph sub = induced_subgraph(g, verts);
-    const std::vector<int> s =
-        detail::cluster_vc(sub.graph, ladder, reports[c]);
-    local[c].reserve(s.size());
-    for (int i : s) local[c].push_back(sub.to_parent[i]);
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->run(k, [&](int task, int) { solve_one(task); });
-  } else {
-    for (int c = 0; c < k; ++c) solve_one(c);
-  }
-  std::vector<char> in_cover(g.n(), 0);
-  for (int c = 0; c < k; ++c) {
-    accumulate_tier(out.stats, reports[c]);
-    for (int v : local[c]) in_cover[v] = 1;
-  }
+  std::vector<char> in_cover = detail::cluster_union(
+      g, dec, pool, ladder, detail::cluster_vc, out.stats);
   // Every cut edge must be covered too: take its smaller endpoint unless one
-  // endpoint is already in. Sharded like the MIS sweep — candidates are the
-  // cut pairs with both endpoints uncovered PRE-SWEEP, replayed in lex order
-  // with live checks. Coverage only rises during the sweep, so every pair
-  // the serial sweep patches was uncovered pre-sweep, and both versions skip
-  // the same live-covered pairs — identical patches, identical count.
-  const std::vector<std::pair<int, int>> candidates =
-      detail::collect_seam_candidates(
-          g, dec.edt.clustering.cluster,
-          [&in_cover](int u, int v) { return !in_cover[u] && !in_cover[v]; },
-          pool);
+  // endpoint is already in.
+  const std::vector<int>& cl = dec.edt.clustering.cluster;
   std::int64_t patched = 0;
-  for (const auto& [u, v] : candidates) {
-    if (!in_cover[u] && !in_cover[v]) {
-      in_cover[u] = 1;
-      ++patched;
+  for (int u = 0; u < g.n(); ++u) {
+    for (int v : g.neighbors(u)) {
+      if (u < v && cl[u] != cl[v] && !in_cover[u] && !in_cover[v]) {
+        in_cover[u] = 1;
+        ++patched;
+      }
     }
   }
   out.stats.runtime.charge("seam repair (1 round)", 1, patched,

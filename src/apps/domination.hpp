@@ -10,23 +10,25 @@
 // O(cut) and the additive eps*·m loss becomes multiplicative via
 // gamma(G) >= n / (Delta + 1) and m <= alpha * n.
 //
-// Per-cluster solver ladder (all deterministic, apps/treewidth.hpp's
-// width-gated four tiers): exact tree DP on forest clusters of any size;
+// Per-cluster solver ladder (all deterministic; apps/treewidth.hpp's
+// run_ladder with the MDS tier bodies, fanned over the pool by approx.hpp's
+// detail::solve_clusters): exact tree DP on forest clusters of any size;
 // the treewidth DP when the capped decomposition probe certifies width <=
 // tw_cap; branch-and-bound — candidate branching on a fewest-dominator
 // white vertex with a greedy 2-packing lower bound (closed neighborhoods of
 // a 2-packing are disjoint, so any dominating set spends one vertex per
 // packed vertex) — inside a node budget; greedy plus redundancy pruning
-// when the budget blows. Per-tier cluster counts and B&B effort land in
-// congest::SolverStats. min_dominating_set (the exact baseline) runs the
-// same B&B with an unbounded budget.
+// when the budget blows (or the B&B incumbent, if smaller). Per-tier
+// cluster counts and B&B effort land in congest::SolverStats.
+// min_dominating_set (the exact baseline) runs the same B&B with an
+// unbounded budget.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -368,52 +370,32 @@ class MdsBranch {
   bool exact_ = true;
 };
 
-/// The width-gated cluster ladder: forest tree-DP -> treewidth DP (computed
-/// width <= tw_cap) -> budgeted B&B -> greedy + pruning. Fills `rep` with
-/// the tier that produced the answer, the certified width when the DP ran,
-/// the B&B effort when that tier ran, and the wall time of this solve.
+/// The cluster MDS ladder (run_ladder's tiers): forest tree-DP ->
+/// treewidth DP -> budgeted B&B -> greedy + pruning. A blown B&B budget
+/// keeps the smaller of its incumbent and greedy + pruning.
 inline std::vector<int> cluster_mds(const Graph& h, const LadderConfig& cfg,
                                     TierReport& rep) {
-  rep = TierReport{};
-  if (h.n() == 0) return {};
-  const auto t0 = std::chrono::steady_clock::now();
-  rep.solved = true;
-  std::vector<int> sol;
-  NiceTreeDecomposition nd;
-  if (cfg.mode == SolverMode::kGreedy) {
-    sol = greedy_mds(h);
+  const auto greedy = [&h] {
+    std::vector<int> sol = greedy_mds(h);
     prune_redundant(h, sol);
-    rep.tier = SolveTier::kGreedy;
-  } else if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
-    sol = tree_mds(h);
-    rep.tier = SolveTier::kForest;
-  } else if (ladder_tw_probe(h, cfg, nd)) {
-    sol = tw_min_dominating_set(h, nd);
-    rep.tier = SolveTier::kTreewidthDp;
-    rep.width = nd.width;
-  } else if (cfg.mode != SolverMode::kTreewidth) {
-    MdsBranch bb(h, cfg.node_budget);
-    sol = bb.solve();
-    rep.bb_ran = true;
-    rep.bb_nodes = bb.nodes();
-    rep.bb_exact = bb.exact();
-    if (bb.exact()) {
-      rep.tier = SolveTier::kBranchBound;
-    } else {
-      rep.tier = SolveTier::kGreedy;
-      std::vector<int> fallback = greedy_mds(h);
-      prune_redundant(h, fallback);
-      if (fallback.size() < sol.size()) sol = std::move(fallback);
-    }
-  } else {  // kTreewidth mode past the width gate: no B&B rescue
-    sol = greedy_mds(h);
-    prune_redundant(h, sol);
-    rep.tier = SolveTier::kGreedy;
-  }
-  rep.ms = std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-               .count();
-  return sol;
+    return sol;
+  };
+  return run_ladder(
+      h, cfg, rep, [&h] { return tree_mds(h); },
+      [&h](const NiceTreeDecomposition& nd) {
+        return tw_min_dominating_set(h, nd);
+      },
+      [&]() -> std::optional<LadderSearch<std::vector<int>>> {
+        MdsBranch bb(h, kLadderNodeBudget);
+        std::vector<int> sol = bb.solve();
+        if (!bb.exact()) {
+          std::vector<int> fallback = greedy();
+          if (fallback.size() < sol.size()) sol = std::move(fallback);
+        }
+        return LadderSearch<std::vector<int>>{std::move(sol), bb.exact(),
+                                              bb.nodes()};
+      },
+      greedy);
 }
 
 }  // namespace detail
@@ -448,10 +430,9 @@ inline std::vector<int> greedy_dominating_set(const Graph& g) {
 /// The covering application: deterministic (1+eps)-approximate minimum
 /// dominating set via per-cluster domination on the (ε*, D, T)-decomposition
 /// with eps* = eps / (alpha * (Delta + 1)). `pool` fans the per-cluster
-/// ladder solves (clusters are vertex-disjoint and the ladder is
-/// deterministic; results fold in cluster order, so the output is
-/// bit-identical to the serial sweep — test_shard gates it); `ladder`
-/// selects the solver tiers (the benches' --tw_cap / --solver knobs).
+/// ladder solves (detail::solve_clusters: bit-identical at every thread
+/// count — test_shard gates it); `ladder` selects the solver tiers (the
+/// benches' --tw_cap / --solver knobs).
 inline MdsSolution approx_min_dominating_set(const Graph& g, double eps,
                                              int alpha,
                                              congest::ShardPool* pool = nullptr,
@@ -463,28 +444,11 @@ inline MdsSolution approx_min_dominating_set(const Graph& g, double eps,
   const detail::AppDecomposition dec =
       detail::decompose_for_app(g, out.eps_star, out.stats);
 
-  const int k = static_cast<int>(dec.members.size());
-  std::vector<std::vector<int>> local(k);
-  std::vector<TierReport> reports(k);
-  const auto solve_one = [&](int c) {
-    const std::vector<int>& verts = dec.members[c];
-    if (verts.empty()) return;
-    const InducedSubgraph sub = induced_subgraph(g, verts);
-    const std::vector<int> s = detail::cluster_mds(sub.graph, ladder,
-                                                   reports[c]);
-    local[c].reserve(s.size());
-    for (int i : s) local[c].push_back(sub.to_parent[i]);
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->run(k, [&](int task, int) { solve_one(task); });
-  } else {
-    for (int c = 0; c < k; ++c) solve_one(c);
+  const std::vector<char> in_set = detail::cluster_union(
+      g, dec, pool, ladder, detail::cluster_mds, out.stats);
+  for (int v = 0; v < g.n(); ++v) {
+    if (in_set[v]) out.vertices.push_back(v);
   }
-  for (int c = 0; c < k; ++c) {
-    accumulate_tier(out.stats, reports[c]);
-    out.vertices.insert(out.vertices.end(), local[c].begin(), local[c].end());
-  }
-  std::sort(out.vertices.begin(), out.vertices.end());
   out.stats.finish();
   return out;
 }

@@ -16,9 +16,9 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "apps/approx.hpp"
@@ -145,51 +145,32 @@ inline CutResult max_cut(const Graph& g, int exact_cap = 26) {
 
 namespace detail {
 
-/// The per-cluster max-cut ladder (apps/treewidth.hpp tiers): forest
-/// clusters take BFS-parity sides (exact — trees are bipartite, so the
-/// parity cut is all m edges); medium clusters the treewidth DP when the
-/// capped probe certifies width <= tw_cap; small clusters the gray-code
-/// enumeration (the exact-search tier here — bb_nodes counts its 2^(n-1)-1
-/// single-flip steps, always within "budget"); everything else BFS-parity
+/// The per-cluster max-cut ladder (run_ladder's tiers): forest clusters
+/// take BFS-parity sides (exact — trees are bipartite, so the parity cut is
+/// all m edges); medium clusters the treewidth DP; clusters of at most
+/// exact_cap vertices the gray-code enumeration (the exact-search tier here
+/// — bb_nodes counts its 2^(n-1)-1 single-flip steps, always within
+/// "budget"; above the cap it does not apply); everything else BFS-parity
 /// plus first-improvement flips (the greedy tier; `passes` reports the
 /// sweep count for the caller's envelope bill).
 inline std::vector<char> cluster_cut(const Graph& h, int exact_cap,
                                      const LadderConfig& cfg, TierReport& rep,
                                      int& passes) {
-  rep = TierReport{};
   passes = 0;
-  if (h.n() == 0) return {};
-  const auto t0 = std::chrono::steady_clock::now();
-  rep.solved = true;
-  std::vector<char> side;
-  NiceTreeDecomposition nd;
   const int cap = std::min(exact_cap, 30);  // max_cut's own clamp
-  if (cfg.mode == SolverMode::kGreedy) {
-    side = parity_sides(h);
-    passes = local_flip_passes(h, side);
-    rep.tier = SolveTier::kGreedy;
-  } else if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
-    side = parity_sides(h);
-    rep.tier = SolveTier::kForest;
-  } else if (ladder_tw_probe(h, cfg, nd)) {
-    side = tw_max_cut(h, nd).side;
-    rep.tier = SolveTier::kTreewidthDp;
-    rep.width = nd.width;
-  } else if (cfg.mode != SolverMode::kTreewidth && h.n() <= cap) {
-    side = max_cut(h, cap).side;
-    rep.tier = SolveTier::kBranchBound;
-    rep.bb_ran = true;
-    rep.bb_exact = true;
-    rep.bb_nodes = (std::int64_t{1} << (h.n() - 1)) - 1;
-  } else {
-    side = parity_sides(h);
-    passes = local_flip_passes(h, side);
-    rep.tier = SolveTier::kGreedy;
-  }
-  rep.ms = std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-               .count();
-  return side;
+  return run_ladder(
+      h, cfg, rep, [&h] { return parity_sides(h); },
+      [&h](const NiceTreeDecomposition& nd) { return tw_max_cut(h, nd).side; },
+      [&]() -> std::optional<LadderSearch<std::vector<char>>> {
+        if (h.n() > cap) return std::nullopt;
+        return LadderSearch<std::vector<char>>{
+            max_cut(h, cap).side, true, (std::int64_t{1} << (h.n() - 1)) - 1};
+      },
+      [&] {
+        std::vector<char> side = parity_sides(h);
+        passes = local_flip_passes(h, side);
+        return side;
+      });
 }
 
 }  // namespace detail
@@ -197,10 +178,9 @@ inline std::vector<char> cluster_cut(const Graph& h, int exact_cap,
 /// Corollary 6.3: deterministic (1-eps)-approximate maximum cut. Clusters
 /// are cut by the width-gated ladder (parity on forests, treewidth DP,
 /// gray-code enumeration, parity + flips) and the per-cluster solves fan
-/// over `pool` (vertex-disjoint clusters, deterministic ladder, folded in
-/// cluster order), as does the cluster-flip gain accumulation; per-task
-/// integer partials summed in task order keep the result bit-identical to
-/// the serial sweep. `ladder` selects the solver tiers.
+/// over `pool` (detail::solve_clusters: bit-identical at every thread
+/// count); the cluster-flip gain scan is a serial O(m) sweep per pass.
+/// `ladder` selects the solver tiers.
 inline CutSolution approx_max_cut(const Graph& g, double eps,
                                   int exact_cap = 24,
                                   congest::ShardPool* pool = nullptr,
@@ -210,31 +190,25 @@ inline CutSolution approx_max_cut(const Graph& g, double eps,
   const detail::AppDecomposition dec =
       detail::decompose_for_app(g, eps_star, out.stats);
 
-  out.side.assign(g.n(), 0);
-  const int k = static_cast<int>(dec.members.size());
-  std::vector<std::vector<char>> local(k);
-  std::vector<TierReport> reports(k);
-  std::vector<int> passes(k, 0);
-  const auto solve_one = [&](int c) {
-    const std::vector<int>& verts = dec.members[c];
-    if (verts.empty()) return;
-    const InducedSubgraph sub = induced_subgraph(g, verts);
-    local[c] = detail::cluster_cut(sub.graph, exact_cap, ladder, reports[c],
-                                   passes[c]);
+  struct ClusterCut {
+    std::vector<char> side;  // by cluster-local id
+    int passes = 0;
   };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->run(k, [&](int task, int) { solve_one(task); });
-  } else {
-    for (int c = 0; c < k; ++c) solve_one(c);
-  }
+  const std::vector<ClusterCut> local = detail::solve_clusters(
+      g, dec, pool, out.stats,
+      [&](const InducedSubgraph& sub, TierReport& rep) {
+        ClusterCut cc;
+        cc.side = detail::cluster_cut(sub.graph, exact_cap, ladder, rep,
+                                      cc.passes);
+        return cc;
+      });
+  out.side.assign(g.n(), 0);
   int max_passes = 1;
-  for (int c = 0; c < k; ++c) {
-    accumulate_tier(out.stats, reports[c]);
-    max_passes = std::max(max_passes, passes[c]);
-    if (local[c].empty()) continue;
+  for (std::size_t c = 0; c < local.size(); ++c) {
+    max_passes = std::max(max_passes, local[c].passes);
     const std::vector<int>& verts = dec.members[c];
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      out.side[verts[i]] = local[c][i];
+    for (std::size_t i = 0; i < local[c].side.size(); ++i) {
+      out.side[verts[i]] = local[c].side[i];
     }
   }
   // Each flip sweep exchanges one side-bit per directed intra-cluster edge.
@@ -250,34 +224,15 @@ inline CutSolution approx_max_cut(const Graph& g, double eps,
   while (improved && flip_passes < 30) {
     improved = false;
     ++flip_passes;
-    // The gain accumulation is a read-only O(m) scan into integer buckets:
-    // vertex ranges fan out over the pool with one bucket array per task,
-    // and the partials sum in task order. Integer addition is associative
-    // and commutative, so the merged gains equal the serial scan exactly.
     std::vector<std::int64_t> gain(dec.edt.clustering.k, 0);
-    const auto scan = [&](int lo, int hi, std::vector<std::int64_t>& acc) {
-      for (int u = lo; u < hi; ++u) {
-        for (int v : g.neighbors(u)) {
-          if (u < v && cl[u] != cl[v]) {
-            const std::int64_t d = out.side[u] == out.side[v] ? 1 : -1;
-            acc[cl[u]] += d;
-            acc[cl[v]] += d;
-          }
+    for (int u = 0; u < g.n(); ++u) {
+      for (int v : g.neighbors(u)) {
+        if (u < v && cl[u] != cl[v]) {
+          const std::int64_t d = out.side[u] == out.side[v] ? 1 : -1;
+          gain[cl[u]] += d;
+          gain[cl[v]] += d;
         }
       }
-    };
-    if (pool != nullptr && pool->threads() > 1 && g.n() > 0) {
-      const int tasks = std::min(g.n(), 4 * pool->threads());
-      std::vector<std::vector<std::int64_t>> partial(
-          tasks, std::vector<std::int64_t>(dec.edt.clustering.k, 0));
-      congest::parallel_ranges(
-          *pool, g.n(), tasks,
-          [&](int lo, int hi, int t) { scan(lo, hi, partial[t]); });
-      for (const auto& p : partial) {
-        for (int c = 0; c < dec.edt.clustering.k; ++c) gain[c] += p[c];
-      }
-    } else {
-      scan(0, g.n(), gain);
     }
     // Accept one flip per pass (the best), so gains never go stale.
     int best_c = -1;

@@ -34,18 +34,20 @@
 // are reconstructed from per-forget choice bits and per-join white-split
 // masks, so peak memory is O(3^w * w) per live table, not O(3^w * n).
 //
-// The shared ladder vocabulary (LadderConfig / SolveTier / TierReport /
-// accumulate_tier) lives here too: domination.hpp, approx.hpp and
-// maxcut.hpp all rewire their per-cluster solves through the same
-// width-gated four-tier ladder (forest tree-DP -> treewidth DP when the
-// computed width is <= tw_cap -> budgeted branch & bound -> pruned greedy)
-// and report per-tier cluster counts plus B&B effort into
-// congest::SolverStats.
+// The ladder itself lives here too: run_ladder is the one width-gated
+// four-tier skeleton (forest tree-DP -> treewidth DP when the computed
+// width is <= tw_cap -> budgeted exact search -> greedy) with the shared
+// vocabulary (LadderConfig / SolveTier / TierReport / accumulate_tier).
+// approx.hpp (MIS, VC), domination.hpp (MDS) and maxcut.hpp supply only
+// their tier bodies, and report per-tier cluster counts plus B&B effort
+// into congest::SolverStats.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -101,19 +103,22 @@ enum class SolverMode : int {
   kGreedy = 3,      // greedy tier only (the ratio floor)
 };
 
-/// Per-cluster ladder knobs. tw_cap is the width gate: the DP runs only
-/// when the computed decomposition width is <= tw_cap. It is HARD-CLAMPED
-/// to 13 inside the ladders — the MDS kernel's tables are 3^(w+1) entries
-/// and its join enumerates 4^(w+1) white-splits, so a generous knob must
-/// not silently ask for gigabytes (same rationale as max_cut's exact_cap
-/// clamp). tw_max_n bounds the decomposition search itself (the greedy is
-/// quadratic in the worst case); node_budget is the B&B tier's budget.
+/// Per-cluster ladder knobs, the two the benches set (--tw_cap, --solver).
+/// tw_cap is the width gate: the DP runs only when the computed
+/// decomposition width is <= tw_cap. It is HARD-CLAMPED to 13 inside the
+/// ladder — the MDS kernel's tables are 3^(w+1) entries and its join
+/// enumerates 4^(w+1) white-splits, so a generous knob must not silently
+/// ask for gigabytes (same rationale as max_cut's exact_cap clamp).
 struct LadderConfig {
   int tw_cap = 10;
-  int tw_max_n = 4096;
-  std::int64_t node_budget = 250'000;
   SolverMode mode = SolverMode::kAuto;
 };
+
+/// The B&B tier's node budget (survived nodes before the search gives up).
+inline constexpr std::int64_t kLadderNodeBudget = 250'000;
+/// The largest cluster the width probe decomposes — the greedy elimination
+/// search is quadratic in the worst case.
+inline constexpr int kLadderTwMaxN = 4096;
 
 /// What one cluster solve reports back to the fold: the tier that produced
 /// the answer, the computed width (when a decomposition was attempted), and
@@ -159,13 +164,14 @@ inline const char* solver_mode_name(SolverMode m) {
   return "auto";
 }
 
-/// Parse a --solver flag value; unknown strings fall back to kAuto (the
-/// benches warn via Cli, the ladder never dies on a typo).
-inline SolverMode solver_mode_from_string(const std::string& s) {
+/// Parse a --solver flag value; nullopt for a name that is not one of
+/// auto|tw|bb|greedy (bench::ladder_from_cli warns and falls back to auto).
+inline std::optional<SolverMode> solver_mode_from_string(const std::string& s) {
+  if (s == "auto") return SolverMode::kAuto;
   if (s == "tw") return SolverMode::kTreewidth;
   if (s == "bb") return SolverMode::kBranchBound;
   if (s == "greedy") return SolverMode::kGreedy;
-  return SolverMode::kAuto;
+  return std::nullopt;
 }
 
 namespace detail {
@@ -583,25 +589,82 @@ inline NiceTreeDecomposition nice_tree_decomposition(
   return nd;
 }
 
-/// The ladder's width gate: true iff the cluster is eligible (mode allows
-/// the DP tier, n <= tw_max_n) and the capped decomposition search
-/// certifies width <= the clamped tw_cap; fills `nd` with the nice
-/// decomposition the kernels consume (nd.width is the certified width).
+/// The ladder's width gate: true iff the cluster is small enough (n <=
+/// kLadderTwMaxN) and the capped decomposition search certifies width <=
+/// the clamped tw_cap; fills `nd` with the nice decomposition the kernels
+/// consume (nd.width is the certified width).
 /// The probe passes abort_width = cap + 2 — slack for greedy suboptimality —
 /// and re-checks the final width against the cap, so a wide cluster costs
 /// only the aborted greedy, never a full decomposition.
 inline bool ladder_tw_probe(const Graph& g, const LadderConfig& cfg,
                             NiceTreeDecomposition& nd) {
-  if (cfg.mode != SolverMode::kAuto && cfg.mode != SolverMode::kTreewidth) {
-    return false;
-  }
-  if (g.n() > cfg.tw_max_n) return false;
+  if (g.n() > kLadderTwMaxN) return false;
   const int cap = std::min(cfg.tw_cap, 13);  // see LadderConfig::tw_cap
   if (cap < 0) return false;
   const TreeDecomposition td = tree_decomposition(g, cap + 2);
   if (!td.complete || td.width > cap) return false;
   nd = nice_tree_decomposition(td);
   return true;
+}
+
+/// What an exact-search tier body hands run_ladder: its witness (the
+/// incumbent when the budget blew), whether the search finished, and the
+/// nodes it explored.
+template <class Sol>
+struct LadderSearch {
+  Sol sol;
+  bool exact = false;
+  std::int64_t nodes = 0;
+};
+
+/// The width-gated four-tier cluster ladder — the one place the tier policy
+/// lives. Each problem supplies only its tier bodies:
+///   forest()  the exact solve of a tree cluster (connected, m = n - 1);
+///   tw(nd)    the treewidth-DP kernel on the certified nice decomposition;
+///   search()  the exact search as std::optional<LadderSearch<Sol>>, nullopt
+///             when it does not apply to this cluster;
+///   greedy()  the fallback.
+/// Order: greedy when forced (kGreedy), else forest -> width probe (kAuto,
+/// kTreewidth) -> exact search (not under kTreewidth) -> greedy. A search
+/// that blew its budget lands on the greedy tier with the witness it
+/// returned. Fills `rep` with the tier, the certified width when the DP
+/// ran, the search effort when that tier ran, and the wall time.
+template <class Forest, class Tw, class Search, class Greedy>
+auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
+                Forest&& forest, Tw&& tw, Search&& search, Greedy&& greedy) {
+  using Sol = decltype(greedy());
+  rep = TierReport{};
+  if (h.n() == 0) return Sol{};
+  const auto t0 = std::chrono::steady_clock::now();
+  rep.solved = true;
+  Sol sol;
+  NiceTreeDecomposition nd;
+  std::optional<LadderSearch<Sol>> found;
+  if (cfg.mode == SolverMode::kGreedy) {
+    sol = greedy();
+    rep.tier = SolveTier::kGreedy;
+  } else if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
+    sol = forest();
+    rep.tier = SolveTier::kForest;
+  } else if (cfg.mode != SolverMode::kBranchBound &&
+             ladder_tw_probe(h, cfg, nd)) {
+    sol = tw(nd);
+    rep.tier = SolveTier::kTreewidthDp;
+    rep.width = nd.width;
+  } else if (cfg.mode != SolverMode::kTreewidth && (found = search())) {
+    sol = std::move(found->sol);
+    rep.bb_ran = true;
+    rep.bb_exact = found->exact;
+    rep.bb_nodes = found->nodes;
+    rep.tier = found->exact ? SolveTier::kBranchBound : SolveTier::kGreedy;
+  } else {  // no exact search applies (or kTreewidth past the width gate)
+    sol = greedy();
+    rep.tier = SolveTier::kGreedy;
+  }
+  rep.ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+               .count();
+  return sol;
 }
 
 namespace detail {

@@ -5,7 +5,7 @@
 // and meet at a barrier per round. A lent ShardPool* is the only thread
 // input those layers take; nullptr runs the same code inline.
 //
-// Three pieces, shared by every sharded engine in the tree:
+// Four pieces, shared by every sharded engine in the tree:
 //
 //   * ShardPlan — the contiguous even partition of [0, n). Contiguity is
 //     load-bearing: CSR adjacency and MessageMeter slot ids are both laid
@@ -17,6 +17,10 @@
 //     skewed cluster sizes still balance), and barriers before returning.
 //     With one thread the loop runs inline on the caller, so pooled and
 //     unpooled runs share one code body.
+//   * for_each_task / parallel_ranges — the fan-out call of every pooled
+//     loop (whole tasks, or contiguous vertex slices) but the query
+//     server's parallel_chunks. A null pool, a one-thread pool or a single
+//     task runs inline, so no call site forks on the pool itself.
 //   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
 //     Each lane owns a contiguous slot slice and is only ever written by its
 //     owning shard, so metering is race-free without atomics; merging the
@@ -266,14 +270,31 @@ class ShardedMeter {
   std::int64_t rounds_ = 0;
 };
 
-/// Convenience: run fn(lo, hi, task) over an even contiguous partition of
-/// [0, n) — the shape of every per-vertex sharded loop. Per-task outputs
-/// indexed by `task` and folded in task order reproduce serial order.
-inline void parallel_ranges(ShardPool& pool, int n, int tasks,
-                            const std::function<void(int, int, int)>& fn) {
-  tasks = std::max(1, tasks);
+/// The one fan-out call every pooled loop goes through: fn(task, worker) for
+/// every task in [0, tasks) across `pool`. It runs inline — a plain loop,
+/// worker 0, no pool bookkeeping — when pool is null, has one thread, or
+/// there is at most one task. The last rule is load-bearing: a one-task
+/// pool->run would mark the pool busy, and a fan-out nested in that task
+/// (certify_parts' lone cluster replaying its game over the same pool)
+/// would then inline instead of using the workers.
+template <class Fn>
+void for_each_task(ShardPool* pool, int tasks, Fn&& fn) {
+  if (pool == nullptr || pool->threads() == 1 || tasks <= 1) {
+    for (int t = 0; t < tasks; ++t) fn(t, 0);
+    return;
+  }
+  pool->run(tasks, fn);
+}
+
+/// Run fn(lo, hi, task) over an even contiguous partition of [0, n) into
+/// `tasks` slices — the shape of every per-vertex sharded loop — through
+/// for_each_task, so a null pool runs the slices inline. Empty slices are
+/// skipped. Per-task outputs indexed by `task` and folded in task order
+/// reproduce serial order.
+template <class Fn>
+void parallel_ranges(ShardPool* pool, int n, int tasks, Fn&& fn) {
   const ShardPlan plan(n, tasks);
-  pool.run(tasks, [&](int t, int /*worker*/) {
+  for_each_task(pool, plan.shards, [&](int t, int /*worker*/) {
     const int lo = plan.begin(t);
     const int hi = plan.end(t);
     if (lo < hi) fn(lo, hi, t);

@@ -112,16 +112,11 @@ inline PartCertifyReport certify_parts(
   const int nparts = static_cast<int>(parts.size());
   std::vector<expander::PhiReport> reports(nparts);
   std::vector<int> sizes(nparts, 0);
-  const auto run_cluster = [&](int c) {
+  congest::for_each_task(pool, nparts, [&](int c, int /*worker*/) {
     const InducedSubgraph sub = induced_subgraph(g, parts[c]);
     sizes[c] = sub.graph.n();
     reports[c] = expander::certified_phi(sub.graph, pc);
-  };
-  if (pool != nullptr && pool->threads() > 1 && nparts > 1) {
-    pool->run(nparts, [&](int c, int /*worker*/) { run_cluster(c); });
-  } else {
-    for (int c = 0; c < nparts; ++c) run_cluster(c);
-  }
+  });
   std::int64_t rounds = 0, messages = 0, peak = 0;
   for (int c = 0; c < nparts; ++c) {
     const expander::PhiReport& pr = reports[c];

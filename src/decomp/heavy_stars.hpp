@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -74,21 +73,14 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   out.total_weight = g.total_weight();
   out.star.assign(n, 0);
   out.kept_parent.assign(n, -1);
+  // Each phase below runs over an even contiguous vertex partition, one
+  // slice per pool thread — inline without a pool.
   const int tasks = pool != nullptr ? pool->threads() : 1;
-  // Each phase below runs fn(lo, hi, task) over an even contiguous vertex
-  // partition — inline when serial, across the pool when sharded.
-  const auto for_ranges = [&](const std::function<void(int, int, int)>& fn) {
-    if (pool == nullptr || pool->threads() == 1) {
-      if (n > 0) fn(0, n, 0);
-    } else {
-      congest::parallel_ranges(*pool, n, tasks, fn);
-    }
-  };
 
   // 1. Point across the heaviest incident edge (tie: smaller neighbor id).
   std::vector<int> pick(n, -1);
   std::vector<std::int64_t> pick_w(n, 0);
-  for_ranges([&](int lo, int hi, int) {
+  congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
     for (int v = lo; v < hi; ++v) {
       std::int64_t best_w = -1;
       int best_to = -1;
@@ -105,7 +97,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
 
   // 2. Root each pointer component at the larger endpoint of its 2-cycle.
   std::vector<int> parent(n, -1);
-  for_ranges([&](int lo, int hi, int) {
+  congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
     for (int v = lo; v < hi; ++v) {
       const int u = pick[v];
       if (u < 0) continue;                 // isolated vertex
@@ -127,7 +119,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   {
     std::vector<std::array<std::int64_t, 9>> partial(
         static_cast<std::size_t>(tasks), std::array<std::int64_t, 9>{});
-    for_ranges([&](int lo, int hi, int task) {
+    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
       auto& acc = partial[static_cast<std::size_t>(task)];
       for (int v = lo; v < hi; ++v) {
         const int p = parent[v];
@@ -166,7 +158,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   // center-colored parent. kept_parent records the marked-tree structure.
   {
     std::vector<std::int64_t> captured(static_cast<std::size_t>(tasks), 0);
-    for_ranges([&](int lo, int hi, int task) {
+    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
       std::int64_t cap = 0;
       for (int v = lo; v < hi; ++v) {
         const int p = parent[v];
@@ -197,7 +189,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   {
     std::vector<int> tops(static_cast<std::size_t>(tasks), 0);
     std::vector<int> depth_max(static_cast<std::size_t>(tasks), 0);
-    for_ranges([&](int lo, int hi, int task) {
+    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
       int local_tops = 0, local_depth = 0;
       for (int v = lo; v < hi; ++v) {
         const auto [top, depth] = top_of(v);

@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -82,16 +81,10 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
-  // Sharding setup (no pool, or a one-thread pool, runs every loop inline).
+  // Sharding setup: one vertex slice per pool thread (no pool, or a
+  // one-thread pool, runs every loop inline).
   congest::ShardPool* pool = params.pool;
   const int tasks = pool != nullptr ? pool->threads() : 1;
-  const auto for_ranges = [&](const std::function<void(int, int, int)>& fn) {
-    if (pool == nullptr || pool->threads() == 1) {
-      if (n > 0) fn(0, n, 0);
-    } else {
-      congest::parallel_ranges(*pool, n, tasks, fn);
-    }
-  };
 
   // Per cluster (indexed by its label): a designated center vertex and that
   // center's exact eccentricity inside the cluster. The guard reasons about
@@ -120,7 +113,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     // downstream — is bit-identical for every thread count.
     std::vector<std::vector<WeightedEdge>> cedges_by_task(
         static_cast<std::size_t>(tasks));
-    for_ranges([&](int lo, int hi, int task) {
+    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
       std::vector<WeightedEdge>& ces =
           cedges_by_task[static_cast<std::size_t>(task)];
       for (int u = lo; u < hi; ++u) {
@@ -218,7 +211,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     std::int64_t sweep_msgs = 0;
     {
       std::vector<std::int64_t> msgs(static_cast<std::size_t>(tasks), 0);
-      for_ranges([&](int lo, int hi, int task) {
+      congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
         std::int64_t local = 0;
         for (int v = lo; v < hi; ++v) {
           const int nl = rep[new_root[compact[label[v]]]];
@@ -232,7 +225,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     cut = 0;
     {
       std::vector<std::int64_t> cuts(static_cast<std::size_t>(tasks), 0);
-      for_ranges([&](int lo, int hi, int task) {
+      congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
         std::int64_t local = 0;
         for (int u = lo; u < hi; ++u) {
           for (int v : g.neighbors(u)) {
@@ -294,16 +287,11 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
         ecc_of[idx] = ecc;
         bfs_msgs[idx] = msgs;
       };
-      if (pool == nullptr || pool->threads() == 1) {
-        for (std::size_t i = 0; i < roots.size(); ++i) {
-          bfs_cluster(i, scratch[0], dist);
-        }
-      } else {
-        pool->run(static_cast<int>(roots.size()), [&](int t, int worker) {
-          bfs_cluster(static_cast<std::size_t>(t),
-                      scratch[static_cast<std::size_t>(worker)], dist);
-        });
-      }
+      congest::for_each_task(
+          pool, static_cast<int>(roots.size()), [&](int t, int worker) {
+            bfs_cluster(static_cast<std::size_t>(t),
+                        scratch[static_cast<std::size_t>(worker)], dist);
+          });
       for (std::size_t i = 0; i < roots.size(); ++i) {
         ecc_est[roots[i]] = ecc_of[i];
         max_ecc = std::max(max_ecc, ecc_of[i]);

@@ -260,7 +260,7 @@ inline double replay_min_entry(
   prefix = std::min(prefix, matchings.size());
   const int nblocks = (n + block - 1) / block;
   std::vector<double> block_min(nblocks, 1.0);
-  const auto run_block = [&](int b) {
+  congest::for_each_task(pool, nblocks, [&](int b, int /*worker*/) {
     const int w0 = b * block;
     const int bw = std::min(n, w0 + block) - w0;
     std::vector<double> col(static_cast<std::size_t>(n) * bw, 0.0);
@@ -276,12 +276,7 @@ inline double replay_min_entry(
     double mn = 1.0;
     for (double e : col) mn = std::min(mn, e);
     block_min[b] = mn;
-  };
-  if (pool != nullptr && pool->threads() > 1 && nblocks > 1) {
-    pool->run(nblocks, [&](int b, int /*worker*/) { run_block(b); });
-  } else {
-    for (int b = 0; b < nblocks; ++b) run_block(b);
-  }
+  });
   double mn = 1.0;
   for (double e : block_min) mn = std::min(mn, e);
   return mn;

@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -210,13 +209,6 @@ inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
   SimOutcome out;
   const int k = static_cast<int>(a.nbr.size());
   const int S = pool != nullptr ? pool->threads() : 1;
-  const auto run_shards = [pool, S](const std::function<void(int, int)>& fn) {
-    if (pool != nullptr) {
-      pool->run(S, fn);
-    } else {
-      fn(0, 0);
-    }
-  };
   const congest::ShardPlan plan(k, S);
   std::vector<int> owner(k, 0);
   for (int s = 0; s < S; ++s) {
@@ -296,7 +288,7 @@ inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
     for (const Shard& sh : shards) any_active = any_active || !sh.walks.empty();
     if (!any_active) break;
     // Phase A: every shard advances the walks parked in its vertex slice.
-    run_shards([&](int s, int /*worker*/) {
+    congest::for_each_task(pool, S, [&](int s, int /*worker*/) {
       Shard& sh = shards[static_cast<std::size_t>(s)];
       const int lo = plan.begin(s);
       for (int u = lo; u < plan.end(s); ++u) {
@@ -332,7 +324,8 @@ inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
     });
     // Phase B: each shard regroups its moves and inboxes by vertex — the
     // double-buffered message exchange.
-    run_shards([&](int d, int /*worker*/) { regroup(d); });
+    congest::for_each_task(pool, S,
+                           [&](int d, int /*worker*/) { regroup(d); });
     delivered_walks = 0;
     for (const Shard& sh : shards) delivered_walks += sh.delivered;
     ++out.walk_rounds;

@@ -547,7 +547,7 @@ TEST_CASE(fuzz_exact_search_matches_oracle) {
   } runs[] = {{"mis", eps / (a * (2.0 * a + 1.0)), true},
               {"vc", eps / (2.0 * delta + 1.0), true},
               {"mds", eps / (a * (delta + 1.0)), false}};
-  const std::int64_t ladder_budget = apps::LadderConfig{}.node_budget;
+  const std::int64_t ladder_budget = apps::kLadderNodeBudget;
   int wide = 0;
   for (const auto& run : runs) {
     congest::SolverStats stats;

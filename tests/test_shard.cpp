@@ -314,9 +314,10 @@ TEST_CASE(certify_parts_pooled_bit_identical) {
 
 TEST_CASE(apps_seam_repair_sharded_bit_identical) {
   // The apps' seam-repair sweeps (MIS conflict drops, VC patches, the maxcut
-  // cluster-flip gain scan) route their O(m) scans through the pool; the
-  // collect-then-replay form is proven order-equivalent to the serial
-  // adjacency sweep, so solutions and charges must match bit for bit.
+  // cluster-flip gain scan) are serial passes that run after the pooled
+  // cluster fan-out; with a pool lent, solutions and charges (the seam
+  // repair's conflict count among them) must match the unpooled run bit
+  // for bit.
   std::int64_t seam_messages = 0;  // non-vacuity: some sweep must act
   for (const auto& [name, g] :
        {std::pair<std::string, Graph>{"grid", grid_graph(8, 9)},
@@ -379,35 +380,43 @@ TEST_CASE(apps_cluster_ladder_sharded_bit_identical) {
                                       random_maximal_outerplanar(260, rng)},
         {"grid", grid_graph(13, 11)},
         {"cactus", random_cactus(300, rng)}}) {
-    const apps::MdsSolution mds_serial =
-        apps::approx_min_dominating_set(g, 0.25, 2);
-    const apps::SetSolution mis_serial =
-        apps::approx_max_independent_set(g, 0.25, 2);
-    const apps::MatchingSolution mm_serial =
-        apps::approx_max_matching(g, 0.25, 2);
-    const apps::CutSolution cut_serial = apps::approx_max_cut(g, 0.25);
-    tw_solves += mds_serial.stats.tier_tw_dp + mis_serial.stats.tier_tw_dp +
-                 cut_serial.stats.tier_tw_dp;
+    // All five solvers share one cluster driver: each must reproduce its
+    // unpooled solution, round charges and tier trail at every thread count.
+    struct Run {
+      std::vector<int> set;                    // MDS / MIS / VC
+      std::vector<std::pair<int, int>> edges;  // matching
+      std::vector<char> side;                  // max-cut
+      congest::SolverStats stats;
+    };
+    const auto run_all = [&g = g](ShardPool* pool) {
+      std::vector<std::pair<std::string, Run>> runs;
+      apps::MdsSolution mds = apps::approx_min_dominating_set(g, 0.25, 2, pool);
+      runs.push_back({"mds", {mds.vertices, {}, {}, mds.stats}});
+      apps::SetSolution mis = apps::approx_max_independent_set(g, 0.25, 2, pool);
+      runs.push_back({"mis", {mis.vertices, {}, {}, mis.stats}});
+      apps::SetSolution vc = apps::approx_min_vertex_cover(g, 0.25, 2, pool);
+      runs.push_back({"vc", {vc.vertices, {}, {}, vc.stats}});
+      apps::MatchingSolution mm = apps::approx_max_matching(g, 0.25, 2, pool);
+      runs.push_back({"mm", {{}, mm.edges, {}, mm.stats}});
+      apps::CutSolution cut = apps::approx_max_cut(g, 0.25, 24, pool);
+      runs.push_back({"cut", {{}, {}, cut.side, cut.stats}});
+      return runs;
+    };
+    const auto serial = run_all(nullptr);
+    for (const auto& [solver, r] : serial) tw_solves += r.stats.tier_tw_dp;
     for (int threads : kThreadSweep) {
       ShardPool pool(threads);
-      const std::string ctx = name + " threads=" + std::to_string(threads);
-      const apps::MdsSolution mds =
-          apps::approx_min_dominating_set(g, 0.25, 2, &pool);
-      CHECK_MSG(mds.vertices == mds_serial.vertices, ctx + ": mds set");
-      same_charges(mds_serial.stats.runtime, mds.stats.runtime, ctx + ": mds");
-      same_tiers(mds_serial.stats, mds.stats, ctx + ": mds");
-      const apps::SetSolution mis =
-          apps::approx_max_independent_set(g, 0.25, 2, &pool);
-      CHECK_MSG(mis.vertices == mis_serial.vertices, ctx + ": mis set");
-      same_tiers(mis_serial.stats, mis.stats, ctx + ": mis");
-      const apps::MatchingSolution mm =
-          apps::approx_max_matching(g, 0.25, 2, &pool);
-      CHECK_MSG(mm.edges == mm_serial.edges, ctx + ": matching edges");
-      same_charges(mm_serial.stats.runtime, mm.stats.runtime, ctx + ": mm");
-      const apps::CutSolution cut = apps::approx_max_cut(g, 0.25, 24, &pool);
-      CHECK_MSG(cut.value == cut_serial.value, ctx + ": cut value");
-      CHECK_MSG(cut.side == cut_serial.side, ctx + ": cut sides");
-      same_tiers(cut_serial.stats, cut.stats, ctx + ": cut");
+      const auto pooled = run_all(&pool);
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        const Run& a = serial[i].second;
+        const Run& b = pooled[i].second;
+        const std::string ctx = name + " threads=" + std::to_string(threads) +
+                                ": " + serial[i].first;
+        CHECK_MSG(a.set == b.set && a.edges == b.edges && a.side == b.side,
+                  ctx + " solution");
+        same_charges(a.stats.runtime, b.stats.runtime, ctx);
+        same_tiers(a.stats, b.stats, ctx);
+      }
     }
   }
   CHECK_MSG(tw_solves > 0, "no family reached the treewidth-DP tier");

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/approx.hpp"
@@ -270,6 +271,9 @@ TEST_CASE(tw_probe_aborts_on_wide_clusters) {
   CHECK(solver_mode_from_string("bb") == SolverMode::kBranchBound);
   CHECK(solver_mode_from_string("greedy") == SolverMode::kGreedy);
   CHECK(solver_mode_from_string("auto") == SolverMode::kAuto);
+  // A mistyped name is reported, not silently read as auto.
+  CHECK(!solver_mode_from_string("tww").has_value());
+  CHECK(!solver_mode_from_string("").has_value());
   CHECK(std::string(solver_mode_name(SolverMode::kTreewidth)) == "tw");
 }
 
@@ -382,24 +386,52 @@ TEST_CASE(tw_ladder_tier_accounting) {
   CHECK(tier_sum(cut.stats) == cut.stats.clusters);
   CHECK(cut.value == side_cut(g, cut.side));
 
-  // Forced modes: greedy puts every cluster on the greedy tier; tw disables
-  // the B&B tier; bb (the legacy ladder) never runs the DP.
-  LadderConfig greedy_cfg;
-  greedy_cfg.mode = SolverMode::kGreedy;
-  const MdsSolution mg = approx_min_dominating_set(g, 0.3, 3, nullptr,
-                                                   greedy_cfg);
-  CHECK(is_dominating(g, mg.vertices));
-  CHECK(mg.stats.tier_greedy == mg.stats.clusters);
-  CHECK(mg.stats.bb_runs == 0);
-
-  LadderConfig bb_cfg;
-  bb_cfg.mode = SolverMode::kBranchBound;
-  const MdsSolution mb = approx_min_dominating_set(g, 0.3, 3, nullptr, bb_cfg);
-  CHECK(is_dominating(g, mb.vertices));
-  CHECK(mb.stats.tier_tw_dp == 0);
-  CHECK(tier_sum(mb.stats) == mb.stats.clusters);
-  // The greedy ladder can only be looser than the full one.
-  CHECK(mg.vertices.size() >= mds.vertices.size());
+  // Forced modes, checked on every laddered solver (they share one ladder):
+  // greedy puts every cluster on the greedy tier; tw disables the B&B tier;
+  // bb (the legacy ladder) never runs the DP. A width gate of 2 leaves some
+  // clusters past it, where tw mode must fall to greedy, not to B&B.
+  for (const SolverMode mode : {SolverMode::kGreedy, SolverMode::kTreewidth,
+                                SolverMode::kBranchBound}) {
+    LadderConfig cfg;
+    cfg.mode = mode;
+    cfg.tw_cap = 2;
+    const std::string ctx = solver_mode_name(mode);
+    const MdsSolution fmds = approx_min_dominating_set(g, 0.3, 3, nullptr, cfg);
+    CHECK_MSG(is_dominating(g, fmds.vertices), ctx + ": mds");
+    const SetSolution fmis =
+        approx_max_independent_set(g, 0.3, 3, nullptr, cfg);
+    CHECK_MSG(is_independent(g, fmis.vertices), ctx + ": mis");
+    const SetSolution fvc = approx_min_vertex_cover(g, 0.3, 3, nullptr, cfg);
+    CHECK_MSG(is_vertex_cover(g, fvc.vertices), ctx + ": vc");
+    const CutSolution fcut = approx_max_cut(g, 0.3, 24, nullptr, cfg);
+    CHECK_MSG(fcut.value == side_cut(g, fcut.side), ctx + ": cut");
+    if (mode == SolverMode::kGreedy) {
+      // The greedy ladder can only be looser than the full one.
+      CHECK(fmds.vertices.size() >= mds.vertices.size());
+    }
+    for (const auto& [name, st] :
+         {std::pair<std::string, const congest::SolverStats*>{"mds",
+                                                               &fmds.stats},
+          {"mis", &fmis.stats},
+          {"vc", &fvc.stats},
+          {"cut", &fcut.stats}}) {
+      const std::string at = ctx + ": " + name;
+      CHECK_MSG(tier_sum(*st) == st->clusters, at + " tier sum");
+      switch (mode) {
+        case SolverMode::kGreedy:
+          CHECK_MSG(st->tier_greedy == st->clusters, at + " all greedy");
+          CHECK_MSG(st->bb_runs == 0, at + " no B&B");
+          break;
+        case SolverMode::kTreewidth:
+          CHECK_MSG(st->tier_bb == 0 && st->bb_runs == 0, at + " no B&B");
+          CHECK_MSG(st->tier_greedy > 0, at + " a cluster past the gate");
+          break;
+        default:
+          CHECK_MSG(st->tier_tw_dp == 0, at + " no DP");
+          break;
+      }
+    }
+  }
 
   // An outerplanar run lands clusters on the DP tier (width <= 2 and the
   // clusters are medium — exactly the tier's target) unless a forest tier
