@@ -41,14 +41,25 @@ int main(int argc, char** argv) {
     for (double eps : {0.5, 0.35, 0.25, 0.15}) {
       const decomp::EdtDecomposition edt =
           decomp::build_edt_decomposition(g, eps);
-      const apps::RoutingScheme s =
+      const apps::FlatRoutingTables s =
           apps::build_routing_scheme(g, edt.clustering);
       const apps::StretchStats st = apps::measure_stretch(g, s, pairs, rng);
       if (eps == 0.25) {
+        // The compact-table claim, re-derivable offline from n, k and the
+        // cluster-tree root count (scripts/check_bench_json.py).
+        std::int64_t roots = 0;
+        for (const apps::FlatRoutingTables::ClusterRec& c : s.cluster) {
+          roots += c.parent < 0 ? 1 : 0;
+        }
         json.phases(edt.ledger, 2 * g.m());
         json.metric("eps", eps);
         json.metric("avg_stretch", st.avg_stretch);
         json.metric("delivered_fraction", st.delivered_fraction);
+        json.metric("n", static_cast<std::int64_t>(g.n()));
+        json.metric("clusters", static_cast<std::int64_t>(s.k));
+        json.metric("cluster_tree_roots", roots);
+        json.metric("avg_table_bits", s.avg_table_bits());
+        json.metric("max_table_bits", s.max_table_bits());
       }
       t.add_row({Table::num(eps, 2), Table::integer(edt.quality.max_diameter),
                  Table::integer(edt.clustering.k),
@@ -69,7 +80,7 @@ int main(int argc, char** argv) {
       const Graph g = make_family(fam, nfam, rng);
       const decomp::EdtDecomposition edt =
           decomp::build_edt_decomposition(g, 0.3);
-      const apps::RoutingScheme s =
+      const apps::FlatRoutingTables s =
           apps::build_routing_scheme(g, edt.clustering);
       const apps::StretchStats st = apps::measure_stretch(g, s, pairs, rng);
       t.add_row({fam, Table::integer(g.n()), Table::integer(edt.clustering.k),

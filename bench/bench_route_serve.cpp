@@ -11,7 +11,7 @@
 // Contracts enforced in-binary (the run exits nonzero on violation):
 //   * equivalence gate — on every family, sampled flat routes must be
 //     bit-identical (hops AND visited-vertex sequence) to the pointer-walk
-//     reference route_hops, the PR 6 serial-reference rule;
+//     oracle oracles::pointer_route_hops (tests/oracles.hpp);
 //   * Runtime::audit() on the construction ledger (the tables served here
 //     are built by the audited EDT pipeline);
 //   * multi-thread serving reuses the single-thread measurement when the
@@ -24,6 +24,7 @@
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
 #include "decomp/edt.hpp"
+#include "oracles.hpp"
 
 namespace {
 
@@ -40,11 +41,11 @@ double seconds_since(Clock::time_point t0) {
 double measure_qps(const apps::FlatRoutingTables& t,
                    const std::vector<std::pair<int, int>>& queries,
                    std::vector<int>& out, congest::ShardPool* pool,
-                   std::int64_t grain, int reps) {
+                   int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const Clock::time_point t0 = Clock::now();
-    apps::serve_route_queries(t, queries, out, pool, grain);
+    apps::serve_route_queries(t, queries, out, pool);
     const double sec = seconds_since(t0);
     if (sec > 0.0) {
       best = std::max(best, static_cast<double>(queries.size()) / sec);
@@ -111,7 +112,6 @@ int main(int argc, char** argv) {
   const double eps = cli.get_double("eps", 0.3);
   const double zipf_s = cli.get_double("zipf-s", 1.0);
   const int threads = static_cast<int>(cli.get_int("threads", 0));  // 0 = hw
-  const std::int64_t grain = cli.get_int("grain", 4096);
   const int stretch_pairs =
       static_cast<int>(cli.get_int("pairs", smoke ? 16 : 48));
   const std::int64_t equiv_pairs =
@@ -150,23 +150,25 @@ int main(int argc, char** argv) {
     const bool representative = std::string(fam) == "grid";
     const Graph g = make_family(fam, n, rng);
 
-    // Preload: audited construction, then the one-time flatten.
+    // Preload: audited construction, then the tables.
     decomp::EdtParams ep;
     ep.pool = &pool;
     const decomp::EdtDecomposition edt = decomp::build_edt_decomposition(g, eps, ep);
-    const apps::RoutingScheme scheme = apps::build_routing_scheme(g, edt.clustering);
-    const apps::FlatRoutingTables flat = apps::flatten_routing_scheme(scheme);
+    const apps::FlatRoutingTables flat =
+        apps::build_routing_scheme(g, edt.clustering);
 
-    // Equivalence gate: flat routes must match the pointer-walk reference
-    // bit for bit (hop count and visited sequence) on sampled pairs.
+    // Equivalence gate: flat routes must match the pointer-walk oracle bit
+    // for bit (hop count and visited sequence) on sampled pairs.
     {
+      const oracles::PointerRoutingScheme scheme =
+          oracles::build_pointer_routing(g, edt.clustering);
       std::vector<int> ref_path, flat_path;
       for (std::int64_t i = 0; i < equiv_pairs; ++i) {
         const int u = static_cast<int>(rng.next_below(g.n()));
         const int v = static_cast<int>(rng.next_below(g.n()));
         ref_path.clear();
         flat_path.clear();
-        const int rh = apps::route_hops(scheme, u, v, &ref_path);
+        const int rh = oracles::pointer_route_hops(scheme, u, v, &ref_path);
         const int fh = apps::flat_route_hops(flat, u, v, &flat_path);
         if (rh != fh || ref_path != flat_path) {
           std::cerr << "EQUIVALENCE FAILURE (" << fam << "): route " << u
@@ -186,22 +188,22 @@ int main(int argc, char** argv) {
         zipf_queries(g.n(), queries, zipf_s, qrng);
     std::vector<int> hops_out;
 
-    const double qps_cold = measure_qps(flat, uni, hops_out, nullptr, grain, 1);
+    const double qps_cold = measure_qps(flat, uni, hops_out, nullptr, 1);
     std::int64_t delivered = 0;
     for (int h : hops_out) delivered += h >= 0 ? 1 : 0;
     const double delivered_frac =
         hops_out.empty() ? 0.0
                          : static_cast<double>(delivered) /
                                static_cast<double>(hops_out.size());
-    const double qps_1t = measure_qps(flat, uni, hops_out, nullptr, grain, reps);
+    const double qps_1t = measure_qps(flat, uni, hops_out, nullptr, reps);
     const double qps_mt =
         threads_actual == 1
             ? qps_1t  // same engine configuration on a 1-thread host
-            : measure_qps(flat, uni, hops_out, &pool, grain, reps);
+            : measure_qps(flat, uni, hops_out, &pool, reps);
     const double qps_zipf_mt =
         threads_actual == 1
-            ? measure_qps(flat, zip, hops_out, nullptr, grain, reps)
-            : measure_qps(flat, zip, hops_out, &pool, grain, reps);
+            ? measure_qps(flat, zip, hops_out, nullptr, reps)
+            : measure_qps(flat, zip, hops_out, &pool, reps);
 
     // Per-lookup latency: individually timed single-thread sample.
     std::vector<double> lat_ns;

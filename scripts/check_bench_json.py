@@ -45,13 +45,21 @@ pairs), and multi-thread throughput no worse than single-thread. The
 multi-thread floor tolerates 15% timing noise on few-core CI runners; on a
 one-thread host the bench reports multi == single by construction.
 
+bench_compact_routing (bench == "compact_routing") additionally publishes
+its eps = 0.25 row's compact-table claim: delivery must be exactly 1, and
+avg_table_bits is re-derived exactly from n, the cluster count k and the
+cluster-tree root count with apps::FlatRoutingTables::table_bits' formula
+(every vertex but the k centers is a tree child, every cluster but the
+roots a cluster-tree child).
+
 The four cluster-solver application benches (bench in {"mds", "mis",
 "matching_vc", "maxcut"}) additionally publish the solver-ladder audit
 trail (docs/ARCHITECTURE.md, "The solver ladder"): per-tier cluster counts
 that sum to the cluster count, a DP-width high-water mark within the
---tw_cap gate, and a self-consistent exact-search effort trail. The mis,
-matching_vc and maxcut representatives are chosen so the treewidth-DP tier
-must fire (tier_tw_dp >= 1); mds instead gates its dedicated 12x12-grid
+--tw_cap gate, and a self-consistent exact-search effort trail. Under
+--solver auto or tw, the mis, matching_vc and maxcut representatives are
+chosen so the treewidth-DP tier must fire (tier_tw_dp >= 1); the forced bb
+and greedy modes never run it. mds instead gates its dedicated 12x12-grid
 showcase: solved BY the DP tier, witness dominates every vertex, under
 10 seconds of wall time.
 """
@@ -138,6 +146,9 @@ def check_file(path):
     if doc["bench"] == "expander_decomp" and not check_expander_decomp(path, doc):
         return False
     if doc["bench"] == "route_serve" and not check_route_serve(path, doc):
+        return False
+    if doc["bench"] == "compact_routing" and \
+            not check_compact_routing(path, doc):
         return False
     if doc["bench"] in LADDER_BENCHES and not check_ladder(path, doc):
         return False
@@ -316,8 +327,10 @@ def check_ladder(path, doc):
         return fail(path, f"{bench}: metrics.solve_ms invalid ({solve_ms!r})")
     # Exact coverage floors. The mis / matching_vc / maxcut representatives
     # (planar, outerplanar, grid) are chosen so the width gate certifies at
-    # least one cluster; mds gates its dedicated showcase below instead.
-    if bench != "mds" and tiers["tier_tw_dp"] < 1:
+    # least one cluster whenever the ladder may use it (--solver auto|tw);
+    # mds gates its dedicated showcase below instead.
+    dp_allowed = params.get("solver", "auto") in ("auto", "tw")
+    if bench != "mds" and dp_allowed and tiers["tier_tw_dp"] < 1:
         return fail(path, f"{bench}: treewidth-DP tier never fired ({tiers})")
     if bench == "mds":
         for key, lo, hi in (("tw_showcase_via_dp", 1, 1),
@@ -338,6 +351,51 @@ def check_ladder(path, doc):
           f"TW{tiers['tier_tw_dp']}/BB{tiers['tier_bb']}/"
           f"G{tiers['tier_greedy']} over {clusters} clusters, "
           f"max DP width {width})")
+    return True
+
+
+def ceil_log2(x):
+    """congest::ceil_log2: the smallest b >= 1 with 2^b >= x."""
+    bits = 1
+    while bits < 62 and (1 << bits) < x:
+        bits += 1
+    return bits
+
+
+def check_compact_routing(path, doc):
+    """bench_compact_routing extras: delivery and the table-bit claim."""
+    metrics = doc["metrics"]
+    if metrics.get("delivered_fraction") != 1:
+        return fail(path, f"compact_routing: delivered_fraction is "
+                          f"{metrics.get('delivered_fraction')!r}, expected 1")
+    counts = {}
+    for key in ("n", "clusters", "cluster_tree_roots", "max_table_bits"):
+        val = metrics.get(key)
+        if not isinstance(val, INT) or isinstance(val, bool) or val < 1:
+            return fail(path, f"compact_routing: metrics.{key} invalid ({val!r})")
+        counts[key] = val
+    n, k, roots = counts["n"], counts["clusters"], counts["cluster_tree_roots"]
+    if not roots <= k <= n:
+        return fail(path, f"compact_routing: need roots <= clusters <= n "
+                          f"({roots}, {k}, {n})")
+    # Sum of table_bits(v) over all v: every vertex stores its cluster id,
+    # parent port and interval; the n - k tree children cost one interval
+    # each at their parent; each of the k centers adds its cluster interval
+    # and parent portal, plus one label+portal per cluster-tree child.
+    logn, logk = ceil_log2(max(n, 2)), ceil_log2(max(k, 2))
+    total = (n * (logk + 3 * logn) + (n - k) * 2 * logn +
+             (k + (k - roots)) * (2 * logk + logn))
+    expect = float("%.6g" % (total / n))  # BenchJson's metric precision
+    avg = metrics.get("avg_table_bits")
+    if not isinstance(avg, NUM) or isinstance(avg, bool) or avg != expect:
+        return fail(path, f"compact_routing: avg_table_bits {avg!r} != "
+                          f"{expect!r} re-derived from n={n}, k={k}, "
+                          f"roots={roots}")
+    if counts["max_table_bits"] < avg:
+        return fail(path, f"compact_routing: max_table_bits "
+                          f"{counts['max_table_bits']} below the average {avg}")
+    print(f"{path}: compact_routing table bits ok (avg {avg} over n={n}, "
+          f"k={k}, {roots} cluster-tree roots)")
     return True
 
 

@@ -19,25 +19,22 @@
 // tree-routes to v. Cost is at most 2D + 1 hops per cluster-tree hop — the
 // O(D)-per-hop stretch shape the bench measures.
 //
-// Two execution tiers serve queries over the same tables:
-//   * RoutingScheme + route_hops — the pointer-walk serial reference
-//     (per-vertex child vectors, a std::map of portals). Kept verbatim as
-//     the equivalence gate per the PR 6 serial-reference contract.
-//   * FlatRoutingTables + flat_route_hops / serve_route_queries — the
-//     query-serving tier: both levels flattened into contiguous record
-//     arrays plus CSR child lists keyed by DFS-interval entry time, so the
-//     descend step is a binary search over a cache-resident slice and a
-//     climb touches one 24-byte record. The tables are immutable after
-//     flatten_routing_scheme, so serve_route_queries fans queries across a
-//     congest::ShardPool with zero locks on the hot path (each chunk writes
-//     a disjoint output slice). tests/test_route_serve.cpp pins the flat
-//     routes bit-identical to route_hops on every family.
+// One engine: build_routing_scheme fills FlatRoutingTables directly — both
+// levels as contiguous record arrays plus CSR child lists keyed by
+// DFS-interval entry time, so the descend step is a binary search over a
+// cache-resident slice and a climb touches one 24-byte record. The same
+// arrays answer the table-bit accounting, the stretch sample and the query
+// server. The tables are immutable once built, so serve_route_queries fans
+// fixed-size query chunks over a lent congest::ShardPool through
+// congest::for_each_task with zero locks on the hot path (each chunk writes
+// a disjoint output slice). The pointer-walk formulation the flat engine
+// replaced (per-vertex child vectors, an ordered map of portals) is the
+// oracle in tests/oracles.hpp; tests/test_route_serve.cpp pins these tables
+// field for field, and every route hop for hop, to it on every family.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -49,34 +46,75 @@
 
 namespace mfd::apps {
 
-/// The assembled two-level scheme; table-bit accessors count what each
-/// vertex would actually store.
-struct RoutingScheme {
+/// The two-level scheme as contiguous, cache-friendly arrays: one record
+/// array plus one CSR child-list array per level. Child lists are stored in
+/// ascending DFS-entry-time order (which is how the builder emits them), so
+/// the interval descend step is a binary search for the last child whose
+/// entry time is <= the target's — child intervals tile the parent's, so
+/// that child is the unique containing one. Immutable after
+/// build_routing_scheme; safe for concurrent readers.
+struct FlatRoutingTables {
+  /// Level-0 per-vertex record: everything a climb/descend step reads.
+  struct VertexRec {
+    std::int32_t cluster = -1;  // cluster id
+    std::int32_t up = -1;       // BFS-tree parent toward the center
+    std::int32_t tin = 0, tout = 0;            // own DFS interval
+    std::int32_t kids_begin = 0, kids_end = 0; // slice of `child`
+  };
+  /// Level-0 CSR payload: (entry time, vertex id) per tree child.
+  struct ChildRec {
+    std::int32_t tin = 0;  // the binary-search key
+    std::int32_t id = -1;  // the hop target
+  };
+  /// Level-1 per-cluster record (what the cluster's center stores),
+  /// including the portal toward the cluster-tree parent.
+  struct ClusterRec {
+    std::int32_t parent = -1;
+    std::int32_t ctin = 0, ctout = 0;
+    std::int32_t kids_begin = 0, kids_end = 0;  // slice of `cchild`
+    std::int32_t portal_src = -1, portal_dst = -1;  // toward parent
+  };
+  /// Level-1 CSR payload: child cluster + the portal edge into it.
+  struct ClusterChildRec {
+    std::int32_t ctin = 0;
+    std::int32_t id = -1;
+    std::int32_t portal_src = -1, portal_dst = -1;
+  };
+
   int n = 0, k = 0;
-  std::vector<int> cluster;            // cluster[v]
-  std::vector<int> center;             // center[c] = root vertex of cluster c
-  std::vector<int> up;                 // BFS-tree parent toward center (-1 at it)
-  std::vector<int> tin, tout;          // DFS interval of v on its cluster tree
-  std::vector<std::vector<int>> kids;  // tree children of v
-  // Level 1: BFS spanning forest of the cluster graph with DFS intervals,
-  // plus one portal edge per tree-adjacent cluster pair (both directions).
-  std::vector<int> cparent;            // cluster-tree parent (-1 at roots)
-  std::vector<int> ctin, ctout;        // cluster-tree DFS interval
-  std::vector<std::vector<int>> ckids; // cluster-tree children
-  std::map<std::pair<int, int>, std::pair<int, int>> portal;
+  std::vector<VertexRec> vertex;       // size n
+  std::vector<ChildRec> child;         // size n - #cluster-centers
+  std::vector<ClusterRec> cluster;     // size k
+  std::vector<ClusterChildRec> cchild; // size k - #cluster-tree-roots
+
+  /// Measured footprint of the four arrays — what the serving bench
+  /// reports as bytes/vertex (the in-memory analogue of table_bits()).
+  std::int64_t table_bytes() const {
+    return static_cast<std::int64_t>(vertex.size() * sizeof(VertexRec)) +
+           static_cast<std::int64_t>(child.size() * sizeof(ChildRec)) +
+           static_cast<std::int64_t>(cluster.size() * sizeof(ClusterRec)) +
+           static_cast<std::int64_t>(cchild.size() * sizeof(ClusterChildRec));
+  }
+  double bytes_per_vertex() const {
+    return n == 0 ? 0.0
+                  : static_cast<double>(table_bytes()) / static_cast<double>(n);
+  }
 
   /// Bits vertex v stores: cluster id + parent port + own interval + one
-  /// interval per tree child; centers add the cluster-tree labels and one
-  /// portal id per tree-adjacent cluster.
+  /// interval per tree child; a center (the vertex with no tree parent)
+  /// adds the cluster-tree labels and one portal id per tree-adjacent
+  /// cluster.
   std::int64_t table_bits(int v) const {
     const int logn = congest::ceil_log2(std::max(n, 2));
     const int logk = congest::ceil_log2(std::max(k, 2));
+    const VertexRec& r = vertex[static_cast<std::size_t>(v)];
     std::int64_t bits = logk + logn + 2 * logn;  // id, port, interval
-    bits += static_cast<std::int64_t>(kids[v].size()) * 2 * logn;
-    const int c = cluster[v];
-    if (center[c] == v) {
+    bits += static_cast<std::int64_t>(r.kids_end - r.kids_begin) * 2 * logn;
+    if (r.up < 0) {
+      const ClusterRec& c = cluster[static_cast<std::size_t>(r.cluster)];
       bits += 2 * logk + logn;  // own cluster interval + parent portal
-      bits += static_cast<std::int64_t>(ckids[c].size()) * (2 * logk + logn);
+      bits += static_cast<std::int64_t>(c.kids_end - c.kids_begin) *
+              (2 * logk + logn);
     }
     return bits;
   }
@@ -103,349 +141,203 @@ struct StretchStats {
 
 namespace detail {
 
-/// Hops of the tree route src -> dst inside one cluster tree: climb while
-/// dst's interval is not below, then descend into the containing child.
-/// If `path` is given, every vertex after src is appended in visit order —
-/// the equivalence gate compares these sequences against the flat engine.
-inline int tree_route_hops(const RoutingScheme& s, int src, int dst,
-                           std::vector<int>* path = nullptr) {
-  int hops = 0, cur = src;
-  while (cur != dst) {
-    if (s.tin[cur] <= s.tin[dst] && s.tin[dst] <= s.tout[cur]) {
-      int next = -1;  // descend: the unique child interval containing dst
-      for (int ch : s.kids[cur]) {
-        if (s.tin[ch] <= s.tin[dst] && s.tin[dst] <= s.tout[ch]) {
-          next = ch;
-          break;
-        }
+/// DFS entry/exit times over a CSR forest — rec[v]'s children are the ids
+/// in kids[rec[v].kids_begin, rec[v].kids_end) — entering the trees in
+/// `roots` order with one timer across all of them, so labels stay globally
+/// unique. `tin` / `tout` name the record's interval fields.
+template <class Rec, class Kid>
+void assign_intervals(std::vector<Rec>& rec, const std::vector<Kid>& kids,
+                      const std::vector<int>& roots, std::int32_t Rec::*tin,
+                      std::int32_t Rec::*tout) {
+  std::int32_t timer = 0;
+  std::vector<std::pair<int, std::int32_t>> stack;  // (node, next child slot)
+  for (int root : roots) {
+    rec[root].*tin = timer++;
+    stack.emplace_back(root, rec[root].kids_begin);
+    while (!stack.empty()) {
+      const int v = stack.back().first;
+      std::int32_t& slot = stack.back().second;
+      if (slot < rec[v].kids_end) {
+        const int ch = kids[slot++].id;
+        rec[ch].*tin = timer++;
+        stack.emplace_back(ch, rec[ch].kids_begin);
+      } else {
+        rec[v].*tout = timer - 1;
+        stack.pop_back();
       }
-      if (next < 0) return -1;  // corrupt labels; cannot happen on a tree
-      cur = next;
-    } else {
-      if (s.up[cur] < 0) return -1;
-      cur = s.up[cur];
     }
-    if (path != nullptr) path->push_back(cur);
-    ++hops;
   }
-  return hops;
 }
 
 }  // namespace detail
 
-/// Build the two-level scheme over a (connected-cluster) decomposition.
-inline RoutingScheme build_routing_scheme(const Graph& g,
-                                          const decomp::Clustering& parts) {
-  RoutingScheme s;
-  s.n = g.n();
-  s.k = parts.k;
-  s.cluster = parts.cluster;
-  s.center.assign(s.k, -1);
-  s.up.assign(s.n, -1);
-  s.tin.assign(s.n, 0);
-  s.tout.assign(s.n, 0);
-  s.kids.assign(s.n, {});
-
-  // Centers (minimum-id member) and per-cluster BFS trees toward them.
-  for (int v = 0; v < s.n; ++v) {
-    if (s.center[s.cluster[v]] < 0) s.center[s.cluster[v]] = v;
+/// Build the two-level tables over a (connected-cluster) decomposition,
+/// straight into the flat layout:
+///   * level 0 — a FIFO BFS per cluster from its minimum-id member (the
+///     center); child slices laid out in vertex-id order and filled in
+///     discovery order; DFS intervals with one timer across clusters;
+///   * level 1 — the cluster graph from one ascending-id scan of each
+///     cluster's members (a stamp keeps the first-seen edge per ordered
+///     cluster pair as its portal), a BFS spanning forest over it, and its
+///     DFS intervals. A cluster's record keeps its first-seen edge toward
+///     the parent; the parent's child record keeps its first-seen edge in.
+inline FlatRoutingTables build_routing_scheme(const Graph& g,
+                                              const decomp::Clustering& parts) {
+  using Tables = FlatRoutingTables;
+  Tables t;
+  t.n = g.n();
+  t.k = parts.k;
+  const int n = t.n, k = t.k;
+  t.vertex.resize(static_cast<std::size_t>(n));
+  std::vector<int> center(static_cast<std::size_t>(k), -1);
+  std::vector<int> members_begin(static_cast<std::size_t>(k) + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    const int c = parts.cluster[v];
+    t.vertex[v].cluster = c;
+    if (center[c] < 0) center[c] = v;
+    ++members_begin[c + 1];
   }
-  std::vector<int> frontier, next;
-  std::vector<char> seen(s.n, 0);
-  for (int c = 0; c < s.k; ++c) {
-    const int root = s.center[c];
+
+  // Level 0: one BFS tree per cluster, toward its center. kids_end counts
+  // children until the slices are laid out, then serves as the fill cursor.
+  std::vector<int> order;  // BFS discovery order, cluster by cluster
+  order.reserve(static_cast<std::size_t>(n));
+  std::vector<int> roots;
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (int c = 0; c < k; ++c) {
+    const int root = center[c];
     if (root < 0) continue;
+    roots.push_back(root);
     seen[root] = 1;
-    frontier.assign(1, root);
-    while (!frontier.empty()) {
-      next.clear();
-      for (int u : frontier) {
-        for (int w : g.neighbors(u)) {
-          if (!seen[w] && s.cluster[w] == c) {
-            seen[w] = 1;
-            s.up[w] = u;
-            s.kids[u].push_back(w);
-            next.push_back(w);
-          }
+    std::size_t head = order.size();
+    order.push_back(root);
+    while (head < order.size()) {
+      const int u = order[head++];
+      for (int w : g.neighbors(u)) {
+        if (!seen[w] && parts.cluster[w] == c) {
+          seen[w] = 1;
+          t.vertex[w].up = u;
+          ++t.vertex[u].kids_end;
+          order.push_back(w);
         }
       }
-      std::swap(frontier, next);
     }
   }
-  // DFS intervals per tree (one shared counter keeps labels globally unique).
+  std::int32_t slots = 0;
+  for (Tables::VertexRec& r : t.vertex) {
+    r.kids_begin = slots;
+    slots += r.kids_end;
+    r.kids_end = r.kids_begin;
+  }
+  t.child.resize(static_cast<std::size_t>(slots));
+  for (int w : order) {
+    const int u = t.vertex[w].up;
+    if (u >= 0) t.child[t.vertex[u].kids_end++].id = w;
+  }
+  detail::assign_intervals(t.vertex, t.child, roots, &Tables::VertexRec::tin,
+                           &Tables::VertexRec::tout);
+  for (Tables::ChildRec& ch : t.child) ch.tin = t.vertex[ch.id].tin;
+
+  // Cluster graph: per cluster, each neighbouring cluster once, in the order
+  // an ascending-id scan of the members first meets it, with that first
+  // edge as the portal.
+  for (int c = 0; c < k; ++c) members_begin[c + 1] += members_begin[c];
+  std::vector<int> members(static_cast<std::size_t>(n));
   {
-    int timer = 0;
-    std::vector<std::pair<int, std::size_t>> stack;  // (vertex, child slot)
-    for (int c = 0; c < s.k; ++c) {
-      if (s.center[c] < 0) continue;
-      stack.push_back({s.center[c], 0});
-      s.tin[s.center[c]] = timer++;
-      while (!stack.empty()) {
-        auto& [v, slot] = stack.back();
-        if (slot < s.kids[v].size()) {
-          const int ch = s.kids[v][slot++];
-          s.tin[ch] = timer++;
-          stack.push_back({ch, 0});
-        } else {
-          s.tout[v] = timer - 1;
-          stack.pop_back();
+    std::vector<int> fill(members_begin.begin(), members_begin.end() - 1);
+    for (int v = 0; v < n; ++v) members[fill[parts.cluster[v]]++] = v;
+  }
+  struct Arc {
+    int to, src, dst;
+  };
+  std::vector<Arc> arcs;
+  std::vector<int> arcs_begin(static_cast<std::size_t>(k) + 1, 0);
+  std::vector<int> stamp(static_cast<std::size_t>(k), -1);
+  for (int a = 0; a < k; ++a) {
+    for (int i = members_begin[a]; i < members_begin[a + 1]; ++i) {
+      const int u = members[i];
+      for (int w : g.neighbors(u)) {
+        const int b = parts.cluster[w];
+        if (b != a && stamp[b] != a) {
+          stamp[b] = a;
+          arcs.push_back({b, u, w});
         }
       }
     }
+    arcs_begin[a + 1] = static_cast<int>(arcs.size());
   }
 
-  // Cluster graph: adjacency + the first-seen portal edge per cluster pair.
-  std::vector<std::vector<int>> cadj(s.k);
-  std::map<std::pair<int, int>, std::pair<int, int>> any_portal;
-  for (int u = 0; u < s.n; ++u) {
-    for (int w : g.neighbors(u)) {
-      const int a = s.cluster[u], b = s.cluster[w];
-      if (a == b) continue;
-      if (any_portal.emplace(std::make_pair(a, b), std::make_pair(u, w))
-              .second) {
-        cadj[a].push_back(b);
-      }
-    }
-  }
-  // BFS spanning forest of the cluster graph; keep portals only along tree
-  // edges (that is all the scheme ever crosses).
-  s.cparent.assign(s.k, -1);
-  s.ckids.assign(s.k, {});
-  s.ctin.assign(s.k, 0);
-  s.ctout.assign(s.k, 0);
-  std::vector<char> cseen(s.k, 0);
-  for (int root = 0; root < s.k; ++root) {
+  // Level 1: BFS spanning forest of the cluster graph; `down[d]` is the arc
+  // through which d's parent discovered it.
+  t.cluster.resize(static_cast<std::size_t>(k));
+  std::vector<int> corder, croots;
+  corder.reserve(static_cast<std::size_t>(k));
+  std::vector<int> down(static_cast<std::size_t>(k), -1);
+  std::vector<char> cseen(static_cast<std::size_t>(k), 0);
+  for (int root = 0; root < k; ++root) {
     if (cseen[root]) continue;
+    croots.push_back(root);
     cseen[root] = 1;
-    frontier.assign(1, root);
-    while (!frontier.empty()) {
-      next.clear();
-      for (int c : frontier) {
-        for (int d : cadj[c]) {
-          if (cseen[d]) continue;
-          cseen[d] = 1;
-          s.cparent[d] = c;
-          s.ckids[c].push_back(d);
-          s.portal[{c, d}] = any_portal[{c, d}];
-          s.portal[{d, c}] = any_portal[{d, c}];
-          next.push_back(d);
-        }
-      }
-      std::swap(frontier, next);
-    }
-  }
-  {
-    int timer = 0;
-    std::vector<std::pair<int, std::size_t>> stack;
-    for (int root = 0; root < s.k; ++root) {
-      if (s.cparent[root] >= 0) continue;
-      stack.push_back({root, 0});
-      s.ctin[root] = timer++;
-      while (!stack.empty()) {
-        auto& [c, slot] = stack.back();
-        if (slot < s.ckids[c].size()) {
-          const int ch = s.ckids[c][slot++];
-          s.ctin[ch] = timer++;
-          stack.push_back({ch, 0});
-        } else {
-          s.ctout[c] = timer - 1;
-          stack.pop_back();
-        }
+    std::size_t head = corder.size();
+    corder.push_back(root);
+    while (head < corder.size()) {
+      const int c = corder[head++];
+      for (int i = arcs_begin[c]; i < arcs_begin[c + 1]; ++i) {
+        const int d = arcs[i].to;
+        if (cseen[d]) continue;
+        cseen[d] = 1;
+        t.cluster[d].parent = c;
+        ++t.cluster[c].kids_end;
+        down[d] = i;
+        corder.push_back(d);
       }
     }
   }
-  return s;
-}
-
-/// Route u -> v through the scheme; returns hop count, or -1 if
-/// undeliverable (different components). Never inspects the graph beyond
-/// the tables. This is the pointer-walk serial reference the flattened
-/// engine below is equivalence-gated against (the PR 6 contract); if `path`
-/// is given, every vertex after u is appended in visit order.
-inline int route_hops(const RoutingScheme& s, int u, int v,
-                      std::vector<int>* path = nullptr) {
-  int hops = 0, cur = u;
-  int guard = 8 * s.n + 8;  // defensive loop cap
-  while (s.cluster[cur] != s.cluster[v]) {
-    const int c = s.cluster[cur], tc = s.cluster[v];
-    // Cluster-tree step: descend toward tc's interval, else climb.
-    int d = -1;
-    if (s.ctin[c] <= s.ctin[tc] && s.ctin[tc] <= s.ctout[c]) {
-      for (int ch : s.ckids[c]) {
-        if (s.ctin[ch] <= s.ctin[tc] && s.ctin[tc] <= s.ctout[ch]) {
-          d = ch;
-          break;
-        }
-      }
-    } else {
-      d = s.cparent[c];
-    }
-    if (d < 0) return -1;  // different components
-    const auto it = s.portal.find({c, d});
-    if (it == s.portal.end()) return -1;
-    const int up_hops = detail::tree_route_hops(s, cur, it->second.first, path);
-    if (up_hops < 0) return -1;
-    hops += up_hops + 1;  // to the portal vertex, then across the edge
-    cur = it->second.second;
-    if (path != nullptr) path->push_back(cur);
-    if ((guard -= up_hops + 1) < 0) return -1;
-  }
-  const int down = detail::tree_route_hops(s, cur, v, path);
-  return down < 0 ? -1 : hops + down;
-}
-
-/// Sample `pairs` connected (u, v) pairs and compare route length against
-/// BFS distance. Stretch of a pair = route hops / dist(u, v).
-inline StretchStats measure_stretch(const Graph& g, const RoutingScheme& s,
-                                    int pairs, Rng& rng) {
-  StretchStats st;
-  if (g.n() < 2 || pairs <= 0) return st;
-  int sampled = 0, delivered = 0;
-  double sum = 0.0;
-  for (int trial = 0; trial < 8 * pairs && sampled < pairs; ++trial) {
-    const int u = static_cast<int>(rng.next_below(g.n()));
-    const int v = static_cast<int>(rng.next_below(g.n()));
-    if (u == v) continue;
-    const std::vector<int> dist = bfs_distances(g, u);
-    if (dist[v] < 0) continue;  // different components: not a routing pair
-    ++sampled;
-    const int hops = route_hops(s, u, v);
-    if (hops < 0) continue;
-    ++delivered;
-    const double stretch =
-        static_cast<double>(hops) / static_cast<double>(dist[v]);
-    sum += stretch;
-    st.max_stretch = std::max(st.max_stretch, stretch);
-  }
-  st.delivered_fraction =
-      sampled == 0 ? 0.0
-                   : static_cast<double>(delivered) / static_cast<double>(sampled);
-  st.avg_stretch = delivered == 0 ? 0.0 : sum / delivered;
-  return st;
-}
-
-// ---------------------------------------------------------------------------
-// The flattened query-serving tier.
-// ---------------------------------------------------------------------------
-
-/// RoutingScheme flattened into contiguous, cache-friendly arrays: one
-/// record array plus one CSR child-list array per level. Child lists are
-/// stored in ascending DFS-entry-time order (which is how the builder
-/// emits them), so the interval descend step is a binary search for the
-/// last child whose entry time is <= the target's — child intervals tile
-/// the parent's, so that child is the unique containing one. Immutable
-/// after flatten_routing_scheme; safe for concurrent readers.
-struct FlatRoutingTables {
-  /// Level-0 per-vertex record: everything a climb/descend step reads.
-  struct VertexRec {
-    std::int32_t cluster = -1;  // cluster id
-    std::int32_t up = -1;       // BFS-tree parent toward the center
-    std::int32_t tin = 0, tout = 0;            // own DFS interval
-    std::int32_t kids_begin = 0, kids_end = 0; // slice of `child`
-  };
-  /// Level-0 CSR payload: (entry time, vertex id) per tree child.
-  struct ChildRec {
-    std::int32_t tin = 0;  // the binary-search key
-    std::int32_t id = -1;  // the hop target
-  };
-  /// Level-1 per-cluster record (what the pointer scheme keeps at the
-  /// center), including the portal toward the cluster-tree parent.
-  struct ClusterRec {
-    std::int32_t parent = -1;
-    std::int32_t ctin = 0, ctout = 0;
-    std::int32_t kids_begin = 0, kids_end = 0;  // slice of `cchild`
-    std::int32_t portal_src = -1, portal_dst = -1;  // toward parent
-  };
-  /// Level-1 CSR payload: child cluster + the portal edge into it.
-  struct ClusterChildRec {
-    std::int32_t ctin = 0;
-    std::int32_t id = -1;
-    std::int32_t portal_src = -1, portal_dst = -1;
-  };
-
-  int n = 0, k = 0;
-  std::vector<VertexRec> vertex;       // size n
-  std::vector<ChildRec> child;         // size n - #cluster-centers
-  std::vector<ClusterRec> cluster;     // size k
-  std::vector<ClusterChildRec> cchild; // size k - #cluster-tree-roots
-
-  /// Measured footprint of the four arrays — what the serving bench
-  /// reports as bytes/vertex (the flat analogue of table_bits()).
-  std::int64_t table_bytes() const {
-    return static_cast<std::int64_t>(vertex.size() * sizeof(VertexRec)) +
-           static_cast<std::int64_t>(child.size() * sizeof(ChildRec)) +
-           static_cast<std::int64_t>(cluster.size() * sizeof(ClusterRec)) +
-           static_cast<std::int64_t>(cchild.size() * sizeof(ClusterChildRec));
-  }
-  double bytes_per_vertex() const {
-    return n == 0 ? 0.0
-                  : static_cast<double>(table_bytes()) / static_cast<double>(n);
-  }
-};
-
-/// Flatten a built RoutingScheme. Pure layout transformation: every field is
-/// copied, none recomputed, so the flat engine can only route exactly as the
-/// pointer walk does.
-inline FlatRoutingTables flatten_routing_scheme(const RoutingScheme& s) {
-  FlatRoutingTables t;
-  t.n = s.n;
-  t.k = s.k;
-  t.vertex.resize(static_cast<std::size_t>(s.n));
-  std::size_t kids_total = 0;
-  for (int v = 0; v < s.n; ++v) kids_total += s.kids[v].size();
-  t.child.reserve(kids_total);
-  for (int v = 0; v < s.n; ++v) {
-    FlatRoutingTables::VertexRec& r = t.vertex[static_cast<std::size_t>(v)];
-    r.cluster = s.cluster[v];
-    r.up = s.up[v];
-    r.tin = s.tin[v];
-    r.tout = s.tout[v];
-    r.kids_begin = static_cast<std::int32_t>(t.child.size());
-    for (int ch : s.kids[v]) {  // already in ascending-tin (DFS) order
-      t.child.push_back({s.tin[ch], ch});
-    }
-    r.kids_end = static_cast<std::int32_t>(t.child.size());
-  }
-  t.cluster.resize(static_cast<std::size_t>(s.k));
-  std::size_t ckids_total = 0;
-  for (int c = 0; c < s.k; ++c) ckids_total += s.ckids[c].size();
-  t.cchild.reserve(ckids_total);
-  for (int c = 0; c < s.k; ++c) {
-    FlatRoutingTables::ClusterRec& r = t.cluster[static_cast<std::size_t>(c)];
-    r.parent = s.cparent[c];
-    r.ctin = s.ctin[c];
-    r.ctout = s.ctout[c];
-    if (r.parent >= 0) {
-      const auto it = s.portal.find({c, r.parent});
-      if (it != s.portal.end()) {
-        r.portal_src = it->second.first;
-        r.portal_dst = it->second.second;
+  slots = 0;
+  for (int c = 0; c < k; ++c) {
+    Tables::ClusterRec& r = t.cluster[c];
+    r.kids_begin = slots;
+    slots += r.kids_end;
+    r.kids_end = r.kids_begin;
+    for (int i = arcs_begin[c]; r.parent >= 0 && i < arcs_begin[c + 1]; ++i) {
+      if (arcs[i].to == r.parent) {
+        r.portal_src = arcs[i].src;
+        r.portal_dst = arcs[i].dst;
+        break;
       }
     }
-    r.kids_begin = static_cast<std::int32_t>(t.cchild.size());
-    for (int d : s.ckids[c]) {  // ascending-ctin order by construction
-      FlatRoutingTables::ClusterChildRec cc;
-      cc.ctin = s.ctin[d];
-      cc.id = d;
-      const auto it = s.portal.find({c, d});
-      if (it != s.portal.end()) {
-        cc.portal_src = it->second.first;
-        cc.portal_dst = it->second.second;
-      }
-      t.cchild.push_back(cc);
-    }
-    r.kids_end = static_cast<std::int32_t>(t.cchild.size());
   }
+  t.cchild.resize(static_cast<std::size_t>(slots));
+  for (int d : corder) {
+    const int c = t.cluster[d].parent;
+    if (c < 0) continue;
+    Tables::ClusterChildRec& cc = t.cchild[t.cluster[c].kids_end++];
+    cc.id = d;
+    cc.portal_src = arcs[down[d]].src;
+    cc.portal_dst = arcs[down[d]].dst;
+  }
+  detail::assign_intervals(t.cluster, t.cchild, croots,
+                           &Tables::ClusterRec::ctin,
+                           &Tables::ClusterRec::ctout);
+  for (Tables::ClusterChildRec& cc : t.cchild) cc.ctin = t.cluster[cc.id].ctin;
   return t;
+}
+
+// Kept only for pipebench's set-up; goes at the benchmark's next change.
+using RoutingScheme = FlatRoutingTables;
+/// A copy of `s` for pipebench's set-up; goes at the benchmark's next change.
+inline FlatRoutingTables flatten_routing_scheme(const RoutingScheme& s) {
+  return s;
 }
 
 namespace detail {
 
-/// Flat tree route src -> dst inside one cluster tree; same climb/descend
-/// walk as tree_route_hops, with the descend resolved by binary search over
-/// the CSR child slice instead of a linear interval scan. Child intervals
-/// tile the parent's interval, so "last child with tin <= dst's tin" is the
-/// unique containing child the reference's scan finds.
+/// Tree route src -> dst inside one cluster tree: climb while dst's interval
+/// is not below, then descend into the containing child — resolved by
+/// binary search over the CSR child slice. Child intervals tile the
+/// parent's interval, so "last child with tin <= dst's tin" is the unique
+/// containing child. If `path` is given, every vertex after src is appended
+/// in visit order.
 inline int flat_tree_route_hops(const FlatRoutingTables& t, int src, int dst,
                                 std::vector<int>* path = nullptr) {
   const std::int32_t dtin = t.vertex[static_cast<std::size_t>(dst)].tin;
@@ -475,13 +367,16 @@ inline int flat_tree_route_hops(const FlatRoutingTables& t, int src, int dst,
 
 }  // namespace detail
 
-/// Route u -> v from the flattened tables; identical semantics, hop counts
-/// and visited-vertex sequences to route_hops (the equivalence-gated
-/// contract). Read-only: safe to call concurrently from many threads.
+/// Route u -> v through the tables; returns the hop count, or -1 if
+/// undeliverable (different components, or an endpoint outside [0, n)).
+/// Never inspects the graph beyond the tables; if `path` is given, every
+/// vertex after u is appended in visit order. Read-only: safe to call
+/// concurrently from many threads.
 inline int flat_route_hops(const FlatRoutingTables& t, int u, int v,
                            std::vector<int>* path = nullptr) {
+  if (u < 0 || u >= t.n || v < 0 || v >= t.n) return -1;
   int hops = 0, cur = u;
-  int guard = 8 * t.n + 8;  // defensive loop cap (matches the reference)
+  int guard = 8 * t.n + 8;  // defensive loop cap
   const std::int32_t tc = t.vertex[static_cast<std::size_t>(v)].cluster;
   const std::int32_t tctin = t.cluster[static_cast<std::size_t>(tc)].ctin;
   while (t.vertex[static_cast<std::size_t>(cur)].cluster != tc) {
@@ -532,30 +427,61 @@ inline int flat_next_hop(const FlatRoutingTables& t, int cur, int v) {
   return hops <= 0 || path.empty() ? -1 : path.front();
 }
 
-/// Serve a batch of (s, t) queries from the flattened tables, fanning
-/// chunks across a lent ShardPool. The tables are immutable and every chunk
-/// writes only its own slice of `out_hops`, so the hot path takes no locks
-/// and the output is independent of the thread count (the determinism gate
-/// in tests/test_route_serve.cpp). pool == nullptr or 1 thread serves
-/// inline — the serial reference path.
+/// Sample `pairs` connected (u, v) pairs and compare route length against
+/// BFS distance. Stretch of a pair = route hops / dist(u, v).
+inline StretchStats measure_stretch(const Graph& g, const FlatRoutingTables& t,
+                                    int pairs, Rng& rng) {
+  StretchStats st;
+  if (g.n() < 2 || pairs <= 0) return st;
+  int sampled = 0, delivered = 0;
+  double sum = 0.0;
+  for (int trial = 0; trial < 8 * pairs && sampled < pairs; ++trial) {
+    const int u = static_cast<int>(rng.next_below(g.n()));
+    const int v = static_cast<int>(rng.next_below(g.n()));
+    if (u == v) continue;
+    const std::vector<int> dist = bfs_distances(g, u);
+    if (dist[v] < 0) continue;  // different components: not a routing pair
+    ++sampled;
+    const int hops = flat_route_hops(t, u, v);
+    if (hops < 0) continue;
+    ++delivered;
+    const double stretch =
+        static_cast<double>(hops) / static_cast<double>(dist[v]);
+    sum += stretch;
+    st.max_stretch = std::max(st.max_stretch, stretch);
+  }
+  st.delivered_fraction =
+      sampled == 0 ? 0.0
+                   : static_cast<double>(delivered) / static_cast<double>(sampled);
+  st.avg_stretch = delivered == 0 ? 0.0 : sum / delivered;
+  return st;
+}
+
+/// Queries per serve_route_queries task: large enough that claiming a chunk
+/// is noise next to routing it, small enough that skewed route lengths
+/// still balance across workers.
+inline constexpr std::int64_t kServeGrain = 4096;
+
+/// Serve a batch of (s, t) queries, kServeGrain per task, fanned across a
+/// lent ShardPool through congest::for_each_task (inline without one). The
+/// tables are immutable and every task writes only its own slice of
+/// `out_hops`, so the hot path takes no locks and the output is independent
+/// of the thread count (the determinism gate in tests/test_route_serve.cpp).
 inline void serve_route_queries(const FlatRoutingTables& t,
                                 const std::vector<std::pair<int, int>>& queries,
                                 std::vector<int>& out_hops,
-                                congest::ShardPool* pool = nullptr,
-                                std::int64_t grain = 4096) {
+                                congest::ShardPool* pool = nullptr) {
   const std::int64_t total = static_cast<std::int64_t>(queries.size());
   out_hops.assign(queries.size(), -1);
-  const auto body = [&](std::int64_t lo, std::int64_t hi, int /*worker*/) {
+  const int tasks = static_cast<int>((total + kServeGrain - 1) / kServeGrain);
+  congest::for_each_task(pool, tasks, [&](int task, int /*worker*/) {
+    const std::int64_t lo = task * kServeGrain;
+    const std::int64_t hi = std::min(lo + kServeGrain, total);
     for (std::int64_t i = lo; i < hi; ++i) {
       const auto& [qs, qt] = queries[static_cast<std::size_t>(i)];
       out_hops[static_cast<std::size_t>(i)] = flat_route_hops(t, qs, qt);
     }
-  };
-  if (pool == nullptr || pool->threads() == 1) {
-    body(0, total, 0);
-    return;
-  }
-  congest::parallel_chunks(*pool, total, grain, body);
+  });
 }
 
 }  // namespace mfd::apps

@@ -18,9 +18,9 @@
 //     With one thread the loop runs inline on the caller, so pooled and
 //     unpooled runs share one code body.
 //   * for_each_task / parallel_ranges — the fan-out call of every pooled
-//     loop (whole tasks, or contiguous vertex slices) but the query
-//     server's parallel_chunks. A null pool, a one-thread pool or a single
-//     task runs inline, so no call site forks on the pool itself.
+//     loop (whole tasks — clusters, query chunks — or contiguous vertex
+//     slices). A null pool, a one-thread pool or a single task runs inline,
+//     so no call site forks on the pool itself.
 //   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
 //     Each lane owns a contiguous slot slice and is only ever written by its
 //     owning shard, so metering is race-free without atomics; merging the
@@ -298,30 +298,6 @@ void parallel_ranges(ShardPool* pool, int n, int tasks, Fn&& fn) {
     const int lo = plan.begin(t);
     const int hi = plan.end(t);
     if (lo < hi) fn(lo, hi, t);
-  });
-}
-
-/// Read-only fan-out over [0, n) in fixed-size chunks — the query-serving
-/// shape: chunks are claimed dynamically (so skewed per-item costs still
-/// balance across workers) and fn(lo, hi, worker) must write only state
-/// derived from its own [lo, hi) slice. With disjoint output slices the hot
-/// path needs no locks or atomics beyond the pool's task counter, and the
-/// result is independent of the thread count by construction (every item is
-/// processed exactly once, in isolation).
-inline void parallel_chunks(ShardPool& pool, std::int64_t n, std::int64_t grain,
-                            const std::function<void(std::int64_t, std::int64_t,
-                                                     int)>& fn) {
-  if (n <= 0) return;
-  grain = std::max<std::int64_t>(grain, 1);
-  const std::int64_t chunks = (n + grain - 1) / grain;
-  if (pool.threads() == 1 || chunks == 1) {
-    fn(0, n, 0);
-    return;
-  }
-  pool.run(static_cast<int>(chunks), [&](int c, int worker) {
-    const std::int64_t lo = static_cast<std::int64_t>(c) * grain;
-    const std::int64_t hi = std::min(lo + grain, n);
-    fn(lo, hi, worker);
   });
 }
 

@@ -18,17 +18,28 @@
 //     searches (apps/exact.hpp, apps/domination.hpp) keep incremental state
 //     so a node costs what it touches; their witnesses, node counts and
 //     exact() flags must equal these at every budget.
+//   * PointerRoutingScheme / pointer_route_hops — the two-level compact
+//     routing scheme with per-vertex child vectors and a std::map of portals,
+//     walked pointer by pointer. apps::build_routing_scheme builds the flat
+//     tables directly; they must equal flatten_pointer_routing of this
+//     scheme field for field, and apps::flat_route_hops must reproduce
+//     pointer_route_hops' hop counts and visited vertices.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "apps/compact_routing.hpp"
 #include "apps/domination.hpp"
 #include "apps/exact.hpp"
 #include "congest/runtime.hpp"
+#include "decomp/clustering.hpp"
 #include "expander/cut_matching.hpp"
 #include "expander/rw_routing.hpp"
+#include "graph/graph.hpp"
 
 namespace mfd::oracles {
 
@@ -486,5 +497,307 @@ class MdsBranch {
   std::int64_t nodes_ = 0, budget_;
   bool exact_ = true;
 };
+
+// ---------------------------------------------------------------------------
+// The pointer-walk compact-routing scheme.
+// ---------------------------------------------------------------------------
+
+/// The assembled two-level scheme; table-bit accessors count what each
+/// vertex would actually store.
+struct PointerRoutingScheme {
+  int n = 0, k = 0;
+  std::vector<int> cluster;            // cluster[v]
+  std::vector<int> center;             // center[c] = root vertex of cluster c
+  std::vector<int> up;                 // BFS-tree parent toward center (-1 at it)
+  std::vector<int> tin, tout;          // DFS interval of v on its cluster tree
+  std::vector<std::vector<int>> kids;  // tree children of v
+  // Level 1: BFS spanning forest of the cluster graph with DFS intervals,
+  // plus one portal edge per tree-adjacent cluster pair (both directions).
+  std::vector<int> cparent;            // cluster-tree parent (-1 at roots)
+  std::vector<int> ctin, ctout;        // cluster-tree DFS interval
+  std::vector<std::vector<int>> ckids; // cluster-tree children
+  std::map<std::pair<int, int>, std::pair<int, int>> portal;
+
+  /// Bits vertex v stores: cluster id + parent port + own interval + one
+  /// interval per tree child; centers add the cluster-tree labels and one
+  /// portal id per tree-adjacent cluster.
+  std::int64_t table_bits(int v) const {
+    const int logn = congest::ceil_log2(std::max(n, 2));
+    const int logk = congest::ceil_log2(std::max(k, 2));
+    std::int64_t bits = logk + logn + 2 * logn;  // id, port, interval
+    bits += static_cast<std::int64_t>(kids[v].size()) * 2 * logn;
+    const int c = cluster[v];
+    if (center[c] == v) {
+      bits += 2 * logk + logn;  // own cluster interval + parent portal
+      bits += static_cast<std::int64_t>(ckids[c].size()) * (2 * logk + logn);
+    }
+    return bits;
+  }
+
+  double avg_table_bits() const {
+    if (n == 0) return 0.0;
+    std::int64_t sum = 0;
+    for (int v = 0; v < n; ++v) sum += table_bits(v);
+    return static_cast<double>(sum) / n;
+  }
+
+  std::int64_t max_table_bits() const {
+    std::int64_t best = 0;
+    for (int v = 0; v < n; ++v) best = std::max(best, table_bits(v));
+    return best;
+  }
+};
+
+namespace detail {
+
+/// Hops of the tree route src -> dst inside one cluster tree: climb while
+/// dst's interval is not below, then descend into the containing child.
+/// If `path` is given, every vertex after src is appended in visit order —
+/// the equivalence gate compares these sequences against the flat engine.
+inline int tree_route_hops(const PointerRoutingScheme& s, int src, int dst,
+                           std::vector<int>* path = nullptr) {
+  int hops = 0, cur = src;
+  while (cur != dst) {
+    if (s.tin[cur] <= s.tin[dst] && s.tin[dst] <= s.tout[cur]) {
+      int next = -1;  // descend: the unique child interval containing dst
+      for (int ch : s.kids[cur]) {
+        if (s.tin[ch] <= s.tin[dst] && s.tin[dst] <= s.tout[ch]) {
+          next = ch;
+          break;
+        }
+      }
+      if (next < 0) return -1;  // corrupt labels; cannot happen on a tree
+      cur = next;
+    } else {
+      if (s.up[cur] < 0) return -1;
+      cur = s.up[cur];
+    }
+    if (path != nullptr) path->push_back(cur);
+    ++hops;
+  }
+  return hops;
+}
+
+}  // namespace detail
+
+/// Build the two-level scheme over a (connected-cluster) decomposition.
+inline PointerRoutingScheme build_pointer_routing(
+    const Graph& g, const decomp::Clustering& parts) {
+  PointerRoutingScheme s;
+  s.n = g.n();
+  s.k = parts.k;
+  s.cluster = parts.cluster;
+  s.center.assign(s.k, -1);
+  s.up.assign(s.n, -1);
+  s.tin.assign(s.n, 0);
+  s.tout.assign(s.n, 0);
+  s.kids.assign(s.n, {});
+
+  // Centers (minimum-id member) and per-cluster BFS trees toward them.
+  for (int v = 0; v < s.n; ++v) {
+    if (s.center[s.cluster[v]] < 0) s.center[s.cluster[v]] = v;
+  }
+  std::vector<int> frontier, next;
+  std::vector<char> seen(s.n, 0);
+  for (int c = 0; c < s.k; ++c) {
+    const int root = s.center[c];
+    if (root < 0) continue;
+    seen[root] = 1;
+    frontier.assign(1, root);
+    while (!frontier.empty()) {
+      next.clear();
+      for (int u : frontier) {
+        for (int w : g.neighbors(u)) {
+          if (!seen[w] && s.cluster[w] == c) {
+            seen[w] = 1;
+            s.up[w] = u;
+            s.kids[u].push_back(w);
+            next.push_back(w);
+          }
+        }
+      }
+      std::swap(frontier, next);
+    }
+  }
+  // DFS intervals per tree (one shared counter keeps labels globally unique).
+  {
+    int timer = 0;
+    std::vector<std::pair<int, std::size_t>> stack;  // (vertex, child slot)
+    for (int c = 0; c < s.k; ++c) {
+      if (s.center[c] < 0) continue;
+      stack.push_back({s.center[c], 0});
+      s.tin[s.center[c]] = timer++;
+      while (!stack.empty()) {
+        auto& [v, slot] = stack.back();
+        if (slot < s.kids[v].size()) {
+          const int ch = s.kids[v][slot++];
+          s.tin[ch] = timer++;
+          stack.push_back({ch, 0});
+        } else {
+          s.tout[v] = timer - 1;
+          stack.pop_back();
+        }
+      }
+    }
+  }
+
+  // Cluster graph: adjacency + the first-seen portal edge per cluster pair.
+  std::vector<std::vector<int>> cadj(s.k);
+  std::map<std::pair<int, int>, std::pair<int, int>> any_portal;
+  for (int u = 0; u < s.n; ++u) {
+    for (int w : g.neighbors(u)) {
+      const int a = s.cluster[u], b = s.cluster[w];
+      if (a == b) continue;
+      if (any_portal.emplace(std::make_pair(a, b), std::make_pair(u, w))
+              .second) {
+        cadj[a].push_back(b);
+      }
+    }
+  }
+  // BFS spanning forest of the cluster graph; keep portals only along tree
+  // edges (that is all the scheme ever crosses).
+  s.cparent.assign(s.k, -1);
+  s.ckids.assign(s.k, {});
+  s.ctin.assign(s.k, 0);
+  s.ctout.assign(s.k, 0);
+  std::vector<char> cseen(s.k, 0);
+  for (int root = 0; root < s.k; ++root) {
+    if (cseen[root]) continue;
+    cseen[root] = 1;
+    frontier.assign(1, root);
+    while (!frontier.empty()) {
+      next.clear();
+      for (int c : frontier) {
+        for (int d : cadj[c]) {
+          if (cseen[d]) continue;
+          cseen[d] = 1;
+          s.cparent[d] = c;
+          s.ckids[c].push_back(d);
+          s.portal[{c, d}] = any_portal[{c, d}];
+          s.portal[{d, c}] = any_portal[{d, c}];
+          next.push_back(d);
+        }
+      }
+      std::swap(frontier, next);
+    }
+  }
+  {
+    int timer = 0;
+    std::vector<std::pair<int, std::size_t>> stack;
+    for (int root = 0; root < s.k; ++root) {
+      if (s.cparent[root] >= 0) continue;
+      stack.push_back({root, 0});
+      s.ctin[root] = timer++;
+      while (!stack.empty()) {
+        auto& [c, slot] = stack.back();
+        if (slot < s.ckids[c].size()) {
+          const int ch = s.ckids[c][slot++];
+          s.ctin[ch] = timer++;
+          stack.push_back({ch, 0});
+        } else {
+          s.ctout[c] = timer - 1;
+          stack.pop_back();
+        }
+      }
+    }
+  }
+  return s;
+}
+
+/// Route u -> v through the scheme; returns hop count, or -1 if
+/// undeliverable (different components). Never inspects the graph beyond
+/// the tables. This is the pointer-walk reference apps::flat_route_hops is
+/// equivalence-gated against; if `path` is given, every vertex after u is
+/// appended in visit order.
+inline int pointer_route_hops(const PointerRoutingScheme& s, int u, int v,
+                              std::vector<int>* path = nullptr) {
+  int hops = 0, cur = u;
+  int guard = 8 * s.n + 8;  // defensive loop cap
+  while (s.cluster[cur] != s.cluster[v]) {
+    const int c = s.cluster[cur], tc = s.cluster[v];
+    // Cluster-tree step: descend toward tc's interval, else climb.
+    int d = -1;
+    if (s.ctin[c] <= s.ctin[tc] && s.ctin[tc] <= s.ctout[c]) {
+      for (int ch : s.ckids[c]) {
+        if (s.ctin[ch] <= s.ctin[tc] && s.ctin[tc] <= s.ctout[ch]) {
+          d = ch;
+          break;
+        }
+      }
+    } else {
+      d = s.cparent[c];
+    }
+    if (d < 0) return -1;  // different components
+    const auto it = s.portal.find({c, d});
+    if (it == s.portal.end()) return -1;
+    const int up_hops = detail::tree_route_hops(s, cur, it->second.first, path);
+    if (up_hops < 0) return -1;
+    hops += up_hops + 1;  // to the portal vertex, then across the edge
+    cur = it->second.second;
+    if (path != nullptr) path->push_back(cur);
+    if ((guard -= up_hops + 1) < 0) return -1;
+  }
+  const int down = detail::tree_route_hops(s, cur, v, path);
+  return down < 0 ? -1 : hops + down;
+}
+
+/// Flatten a built PointerRoutingScheme. Pure layout transformation: every
+/// field is copied, none recomputed, so these tables route exactly as the
+/// pointer walk does.
+inline apps::FlatRoutingTables flatten_pointer_routing(
+    const PointerRoutingScheme& s) {
+  apps::FlatRoutingTables t;
+  t.n = s.n;
+  t.k = s.k;
+  t.vertex.resize(static_cast<std::size_t>(s.n));
+  std::size_t kids_total = 0;
+  for (int v = 0; v < s.n; ++v) kids_total += s.kids[v].size();
+  t.child.reserve(kids_total);
+  for (int v = 0; v < s.n; ++v) {
+    apps::FlatRoutingTables::VertexRec& r =
+        t.vertex[static_cast<std::size_t>(v)];
+    r.cluster = s.cluster[v];
+    r.up = s.up[v];
+    r.tin = s.tin[v];
+    r.tout = s.tout[v];
+    r.kids_begin = static_cast<std::int32_t>(t.child.size());
+    for (int ch : s.kids[v]) {  // already in ascending-tin (DFS) order
+      t.child.push_back({s.tin[ch], ch});
+    }
+    r.kids_end = static_cast<std::int32_t>(t.child.size());
+  }
+  t.cluster.resize(static_cast<std::size_t>(s.k));
+  std::size_t ckids_total = 0;
+  for (int c = 0; c < s.k; ++c) ckids_total += s.ckids[c].size();
+  t.cchild.reserve(ckids_total);
+  for (int c = 0; c < s.k; ++c) {
+    apps::FlatRoutingTables::ClusterRec& r =
+        t.cluster[static_cast<std::size_t>(c)];
+    r.parent = s.cparent[c];
+    r.ctin = s.ctin[c];
+    r.ctout = s.ctout[c];
+    if (r.parent >= 0) {
+      const auto it = s.portal.find({c, r.parent});
+      if (it != s.portal.end()) {
+        r.portal_src = it->second.first;
+        r.portal_dst = it->second.second;
+      }
+    }
+    r.kids_begin = static_cast<std::int32_t>(t.cchild.size());
+    for (int d : s.ckids[c]) {  // ascending-ctin order by construction
+      apps::FlatRoutingTables::ClusterChildRec cc;
+      cc.ctin = s.ctin[d];
+      cc.id = d;
+      const auto it = s.portal.find({c, d});
+      if (it != s.portal.end()) {
+        cc.portal_src = it->second.first;
+        cc.portal_dst = it->second.second;
+      }
+      t.cchild.push_back(cc);
+    }
+    r.kids_end = static_cast<std::int32_t>(t.cchild.size());
+  }
+  return t;
+}
 
 }  // namespace mfd::oracles

@@ -243,7 +243,7 @@ TEST_CASE(compact_routing_delivers_with_small_tables) {
                                : random_maximal_planar(400, grng));
     const decomp::EdtDecomposition edt =
         decomp::build_edt_decomposition(g, 0.3);
-    const apps::RoutingScheme s =
+    const apps::FlatRoutingTables s =
         apps::build_routing_scheme(g, edt.clustering);
     const apps::StretchStats st = apps::measure_stretch(g, s, 120, rng);
     CHECK_MSG(st.delivered_fraction == 1.0, fam);
@@ -256,7 +256,7 @@ TEST_CASE(compact_routing_delivers_with_small_tables) {
     // Exact route on a pair in the same cluster equals tree routing; on a
     // tree decomposition every route must be a real path: spot check hops
     // against BFS distance lower bound.
-    const int hops = apps::route_hops(s, 0, g.n() - 1);
+    const int hops = apps::flat_route_hops(s, 0, g.n() - 1);
     CHECK(hops >= bfs_distances(g, 0)[g.n() - 1]);
   }
 }
