@@ -109,8 +109,11 @@ class ShardPool {
   /// tasks inline on the calling thread: a nested fan-out could never claim
   /// the pool's workers — they are busy running the outer tasks — so
   /// serializing it is both deadlock-free and the fastest correct option.
-  /// This is what lets certify_parts fan clusters over the pool while each
-  /// cluster's game is free to pass the same pool to its replay stage.
+  /// This is what lets certify_parts fan its light clusters over the pool
+  /// while each cluster's game is free to pass the same pool to its replay
+  /// stage. A cluster that would outlast the fan-out is instead run outside
+  /// any run() (certify_parts' heavy-first pass), so its replays get the
+  /// workers.
   void run(int tasks, const std::function<void(int task, int worker)>& fn) {
     if (tasks <= 0) return;
     if (threads_ == 1 || in_run_.load(std::memory_order_relaxed)) {
@@ -275,8 +278,11 @@ class ShardedMeter {
 /// worker 0, no pool bookkeeping — when pool is null, has one thread, or
 /// there is at most one task. The last rule is load-bearing: a one-task
 /// pool->run would mark the pool busy, and a fan-out nested in that task
-/// (certify_parts' lone cluster replaying its game over the same pool)
-/// would then inline instead of using the workers.
+/// (certify_parts' lone light cluster replaying its game over the same
+/// pool) would then inline instead of using the workers. The same holds
+/// for any task: a fan-out nested in a pooled task runs inline, so a
+/// caller whose tasks are unequal runs a dominating one outside the
+/// fan-out, pool lent, as certify_parts does for its heavy clusters.
 template <class Fn>
 void for_each_task(ShardPool* pool, int tasks, Fn&& fn) {
   if (pool == nullptr || pool->threads() == 1 || tasks <= 1) {

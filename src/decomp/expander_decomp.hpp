@@ -20,6 +20,7 @@
 // see the layer diagram in docs/ARCHITECTURE.md.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -49,9 +50,10 @@ struct ExpanderDecompParams {
   // construction cost.
   bool certify = false;
   expander::PhiCertParams certify_params;
-  // Optional pool for the certify audit: clusters fan out as independent
-  // tasks (result fold stays in cluster order, so the report is bit-identical
-  // to the serial loop at every thread count).
+  // Optional pool for the certify audit: dominant clusters run first with
+  // the pool lent to their replays, the rest fan out as independent tasks
+  // (see certify_parts; the result fold stays in cluster order, so the
+  // report is bit-identical to the serial loop at every thread count).
   congest::ShardPool* certify_pool = nullptr;
 };
 
@@ -102,21 +104,41 @@ inline PartCertifyReport certify_parts(
     expander::PhiCertParams pc = {}, congest::ShardPool* pool = nullptr) {
   PartCertifyReport rep;
   // Per-cluster games are independent pure functions of their induced
-  // subgraph, so they fan out over the pool as whole-cluster tasks; results
-  // land in a cluster-indexed vector and the fold below runs serially in
-  // cluster order — every accumulation (sums, mins, maxes, first-violation
-  // pick, ledger charge) sees the exact serial order, so the report is
-  // bit-identical to the serial loop at every thread count. An inner game
-  // handed the same pool re-enters ShardPool::run and executes inline.
+  // subgraph, so results land in a cluster-indexed vector and the fold
+  // below runs serially in cluster order — every accumulation (sums, mins,
+  // maxes, first-violation pick, ledger charge) sees the exact serial order,
+  // so the report is bit-identical to the serial loop at every thread count.
+  // The schedule is heavy-first: a game costs about size^2, and a cluster
+  // whose size^2 * threads exceeds the sum over all clusters would outlast
+  // a fair share of the fan-out on its own. Such clusters run one at a
+  // time, largest first, with the pool lent to their replays; the rest fan
+  // out as whole-cluster tasks, where a nested replay runs inline.
   if (pc.pool == nullptr) pc.pool = pool;
   const int nparts = static_cast<int>(parts.size());
   std::vector<expander::PhiReport> reports(nparts);
   std::vector<int> sizes(nparts, 0);
-  congest::for_each_task(pool, nparts, [&](int c, int /*worker*/) {
+  const auto certify = [&](int c) {
     const InducedSubgraph sub = induced_subgraph(g, parts[c]);
     sizes[c] = sub.graph.n();
     reports[c] = expander::certified_phi(sub.graph, pc);
+  };
+  const std::int64_t threads = pool != nullptr ? pool->threads() : 1;
+  const auto weight = [&parts](int c) {
+    const auto s = static_cast<std::int64_t>(parts[c].size());
+    return s * s;
+  };
+  std::int64_t total = 0;
+  for (int c = 0; c < nparts; ++c) total += weight(c);
+  std::vector<int> heavy, light;
+  for (int c = 0; c < nparts; ++c) {
+    (weight(c) * threads > total ? heavy : light).push_back(c);
+  }
+  std::stable_sort(heavy.begin(), heavy.end(), [&parts](int a, int b) {
+    return parts[a].size() > parts[b].size();
   });
+  for (int c : heavy) certify(c);
+  congest::for_each_task(pool, static_cast<int>(light.size()),
+                         [&](int i, int /*worker*/) { certify(light[i]); });
   std::int64_t rounds = 0, messages = 0, peak = 0;
   for (int c = 0; c < nparts; ++c) {
     const expander::PhiReport& pr = reports[c];

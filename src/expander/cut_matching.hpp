@@ -28,21 +28,28 @@
 //     Cost per round: O(k * |matching|) instead of O(n^2).
 //   * Blocked column replay for alpha: alpha = n * min entry of F is only
 //     needed at candidate certificate prefixes (powers of two of the
-//     appended-matching count, plus the final prefix — a geometric schedule
-//     that bounds total replay work at ~2x one full-prefix replay). Each
-//     evaluation replays the stored matchings against identity column
-//     blocks of B basis vectors: O(n * B) memory, embarrassingly parallel
-//     over blocks via congest::ShardPool. Every matrix entry receives the
-//     identical sequence of 0.5*(a+b) averagings either way (pairs within a
-//     round are vertex-disjoint, the round order is fixed) and min over
-//     doubles is order-free, so the replayed alpha is BIT-IDENTICAL to a
-//     resident-matrix scan for any block size and thread count.
+//     appended-matching count, plus the final prefix). Each evaluation
+//     first tries to prove alpha = 0: after s rounds a column holds at most
+//     2^s non-zeros, and a bitset replay of the columns' supports (64
+//     columns per word, 1/64 of the double replay's work) finds any entry
+//     that only ever averaged zeros. So only the last checkpoints, whose
+//     columns are fully mixed, pay the double replay, against identity
+//     column blocks of B <= 64 basis vectors: O(n * B) memory per pool
+//     thread, embarrassingly parallel over blocks via congest::ShardPool.
+//     Every matrix entry receives the identical sequence of 0.5*(a+b)
+//     averagings either way (pairs within a round are vertex-disjoint, the
+//     round order is fixed) and min over doubles is order-free, so the
+//     replayed alpha is BIT-IDENTICAL to a resident-matrix scan for any
+//     block size and thread count.
 //
 // The game runs this one engine at every n; its O(n + B*n) state is what
-// lets certified_phi's cut_matching_cap sit at 65536. The resident-matrix
-// reference lives in tests/oracles.hpp: tests/test_fuzz.cpp rebuilds the
-// n x n matrix from the recorded matchings and pins it to the certificate's
-// alpha bit for bit across all generator families and thread counts.
+// lets certified_phi's cut_matching_cap sit at 65536. The matching player's
+// flow network is built once per game and only its source and sink arcs
+// change between rounds. The resident-matrix reference lives in
+// tests/oracles.hpp: tests/test_fuzz.cpp rebuilds the n x n matrix from the
+// recorded matchings and pins it to the certificate's alpha bit for bit
+// across all generator families and thread counts, and pins the zero proof
+// to that matrix's zero entries at every prefix.
 //
 // Soundness of the certificate (verified by verify_cut_matching, which
 // replays it from the recorded paths alone):
@@ -72,6 +79,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -89,90 +97,137 @@ namespace mfd::expander {
 
 namespace detail_cm {
 
-/// Dinic max flow on small integer-capacity networks. Undirected graph edges
-/// are modeled as one arc pair sharing capacity in both directions, so
-/// opposite flows cancel instead of stacking congestion.
-class Dinic {
+/// The matching player's flow network, built once per game: Dinic max flow
+/// over one flat arc array. Vertex v owns arcs [off(v), off(v+1)): slot 0 is
+/// its terminal arc (to the sink, or the reverse of the source's arc into
+/// v), then one arc per neighbour in ascending order. The source's and the
+/// sink's arcs follow, in ascending vertex order. That is exactly the arc
+/// order an adjacency list gets from adding every terminal arc and then
+/// every sorted graph edge, so BFS levels, DFS choices, flows and the path
+/// decomposition do not depend on the layout. An undirected graph edge is
+/// one arc pair with capacity `cap` both ways, so opposite flows cancel
+/// instead of stacking congestion. Each round, reset() rewrites only the
+/// terminal arcs and restores the graph arcs' capacities.
+class MatchingFlow {
  public:
-  explicit Dinic(int nodes) : adj_(nodes), level_(nodes), it_(nodes) {}
-
   struct Arc {
-    int to;
-    std::int64_t cap;
-    std::int64_t cap0;  // initial capacity (flow = cap0 - cap when positive)
-    int rev;            // index of the reverse arc in adj_[to]
+    int to = 0;
+    std::int64_t cap = 0;
+    std::int64_t cap0 = 0;  // capacity at reset (flow = cap0 - cap if > 0)
+    std::int64_t rev = 0;   // flat index of the reverse arc
   };
 
-  void add_arc(int u, int v, std::int64_t cap, std::int64_t rev_cap = 0) {
-    adj_[u].push_back({v, cap, cap, static_cast<int>(adj_[v].size())});
-    adj_[v].push_back({u, rev_cap, rev_cap, static_cast<int>(adj_[u].size()) - 1});
+  MatchingFlow(const Graph& g, std::int64_t cap)
+      : n_(g.n()), off_(g.n() + 3), level_(g.n() + 2), it_(g.n() + 2) {
+    const std::int64_t vertex_arcs = 2 * g.m() + n_;
+    for (int v = 0; v < n_; ++v) off_[v + 1] = off_[v] + 1 + g.degree(v);
+    off_[n_ + 1] = vertex_arcs + n_ / 2;  // source: one arc per S vertex
+    off_[n_ + 2] = vertex_arcs + n_;      // sink: one per S-bar vertex
+    arcs_.resize(static_cast<std::size_t>(off_[n_ + 2]));
+    for (int u = 0; u < n_; ++u) {
+      std::int64_t a = off_[u] + 1;
+      for (int w : g.neighbors(u)) {
+        // Vertex w's arcs start after the CSR slots and terminal arcs of
+        // every lower vertex, then its own terminal arc.
+        arcs_[a] = {w, cap, cap, g.arc_index(w, u) + w + 1};
+        ++a;
+      }
+    }
+    queue_.reserve(static_cast<std::size_t>(n_) + 2);
   }
 
-  std::int64_t max_flow(int s, int t) {
+  int source() const { return n_; }
+  int sink() const { return n_ + 1; }
+  std::int64_t begin(int u) const { return off_[u]; }
+  std::int64_t end(int u) const { return off_[u + 1]; }
+  const Arc& arc(std::int64_t a) const { return arcs_[a]; }
+
+  /// Unit arcs source -> v for side[v] = 1 and v -> sink otherwise; every
+  /// graph arc back at full capacity. `side` must mark exactly n/2 vertices.
+  void reset(const std::vector<char>& side) {
+    std::int64_t s = off_[source()], t = off_[sink()];
+    for (int v = 0; v < n_; ++v) {
+      const std::int64_t own = off_[v];
+      if (side[v]) {
+        arcs_[s] = {v, 1, 1, own};
+        arcs_[own] = {source(), 0, 0, s++};
+      } else {
+        arcs_[own] = {sink(), 1, 1, t};
+        arcs_[t++] = {v, 0, 0, own};
+      }
+      for (std::int64_t a = own + 1; a < off_[v + 1]; ++a) {
+        arcs_[a].cap = arcs_[a].cap0;
+      }
+    }
+  }
+
+  std::int64_t max_flow() {
     std::int64_t flow = 0;
-    while (bfs(s, t)) {
-      std::fill(it_.begin(), it_.end(), 0);
+    while (bfs()) {
+      std::copy(off_.begin(), off_.end() - 1, it_.begin());
       std::int64_t pushed;
-      while ((pushed = dfs(s, t, INT64_C(1) << 60)) > 0) flow += pushed;
+      while ((pushed = dfs(source(), INT64_C(1) << 60)) > 0) flow += pushed;
     }
     return flow;
   }
 
-  /// Residual reachability from s after max_flow — the min-cut source side.
-  std::vector<char> reachable(int s) const {
-    std::vector<char> seen(adj_.size(), 0);
-    std::vector<int> stack = {s};
-    seen[s] = 1;
+  /// Residual reachability from the source after max_flow — the min-cut
+  /// source side.
+  std::vector<char> reachable() const {
+    std::vector<char> seen(static_cast<std::size_t>(n_) + 2, 0);
+    std::vector<int> stack = {source()};
+    seen[source()] = 1;
     while (!stack.empty()) {
       const int u = stack.back();
       stack.pop_back();
-      for (const Arc& a : adj_[u]) {
-        if (a.cap > 0 && !seen[a.to]) {
-          seen[a.to] = 1;
-          stack.push_back(a.to);
+      for (std::int64_t a = off_[u]; a < off_[u + 1]; ++a) {
+        if (arcs_[a].cap > 0 && !seen[arcs_[a].to]) {
+          seen[arcs_[a].to] = 1;
+          stack.push_back(arcs_[a].to);
         }
       }
     }
     return seen;
   }
 
-  std::vector<std::vector<Arc>>& adj() { return adj_; }
-
  private:
-  bool bfs(int s, int t) {
+  bool bfs() {
     std::fill(level_.begin(), level_.end(), -1);
-    std::vector<int> q = {s};
-    level_[s] = 0;
-    for (std::size_t head = 0; head < q.size(); ++head) {
-      const int u = q[head];
-      for (const Arc& a : adj_[u]) {
-        if (a.cap > 0 && level_[a.to] < 0) {
-          level_[a.to] = level_[u] + 1;
-          q.push_back(a.to);
+    queue_.assign(1, source());
+    level_[source()] = 0;
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const int u = queue_[head];
+      for (std::int64_t a = off_[u]; a < off_[u + 1]; ++a) {
+        if (arcs_[a].cap > 0 && level_[arcs_[a].to] < 0) {
+          level_[arcs_[a].to] = level_[u] + 1;
+          queue_.push_back(arcs_[a].to);
         }
       }
     }
-    return level_[t] >= 0;
+    return level_[sink()] >= 0;
   }
 
-  std::int64_t dfs(int u, int t, std::int64_t limit) {
-    if (u == t) return limit;
-    for (int& i = it_[u]; i < static_cast<int>(adj_[u].size()); ++i) {
-      Arc& a = adj_[u][i];
+  std::int64_t dfs(int u, std::int64_t limit) {
+    if (u == sink()) return limit;
+    for (std::int64_t& i = it_[u]; i < off_[u + 1]; ++i) {
+      Arc& a = arcs_[i];
       if (a.cap <= 0 || level_[a.to] != level_[u] + 1) continue;
-      const std::int64_t pushed = dfs(a.to, t, std::min(limit, a.cap));
+      const std::int64_t pushed = dfs(a.to, std::min(limit, a.cap));
       if (pushed > 0) {
         a.cap -= pushed;
-        adj_[a.to][a.rev].cap += pushed;
+        arcs_[a.rev].cap += pushed;
         return pushed;
       }
     }
     return 0;
   }
 
-  std::vector<std::vector<Arc>> adj_;
+  int n_;
+  std::vector<std::int64_t> off_;  // node u's arcs: [off_[u], off_[u + 1])
+  std::vector<Arc> arcs_;
   std::vector<int> level_;
-  std::vector<int> it_;
+  std::vector<std::int64_t> it_;
+  std::vector<int> queue_;
 };
 
 /// splitmix64-derived value in (-1, 1) — same recipe as approx_fiedler so
@@ -196,15 +251,17 @@ inline void average_rows(double* ru, double* rv, int len) {
   }
 }
 
-/// Column block width for the alpha replay: `block <= 0` derives a width
-/// keeping one resident buffer of n * block doubles near 8 MiB, capped at
-/// n/4 columns so the game's state stays strictly below a dense n x n
-/// matrix at every size. Total replay work is block-size-invariant
-/// (sum of block widths is n), so the cap costs nothing serially.
+/// Column block width for the alpha replay: `block <= 0` derives 64
+/// columns, so one buffer row is 512 bytes and a matched pair's averaging
+/// touches eight cache lines; fewer when one n * block buffer would pass
+/// 8 MiB, and at most n/4 so the game's state stays strictly below a dense
+/// n x n matrix at every size. Total replay work is block-size-invariant
+/// (the block widths sum to n), so the cap costs nothing serially, and a
+/// pool's resident buffers stay cache-sized.
 inline int derive_replay_block(int n, int block) {
   if (block <= 0) {
     block = static_cast<int>((std::int64_t{1} << 20) / std::max(n, 1));
-    block = std::min(block, (n + 3) / 4);
+    block = std::min({block, 64, (n + 3) / 4});
   }
   return std::max(1, std::min(block, std::max(n, 1)));
 }
@@ -219,7 +276,7 @@ struct CutMatchingParams {
   int power_iters = 60;     // Cheeger probe used when phi_target is derived
   std::uint64_t seed = 0x243f6a8885a308d3ULL;  // published cut-player seed
   int probes = 8;           // cut-player probe bank size k (round-robin)
-  int replay_block = 0;       // alpha replay column width B; 0 derives ~8 MiB
+  int replay_block = 0;       // alpha replay column width B; 0 derives <= 64
   congest::ShardPool* pool = nullptr;  // replay blocks fan out here
 };
 
@@ -244,26 +301,91 @@ struct CutMatchingCertificate {
 
 namespace detail_cm {
 
+/// The zero proof behind the alpha replay: true when some entry of the
+/// mixing matrix after the first `prefix` matchings is exactly 0.0. It
+/// replays the matchings on the 0/1 support of identity columns instead of
+/// their values: row u of a block holds the support of u's entries as bits,
+/// 64 columns per word, and averaging a matched pair ORs the two rows. A
+/// clear bit means that entry only ever averaged zeros, so the double replay
+/// holds exactly 0.0 there. The proof is sound in that direction with no
+/// underflow argument; an entry that underflows to 0.0 is left for the
+/// double replay to find. A block of `block` words per row holds 64 * block
+/// columns in the n * block * 8 bytes of one double replay buffer; blocks
+/// fan out over `pool` and stop once any of them found a zero. Endpoints
+/// must be pre-validated in [0, n).
+inline bool support_has_zero(
+    int n, const std::vector<std::vector<MatchedPair>>& matchings,
+    std::size_t prefix, int block, congest::ShardPool* pool) {
+  if (n <= 0) return false;
+  // Columns per block; int64 because 64 * block may pass INT_MAX.
+  const std::int64_t span = 64 * std::int64_t{derive_replay_block(n, block)};
+  const int nblocks = static_cast<int>((n + span - 1) / span);
+  prefix = std::min(prefix, matchings.size());
+  std::atomic<bool> zero{false};
+  std::vector<std::vector<std::uint64_t>> bufs(pool ? pool->threads() : 1);
+  congest::for_each_task(pool, nblocks, [&](int b, int worker) {
+    if (zero.load(std::memory_order_relaxed)) return;
+    const int w0 = static_cast<int>(b * span);
+    const int bw = static_cast<int>(std::min<std::int64_t>(n, w0 + span) - w0);
+    const int words = (bw + 63) / 64;
+    std::vector<std::uint64_t>& bits = bufs[worker];
+    bits.assign(static_cast<std::size_t>(n) * words, 0);
+    for (int j = 0; j < bw; ++j) {
+      bits[static_cast<std::size_t>(w0 + j) * words + j / 64] |=
+          std::uint64_t{1} << (j % 64);
+    }
+    for (std::size_t r = 0; r < prefix; ++r) {
+      for (const MatchedPair& p : matchings[r]) {
+        std::uint64_t* ru = bits.data() + static_cast<std::size_t>(p.u) * words;
+        std::uint64_t* rv = bits.data() + static_cast<std::size_t>(p.v) * words;
+        for (int k = 0; k < words; ++k) ru[k] = rv[k] = ru[k] | rv[k];
+      }
+    }
+    const std::uint64_t tail =
+        bw % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (bw % 64)) - 1;
+    for (int u = 0; u < n; ++u) {
+      const std::uint64_t* row = bits.data() + static_cast<std::size_t>(u) * words;
+      bool full = (row[words - 1] & tail) == tail;
+      for (int k = 0; full && k + 1 < words; ++k) full = row[k] == ~std::uint64_t{0};
+      if (!full) {
+        zero.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return zero.load();
+}
+
 /// Exact min entry of the mixing matrix after the first `prefix` matchings,
-/// computed without a resident matrix: identity columns are replayed in
-/// blocks of `block` basis vectors (O(n * block) memory per buffer), blocks
-/// fanned over `pool` when provided. Entry (u, w) receives the identical
-/// averaging sequence whether held in a full matrix or a column block —
-/// within a round the pairs are vertex-disjoint, and min over doubles is
-/// order-free — so the result is bit-identical to a dense scan for ANY
-/// block size and thread count. Endpoints must be pre-validated in [0, n).
+/// computed without a resident matrix. Zero is proved first and returned
+/// without the double replay: after s vertex-disjoint rounds a column holds
+/// at most 2^s non-zeros, so 2^prefix < n forces a zero entry, and
+/// support_has_zero settles the rest. Otherwise identity columns are
+/// replayed in blocks of `block` basis vectors (O(n * block) memory per
+/// buffer, one buffer per pool thread), blocks fanned over `pool` when
+/// provided. Entry (u, w) receives the identical averaging sequence whether
+/// held in a full matrix or a column block — within a round the pairs are
+/// vertex-disjoint, and min over doubles is order-free — so the result is
+/// bit-identical to a dense scan for ANY block size and thread count.
+/// Endpoints must be pre-validated in [0, n) and every round vertex-disjoint.
 inline double replay_min_entry(
     int n, const std::vector<std::vector<MatchedPair>>& matchings,
     std::size_t prefix, int block, congest::ShardPool* pool) {
   if (n <= 0) return 0.0;
-  block = derive_replay_block(n, block);
   prefix = std::min(prefix, matchings.size());
+  if (prefix < 31 && (std::size_t{1} << prefix) < static_cast<std::size_t>(n)) {
+    return 0.0;
+  }
+  if (support_has_zero(n, matchings, prefix, block, pool)) return 0.0;
+  block = derive_replay_block(n, block);
   const int nblocks = (n + block - 1) / block;
   std::vector<double> block_min(nblocks, 1.0);
-  congest::for_each_task(pool, nblocks, [&](int b, int /*worker*/) {
+  std::vector<std::vector<double>> bufs(pool ? pool->threads() : 1);
+  congest::for_each_task(pool, nblocks, [&](int b, int worker) {
     const int w0 = b * block;
     const int bw = std::min(n, w0 + block) - w0;
-    std::vector<double> col(static_cast<std::size_t>(n) * bw, 0.0);
+    std::vector<double>& col = bufs[worker];
+    col.assign(static_cast<std::size_t>(n) * bw, 0.0);
     for (int j = 0; j < bw; ++j) {
       col[static_cast<std::size_t>(w0 + j) * bw + j] = 1.0;
     }
@@ -299,9 +421,9 @@ struct CutMatchingOutcome {
   double phi_target = 0.0;     // the target the matching player actually used
   int alpha_evals = 0;         // checkpoint evaluations of alpha performed
   // Analytic high-water of the mixing state in bytes: probe bank plus ONE
-  // replay block buffer (a pool multiplies resident buffers by its thread
-  // count, but the reported figure stays thread-invariant so outcomes are
-  // bit-comparable).
+  // replay block buffer, which the support pass's bitset block also fits
+  // (a pool multiplies resident buffers by its thread count, but the
+  // reported figure stays thread-invariant so outcomes are bit-comparable).
   std::int64_t state_bytes_peak = 0;
   congest::Runtime ledger;     // CONGEST charges of the whole game
 };
@@ -321,10 +443,11 @@ struct EmbeddingAudit {
 };
 
 /// Knobs for verify_cut_matching's alpha replay — same semantics as the
-/// game's: any block size / pool gives bit-identical results, the knobs only
-/// trade memory for parallelism.
+/// game's, zero proof included: any block size / pool gives bit-identical
+/// results, the knobs only trade memory (one n * B buffer per pool thread)
+/// for parallelism.
 struct VerifyParams {
-  int replay_block = 0;                // column width B; 0 derives ~8 MiB
+  int replay_block = 0;                // column width B; 0 derives <= 64
   congest::ShardPool* pool = nullptr;  // replay blocks fan out here
 };
 
@@ -420,14 +543,16 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   // Derive the flow target when the caller did not pin one: the Cheeger
   // estimate is the natural scale ("can the game certify what the spectral
   // heuristic believes?"), floored at 1/n so capacities stay bounded.
+  // A non-finite target derives too.
   double target = params.phi_target;
-  if (target <= 0.0) {
+  if (!(target > 0.0) || !std::isfinite(target)) {
     const PhiCertificate est = phi_certificate(g, 0, params.power_iters);
     target = std::max({est.phi, 1.0 / n, 1e-6});
   }
   out.phi_target = target;
-  const std::int64_t cap = std::min<std::int64_t>(
-      static_cast<std::int64_t>(std::ceil(1.0 / target)), 4 * g.m() + 1);
+  // Clamped in double first: ceil(1/target) may not fit an int64.
+  const std::int64_t cap = static_cast<std::int64_t>(std::min(
+      std::ceil(1.0 / target), static_cast<double>(4 * g.m() + 1)));
 
   const int log_n = congest::ceil_log2(n);
   const int max_rounds =
@@ -470,7 +595,16 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   std::int64_t embed_rounds = 0, embed_messages = 0, embed_peak = 0;
 
   std::vector<int> order(n);
-  std::vector<int> side(n, 0);  // 1 = S (flow sources) this round
+  std::vector<char> side(n, 0);  // 1 = S (flow sources) this round
+
+  // The matching player's network and the path decomposition's buffers are
+  // built once; each round only rewrites them.
+  detail_cm::MatchingFlow flow_net(g, cap);
+  const int src = flow_net.source(), snk = flow_net.sink();
+  std::vector<std::int64_t> arc_flow(flow_net.end(snk));
+  std::vector<std::int64_t> round_usage(2 * g.m());
+  std::vector<int> walk;
+  std::vector<int> last(n, -1);  // loop erasure: position of v on the path
 
   // One alpha evaluation at the current prefix. A distributed run replays
   // the prefix's matchings on a scalar (one averaging exchange per matching,
@@ -504,23 +638,14 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
     // --- Matching player: route one unit from every S vertex to a distinct
     // S-bar vertex, every graph edge capped at ceil(1/phi_target).
-    const int src = n, snk = n + 1;
-    detail_cm::Dinic dinic(n + 2);
-    for (int v = 0; v < n; ++v) {
-      if (side[v]) {
-        dinic.add_arc(src, v, 1);
-      } else {
-        dinic.add_arc(v, snk, 1);
-      }
-    }
-    for (const auto& [a, b] : g.edges()) dinic.add_arc(a, b, cap, cap);
-    const std::int64_t flow = dinic.max_flow(src, snk);
+    flow_net.reset(side);
+    const std::int64_t flow = flow_net.max_flow();
 
     if (flow < half) {
       // The matching player is stuck: the residual min cut is a sparse cut
       // of G. Re-check it directly — the witness stands on recomputation,
       // not on flow theory.
-      const std::vector<char> reach = dinic.reachable(src);
+      const std::vector<char> reach = flow_net.reachable();
       std::vector<char> cut(n, 0);
       int cut_size = 0;
       for (int v = 0; v < n; ++v) {
@@ -545,39 +670,34 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
     // --- Path decomposition: walk the flow units from each saturated
     // source, erase revisit loops, record the matching with its embedding.
-    std::vector<std::vector<std::int64_t>> arc_flow(n + 2);
-    for (int u = 0; u < n + 2; ++u) {
-      auto& arcs = dinic.adj()[u];
-      arc_flow[u].assign(arcs.size(), 0);
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        arc_flow[u][i] = std::max<std::int64_t>(0, arcs[i].cap0 - arcs[i].cap);
-      }
+    for (std::int64_t a = 0; a < flow_net.end(snk); ++a) {
+      const detail_cm::MatchingFlow::Arc& arc = flow_net.arc(a);
+      arc_flow[a] = std::max<std::int64_t>(0, arc.cap0 - arc.cap);
     }
     std::vector<MatchedPair> matching;
-    std::vector<std::int64_t> round_usage(2 * g.m(), 0);
+    std::fill(round_usage.begin(), round_usage.end(), 0);
     std::int64_t round_peak = 0;
     int round_dil = 0;
-    for (std::size_t i = 0; i < dinic.adj()[src].size(); ++i) {
-      if (arc_flow[src][i] <= 0) continue;
-      arc_flow[src][i] = 0;
-      std::vector<int> walk = {dinic.adj()[src][i].to};
+    for (std::int64_t i = flow_net.begin(src); i < flow_net.end(src); ++i) {
+      if (arc_flow[i] <= 0) continue;
+      arc_flow[i] = 0;
+      walk.assign(1, flow_net.arc(i).to);
       while (true) {
         const int u = walk.back();
         bool advanced = false;
-        auto& arcs = dinic.adj()[u];
-        for (std::size_t jj = 0; jj < arcs.size(); ++jj) {
-          if (arc_flow[u][jj] <= 0) continue;
-          --arc_flow[u][jj];
-          if (arcs[jj].to == snk) break;  // arrived; outer loop re-checks
-          walk.push_back(arcs[jj].to);
+        for (std::int64_t a = flow_net.begin(u); a < flow_net.end(u); ++a) {
+          if (arc_flow[a] <= 0) continue;
+          --arc_flow[a];
+          if (flow_net.arc(a).to == snk) break;  // arrived; outer loop re-checks
+          walk.push_back(flow_net.arc(a).to);
           advanced = true;
           break;
         }
         if (!advanced) break;  // consumed the sink arc (or flow exhausted)
       }
       // Loop-erase: keep the first visit of every vertex; congestion and
-      // dilation are recounted from the final simple path only.
-      std::vector<int> last(n, -1);
+      // dilation are recounted from the final simple path only. `last` is
+      // all -1 between units: only the kept path's entries are reset.
       std::vector<int> path;
       for (int v : walk) {
         if (last[v] >= 0) {
@@ -590,6 +710,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
           path.push_back(v);
         }
       }
+      for (int v : path) last[v] = -1;
       if (path.size() < 2) continue;  // degenerate unit: skip it
       MatchedPair pair;
       pair.u = path.front();

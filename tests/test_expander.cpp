@@ -10,9 +10,15 @@
 //     stalls below target when the Lemma 2.2 splitting fix is disabled;
 //   * the whole pipeline is deterministic under a fixed seed (identical route
 //     tables, seeds, and round counts), and the walk engine reproduces the
-//     token-serial oracle of tests/oracles.hpp bit for bit.
+//     token-serial oracle of tests/oracles.hpp bit for bit;
+//   * the cut-matching game clamps its edge capacity before the integer
+//     cast, so a target whose reciprocal overflows an int64 plays like any
+//     other tiny target, and non-finite targets derive like 0 does.
+#include <cmath>
+#include <limits>
 #include <vector>
 
+#include "expander/cut_matching.hpp"
 #include "expander/load_balance.hpp"
 #include "expander/rw_routing.hpp"
 #include "expander/split.hpp"
@@ -39,6 +45,27 @@ void check_split_partition(const ExpanderSplit& sp, const std::string& ctx) {
     CHECK_MSG(sp.phi_cert[p] > 0.0 || sub.graph.m() == 0, ctx);
   }
   CHECK_MSG(covered == sp.g.n(), ctx);
+}
+
+bool same_certificate(const CutMatchingOutcome& a, const CutMatchingOutcome& b) {
+  if (a.verdict != b.verdict || a.rounds_played != b.rounds_played ||
+      a.cert.congestion != b.cert.congestion ||
+      a.cert.dilation != b.cert.dilation || a.cert.alpha != b.cert.alpha ||
+      a.cert.phi_lower != b.cert.phi_lower ||
+      a.cert.matchings.size() != b.cert.matchings.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < a.cert.matchings.size(); ++r) {
+    const auto& ra = a.cert.matchings[r];
+    const auto& rb = b.cert.matchings[r];
+    if (ra.size() != rb.size()) return false;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      if (ra[i].u != rb[i].u || ra[i].v != rb[i].v || ra[i].path != rb[i].path) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -223,5 +250,33 @@ TEST_CASE(rw_engine_matches_serial_oracle) {
                 ctx);
       CHECK_MSG(engine.shard_messages.size() == 1, ctx);
     }
+  }
+}
+
+TEST_CASE(cut_matching_tiny_target_clamps_capacity) {
+  // ceil(1 / 1e-300) does not fit an int64: the capacity must clamp to
+  // 4m + 1 in double before the cast, exactly as 1e-18 already does, rather
+  // than wrap to a negative capacity that blocks every flow.
+  const Graph g = grid_graph(6, 6);
+  CutMatchingParams p;
+  p.phi_target = 1e-18;
+  const CutMatchingOutcome small = cut_matching_game(g, p);
+  CHECK(small.verdict == CutMatchingVerdict::kCertified);
+  CHECK(small.rounds_played == 16);
+  p.phi_target = 1e-300;
+  const CutMatchingOutcome tiny = cut_matching_game(g, p);
+  CHECK(tiny.phi_target == 1e-300);
+  CHECK_MSG(same_certificate(tiny, small), "1e-300 played a different game");
+
+  // NaN and infinity take the derived-target path, like 0.
+  p.phi_target = 0.0;
+  const CutMatchingOutcome derived = cut_matching_game(g, p);
+  for (double target : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    p.phi_target = target;
+    const CutMatchingOutcome out = cut_matching_game(g, p);
+    CHECK(out.phi_target == derived.phi_target);
+    CHECK(std::isfinite(out.phi_target) && out.phi_target > 0.0);
+    CHECK_MSG(same_certificate(out, derived), "non-finite target did not derive");
   }
 }

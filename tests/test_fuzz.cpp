@@ -395,6 +395,52 @@ TEST_CASE(fuzz_implicit_matches_dense_oracle) {
   }
 }
 
+TEST_CASE(fuzz_support_zero_proof_matches_dense_oracle) {
+  // The alpha replay's zero proof (detail_cm::support_has_zero) must report
+  // a zero at exactly the prefixes whose dense mixing matrix holds a 0.0
+  // entry — every prefix 1..|M|, not only the game's powers of two — and
+  // replay_min_entry, shortcuts included, must equal the dense scan there.
+  // Checked at the derived block and at one-word blocks (64 columns, so
+  // several support blocks race to the first zero), serially and pooled.
+  int zero = 0, positive = 0, beyond_count = 0;  // non-vacuity tallies
+  for (const std::string& family : kFamilies) {
+    for (int n : {96, 160}) {
+      Rng rng(23);
+      const Graph g = make_family(family, n, rng);
+      expander::CutMatchingParams gp;
+      gp.phi_target = 0.08;
+      const auto ms = expander::cut_matching_game(g, gp).cert.matchings;
+      for (std::size_t p = 1; p <= ms.size(); ++p) {
+        const auto end = ms.begin() + static_cast<std::ptrdiff_t>(p);
+        const double dense = oracles::dense_mixing_alpha(g.n(), {ms.begin(), end});
+        (dense == 0.0 ? zero : positive) += 1;
+        if (dense == 0.0 &&
+            (p >= 31 || (std::size_t{1} << p) >= static_cast<std::size_t>(g.n()))) {
+          ++beyond_count;  // only the bitset pass can prove this zero
+        }
+        for (int threads : {1, 2, 7, 0}) {
+          congest::ShardPool pool(threads);
+          for (int block : {0, 1}) {
+            const std::string ctx = family + " n=" + std::to_string(g.n()) +
+                                    " prefix=" + std::to_string(p) +
+                                    " threads=" + std::to_string(pool.threads()) +
+                                    " block=" + std::to_string(block);
+            CHECK_MSG(expander::detail_cm::support_has_zero(g.n(), ms, p, block,
+                                                            &pool) ==
+                          (dense == 0.0),
+                      ctx + ": zero proof disagrees with the dense oracle");
+            CHECK_MSG(g.n() * expander::detail_cm::replay_min_entry(
+                                  g.n(), ms, p, block, &pool) == dense,
+                      ctx + ": replayed alpha differs from the dense oracle");
+          }
+        }
+      }
+    }
+  }
+  CHECK_MSG(zero > 0 && positive > 0, "no prefix on one side of the proof");
+  CHECK_MSG(beyond_count > 0, "no zero past the 2^prefix < n counting bound");
+}
+
 TEST_CASE(fuzz_large_cluster_certify) {
   // A cluster far above the old 1024-vertex cap certifies end to end:
   // positive replayed bound, passing pooled verification, mixing state well

@@ -8,11 +8,15 @@
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
 //     cut edges, per-phase ledger entries, and Runtime::audit totals),
 //   * the pooled walk engine vs the token-serial oracle of tests/oracles.hpp
-//     (routes, rounds, accepted seed, and the merged-meter congestion gate).
+//     (routes, rounds, accepted seed, and the merged-meter congestion gate),
+//   * certify_parts' cluster schedule, including the heavy-first pass that
+//     lends the pool to a dominating cluster's game.
 // They also run under ThreadSanitizer in CI — the race gate for the pool and
 // the per-shard meter lanes.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -55,6 +59,18 @@ bool same_charges(const Runtime& a, const Runtime& b, const std::string& ctx) {
     }
   }
   return true;
+}
+
+void same_report(const decomp::PartCertifyReport& a,
+                 const decomp::PartCertifyReport& b, const std::string& ctx) {
+  CHECK_MSG(a.ok == b.ok && a.violation == b.violation, ctx);
+  CHECK_MSG(a.clusters_certified == b.clusters_certified, ctx);
+  CHECK_MSG(a.clusters_estimated == b.clusters_estimated, ctx);
+  CHECK_MSG(a.min_phi_lower == b.min_phi_lower, ctx);
+  CHECK_MSG(a.min_phi_estimate == b.min_phi_estimate, ctx);
+  CHECK_MSG(a.max_certified_cluster == b.max_certified_cluster, ctx);
+  CHECK_MSG(a.state_bytes_peak == b.state_bytes_peak, ctx);
+  same_charges(a.ledger, b.ledger, ctx);
 }
 
 // A deterministic weighted graph for the heavy-stars sweep: grid edges with
@@ -296,19 +312,48 @@ TEST_CASE(certify_parts_pooled_bit_identical) {
     CHECK_MSG(serial.ok, name);
     for (int threads : kThreadSweep) {
       ShardPool pool(threads);
-      const decomp::PartCertifyReport pooled =
-          decomp::certify_parts(g, members, pc, &pool);
-      const std::string ctx = name + " threads=" + std::to_string(threads);
-      CHECK_MSG(serial.ok == pooled.ok, ctx);
-      CHECK_MSG(serial.clusters_certified == pooled.clusters_certified, ctx);
-      CHECK_MSG(serial.clusters_estimated == pooled.clusters_estimated, ctx);
-      CHECK_MSG(serial.min_phi_lower == pooled.min_phi_lower, ctx);
-      CHECK_MSG(serial.min_phi_estimate == pooled.min_phi_estimate, ctx);
-      CHECK_MSG(serial.max_certified_cluster == pooled.max_certified_cluster,
-                ctx);
-      CHECK_MSG(serial.state_bytes_peak == pooled.state_bytes_peak, ctx);
-      same_charges(serial.ledger, pooled.ledger, ctx);
+      same_report(serial, decomp::certify_parts(g, members, pc, &pool),
+                  name + " threads=" + std::to_string(threads));
     }
+  }
+}
+
+TEST_CASE(certify_parts_heavy_first_bit_identical) {
+  // A part family with dominating clusters: a 400- and a 200-vertex maximal
+  // planar cluster among 5x5 grids. certify_parts runs a cluster whose
+  // size^2 * threads exceeds the sum of size^2 on its own with the pool lent
+  // to its game, largest first, before fanning the rest out; the report must
+  // still equal the serial loop field for field.
+  Rng rng(11);
+  const std::vector<Graph> blocks = {
+      grid_graph(5, 5), grid_graph(5, 5), random_maximal_planar(200, rng),
+      grid_graph(5, 5), random_maximal_planar(400, rng), grid_graph(5, 5),
+      grid_graph(5, 5), grid_graph(5, 5)};
+  std::vector<std::pair<int, int>> edges;
+  std::vector<std::vector<int>> parts;
+  int n = 0;
+  std::int64_t total = 0, largest = 0;
+  for (const Graph& b : blocks) {
+    for (const auto& [u, v] : b.edges()) edges.emplace_back(n + u, n + v);
+    parts.emplace_back(b.n());
+    std::iota(parts.back().begin(), parts.back().end(), n);
+    n += b.n();
+    const std::int64_t sq = static_cast<std::int64_t>(b.n()) * b.n();
+    total += sq;
+    largest = std::max(largest, sq);
+  }
+  const Graph g = Graph::from_edges(n, edges);
+  expander::PhiCertParams pc;
+  const decomp::PartCertifyReport serial = decomp::certify_parts(g, parts, pc);
+  CHECK(serial.ok);
+  CHECK_MSG(serial.max_certified_cluster == 400, "the dominating game did not certify");
+  for (int threads : kThreadSweep) {
+    ShardPool pool(threads);
+    const std::string ctx = "threads=" + std::to_string(pool.threads());
+    if (pool.threads() >= 2) {
+      CHECK_MSG(largest * pool.threads() > total, ctx + ": no heavy cluster");
+    }
+    same_report(serial, decomp::certify_parts(g, parts, pc, &pool), ctx);
   }
 }
 
