@@ -4,7 +4,8 @@
 // Claims this harness measures:
 //   * correctness — the sharded Theorem 1.1 pipeline is BIT-IDENTICAL to the
 //     serial reference at every size (clusterings, cut edges, per-phase
-//     ledger entries, Runtime::audit totals) — the run aborts on the first
+//     ledger entries, Runtime::audit totals, all five quality fields of the
+//     pooled evaluate_clustering) — the run aborts on the first
 //     divergence, so a scaling number from a wrong answer cannot ship;
 //   * rounds stay flat — simulated-round totals depend on the algorithm, not
 //     on the engine or the machine, so the serial and sharded columns agree
@@ -49,6 +50,14 @@ bool same_charges(const mfd::congest::Runtime& a,
     }
   }
   return true;
+}
+
+bool same_quality(const mfd::decomp::ClusterQuality& a,
+                  const mfd::decomp::ClusterQuality& b) {
+  return a.max_diameter == b.max_diameter &&
+         a.max_cluster_size == b.max_cluster_size &&
+         a.cut_edges == b.cut_edges && a.eps_fraction == b.eps_fraction &&
+         a.clusters_connected == b.clusters_connected;
 }
 
 }  // namespace
@@ -121,7 +130,8 @@ int main(int argc, char** argv) {
       // reference in ANY observable fails the bench before any timing ships.
       if (serial.clustering.cluster != sharded.clustering.cluster ||
           serial.cut_edges != sharded.cut_edges ||
-          !same_charges(serial.ledger, sharded.ledger)) {
+          !same_charges(serial.ledger, sharded.ledger) ||
+          !same_quality(serial.quality, sharded.quality)) {
         std::cerr << "sharded/serial DIVERGENCE (" << ctx << ")\n";
         return 1;
       }

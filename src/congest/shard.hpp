@@ -17,10 +17,11 @@
 //     skewed cluster sizes still balance), and barriers before returning.
 //     With one thread the loop runs inline on the caller, so pooled and
 //     unpooled runs share one code body.
-//   * for_each_task / parallel_ranges — the fan-out call of every pooled
-//     loop (whole tasks — clusters, query chunks — or contiguous vertex
-//     slices). A null pool, a one-thread pool or a single task runs inline,
-//     so no call site forks on the pool itself.
+//   * for_each_task / parallel_ranges / for_each_chunk — the fan-out call
+//     of every pooled loop (whole tasks — clusters, query chunks —,
+//     contiguous vertex slices, or contiguous chunks of unequal clusters).
+//     A null pool, a one-thread pool or a single task runs inline, so no
+//     call site forks on the pool itself.
 //   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
 //     Each lane owns a contiguous slot slice and is only ever written by its
 //     owning shard, so metering is race-free without atomics; merging the
@@ -304,6 +305,28 @@ void parallel_ranges(ShardPool* pool, int n, int tasks, Fn&& fn) {
     const int lo = plan.begin(t);
     const int hi = plan.end(t);
     if (lo < hi) fn(lo, hi, t);
+  });
+}
+
+/// Chunks per pool thread in for_each_chunk: enough for dynamic claiming to
+/// even out unequal items, few enough that a claim costs nothing.
+inline constexpr int kChunksPerThread = 8;
+
+/// Run fn(lo, hi, worker) over [0, n) cut into contiguous chunks,
+/// kChunksPerThread per pool thread, claimed dynamically — the shape for
+/// loops over items of unequal cost (clusters), where one claim per item
+/// would contend and one slice per thread would leave threads idle. One
+/// chunk, inline, without a pool. Per-item outputs indexed by item and
+/// folded in item order reproduce serial order.
+template <class Fn>
+void for_each_chunk(ShardPool* pool, int n, Fn&& fn) {
+  const int threads = pool != nullptr ? pool->threads() : 1;
+  const ShardPlan plan(n, threads == 1 ? 1
+                                       : std::min(n, threads * kChunksPerThread));
+  for_each_task(pool, plan.shards, [&](int t, int worker) {
+    const int lo = plan.begin(t);
+    const int hi = plan.end(t);
+    if (lo < hi) fn(lo, hi, worker);
   });
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "congest/runtime.hpp"
+#include "congest/shard.hpp"
 #include "graph/graph.hpp"
 
 namespace mfd::decomp {
@@ -27,17 +28,25 @@ struct Clustering {
   int k = 0;                 // number of clusters
   std::vector<int> cluster;  // cluster[v] in [0, k)
 
-  /// Relabel arbitrary non-negative ids to a dense [0, k) range.
+  /// Relabel arbitrary non-negative ids to a dense [0, k) range, ranking
+  /// them in ascending order: one pass finds the ids in use (sized by the
+  /// largest, so `k` on entry is not trusted), a prefix sum ranks them.
   void compact() {
-    std::vector<int> remap;
-    std::vector<int> sorted(cluster);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    for (int& c : cluster) {
-      c = static_cast<int>(std::lower_bound(sorted.begin(), sorted.end(), c) -
-                           sorted.begin());
+    std::vector<int> rank;
+    for (int c : cluster) {
+      if (c >= static_cast<int>(rank.size())) {
+        rank.resize(static_cast<std::size_t>(c) + 1, 0);
+      }
+      rank[static_cast<std::size_t>(c)] = 1;
     }
-    k = static_cast<int>(sorted.size());
+    int next = 0;
+    for (int& r : rank) {
+      const int used = r;
+      r = next;
+      next += used;
+    }
+    for (int& c : cluster) c = rank[static_cast<std::size_t>(c)];
+    k = next;
   }
 };
 
@@ -107,6 +116,21 @@ inline std::pair<int, int> cluster_ecc(const Graph& g,
   return {ecc, reached};
 }
 
+/// Counting sort of the vertices by cluster id (ids in [0, k)): cluster
+/// id's vertices, ascending, land in members[off[id], off[id + 1]).
+inline void group_members(const std::vector<int>& cluster, int k,
+                          std::vector<int>& off, std::vector<int>& members) {
+  const int n = static_cast<int>(cluster.size());
+  off.assign(static_cast<std::size_t>(k) + 1, 0);
+  for (int v = 0; v < n; ++v) ++off[cluster[v] + 1];
+  for (int id = 0; id < k; ++id) off[id + 1] += off[id];
+  members.resize(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) members[off[cluster[v]]++] = v;
+  // Each off[id] now ends its slice; shift back to slice starts.
+  for (int id = k; id > 0; --id) off[id] = off[id - 1];
+  off[0] = 0;
+}
+
 }  // namespace detail
 
 /// Measure cut fraction and per-cluster strong diameter.
@@ -116,52 +140,83 @@ inline std::pair<int, int> cluster_ecc(const Graph& g,
 /// — an iterated double sweep plus evenly spread extra sources (a lower
 /// bound within 2x, exact on trees) — so the measurement stays near-linear
 /// even when clusters are large. force_exact runs all-pairs BFS everywhere.
+///
+/// An optional lent pool shards the cut count by vertex and the clusters in
+/// contiguous chunks. Clusters are disjoint, so their BFSes share one dist
+/// array (a BFS reads and resets only its own cluster's entries); the
+/// results fold by sum, max and AND, so the quality is the same at every
+/// thread count.
 inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
-                                          const EvalParams& params = {}) {
+                                          const EvalParams& params = {},
+                                          congest::ShardPool* pool = nullptr) {
   ClusterQuality q;
-  for (int u = 0; u < g.n(); ++u) {
-    for (int v : g.neighbors(u)) {
-      if (u < v && c.cluster[u] != c.cluster[v]) ++q.cut_edges;
-    }
+  const int n = g.n();
+  const int threads = pool != nullptr ? pool->threads() : 1;
+  {
+    std::vector<std::int64_t> cuts(static_cast<std::size_t>(threads), 0);
+    congest::parallel_ranges(pool, n, threads, [&](int lo, int hi, int task) {
+      std::int64_t local = 0;
+      for (int u = lo; u < hi; ++u) {
+        for (int v : g.neighbors(u)) {
+          if (u < v && c.cluster[u] != c.cluster[v]) ++local;
+        }
+      }
+      cuts[static_cast<std::size_t>(task)] = local;
+    });
+    for (std::int64_t x : cuts) q.cut_edges += x;
   }
   q.eps_fraction = g.m() == 0 ? 0.0
                               : static_cast<double>(q.cut_edges) /
                                     static_cast<double>(g.m());
 
-  std::vector<std::vector<int>> members(c.k);
-  for (int v = 0; v < g.n(); ++v) members[c.cluster[v]].push_back(v);
+  std::vector<int> off, members;
+  detail::group_members(c.cluster, c.k, off, members);
 
-  std::vector<int> dist(g.n(), -1), frontier, next;
-  const auto reset = [&dist](const std::vector<int>& touched) {
-    for (int v : touched) dist[v] = -1;
+  struct alignas(64) Fold {
+    int max_diameter = 0;
+    int max_cluster_size = 0;
+    bool connected = true;
+    std::vector<int> frontier, next;  // the worker's BFS scratch
   };
-  for (const auto& verts : members) {
-    if (verts.empty()) continue;
-    const int size = static_cast<int>(verts.size());
-    q.max_cluster_size = std::max(q.max_cluster_size, size);
-    int diam = 0;
-    const auto probe = [&](int src, int* far) {
-      const auto [ecc, reached] =
-          detail::cluster_ecc(g, c.cluster, src, dist, frontier, next, far);
-      diam = std::max(diam, ecc);
-      if (reached != size) q.clusters_connected = false;
-      reset(verts);
-    };
-    if (params.force_exact || size <= params.exact_cap) {
-      for (int src : verts) probe(src, nullptr);
-    } else {
-      // Alternating double sweep: hop to the farthest vertex found so far.
-      int src = verts.front();
-      for (int sweep = 0; sweep < params.sweeps; ++sweep) {
-        int far = src;
-        probe(src, &far);
-        src = far;
+  std::vector<Fold> folds(static_cast<std::size_t>(threads));
+  std::vector<int> dist(static_cast<std::size_t>(n), -1);
+  congest::for_each_chunk(pool, c.k, [&](int lo, int hi, int worker) {
+    Fold& f = folds[static_cast<std::size_t>(worker)];
+    for (int id = lo; id < hi; ++id) {
+      const int* verts = members.data() + off[id];
+      const int size = off[id + 1] - off[id];
+      if (size == 0) continue;
+      f.max_cluster_size = std::max(f.max_cluster_size, size);
+      int diam = 0;
+      const auto probe = [&](int src, int* far) {
+        const auto [ecc, reached] = detail::cluster_ecc(
+            g, c.cluster, src, dist, f.frontier, f.next, far);
+        diam = std::max(diam, ecc);
+        if (reached != size) f.connected = false;
+        for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
+      };
+      if (params.force_exact || size <= params.exact_cap) {
+        for (int i = 0; i < size; ++i) probe(verts[i], nullptr);
+      } else {
+        // Alternating double sweep: hop to the farthest vertex found so far.
+        int src = verts[0];
+        for (int sweep = 0; sweep < params.sweeps; ++sweep) {
+          int far = src;
+          probe(src, &far);
+          src = far;
+        }
+        // Evenly spread extra sources guard against sweeps stuck on a limb.
+        const int stride =
+            std::max(1, size / std::max(params.sample_sources, 1));
+        for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
       }
-      // Evenly spread extra sources guard against sweeps stuck on one limb.
-      const int stride = std::max(1, size / std::max(params.sample_sources, 1));
-      for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
+      f.max_diameter = std::max(f.max_diameter, diam);
     }
-    q.max_diameter = std::max(q.max_diameter, diam);
+  });
+  for (const Fold& f : folds) {
+    q.max_diameter = std::max(q.max_diameter, f.max_diameter);
+    q.max_cluster_size = std::max(q.max_cluster_size, f.max_cluster_size);
+    q.clusters_connected = q.clusters_connected && f.connected;
   }
   return q;
 }

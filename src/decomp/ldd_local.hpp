@@ -5,7 +5,13 @@
 // on a √n-diameter grid makes construction cost Θ(√n). This pipeline never
 // runs a global BFS: it starts from singleton clusters and repeatedly
 //   1. builds the weighted cluster graph (edge weight = number of G-edges
-//      between two clusters),
+//      between two clusters) straight from G's CSR, with no edge list
+//      (detail::contract_clusters): the vertices are counting-sorted into
+//      per-cluster member slices, each cluster's row is aggregated with a
+//      stamp array and sorted by neighbour id, and the per-task rows are
+//      copied into one offsets/arcs pair, its buffers reused across
+//      iterations; while every cluster is a singleton (the first
+//      iteration) the cluster graph is G itself with unit weights,
 //   2. marks heavy stars on it (Lemma 4.2, >= 1/(8α) of the remaining cut
 //      weight, O(log* n) Cole–Vishkin rounds),
 //   3. merges each marked tree top-down under an eccentricity guard that
@@ -34,7 +40,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -46,17 +55,108 @@
 
 namespace mfd::decomp {
 
+namespace detail {
+
+/// Buffers of contract_clusters, kept across heavy-stars iterations.
+struct ContractScratch {
+  // Cluster c's members, ascending: members[member_off[c], member_off[c+1]).
+  std::vector<int> member_off, members;
+  std::vector<std::int64_t> row_len;  // arcs in cluster c's row
+  struct Task {
+    std::vector<WeightedGraph::Arc> run;  // rows of the task's clusters
+    // stamp[d] == c: cluster d already has an arc in row c, at slot[d]
+    // relative to the row's start.
+    std::vector<int> stamp, slot;
+  };
+  std::vector<Task> tasks;
+};
+
+/// The weighted cluster graph of g under the dense labelling cid (cid[v] in
+/// [0, k)): row c holds one arc per neighbouring cluster d, weighted by the
+/// number of G-edges between c and d, in ascending d — exactly the arcs
+/// WeightedGraph(k, edges) builds from one unit edge per cut G-edge, without
+/// the edge list. Clusters shard over the pool in contiguous ranges; the
+/// per-task runs land in the arc array in task order, so the graph is the
+/// same for every thread count.
+inline WeightedGraph contract_clusters(const Graph& g,
+                                       const std::vector<int>& cid, int k,
+                                       congest::ShardPool* pool,
+                                       ContractScratch& sc) {
+  const int n = g.n();
+  const int tasks = pool != nullptr ? pool->threads() : 1;
+  std::vector<std::int64_t> offsets(static_cast<std::size_t>(k) + 1, 0);
+  std::vector<WeightedGraph::Arc> arcs;
+  bool singletons = k == n;
+  for (int v = 0; singletons && v < n; ++v) singletons = cid[v] == v;
+  if (singletons) {
+    // Cluster v is vertex v: G's rows, already ascending, with unit weights.
+    for (int v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + g.degree(v);
+    arcs.resize(static_cast<std::size_t>(offsets[n]));
+    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
+      for (int v = lo; v < hi; ++v) {
+        WeightedGraph::Arc* out = arcs.data() + offsets[v];
+        for (int w : g.neighbors(v)) *out++ = {w, 1};
+      }
+    });
+    return WeightedGraph(k, std::move(offsets), std::move(arcs));
+  }
+
+  group_members(cid, k, sc.member_off, sc.members);
+  const std::vector<int>& off = sc.member_off;
+  sc.row_len.resize(static_cast<std::size_t>(k));
+  sc.tasks.resize(static_cast<std::size_t>(tasks));
+  congest::parallel_ranges(pool, k, tasks, [&](int lo, int hi, int t) {
+    ContractScratch::Task& tk = sc.tasks[static_cast<std::size_t>(t)];
+    tk.run.clear();
+    tk.stamp.assign(static_cast<std::size_t>(k), -1);
+    tk.slot.resize(static_cast<std::size_t>(k));
+    for (int c = lo; c < hi; ++c) {
+      const std::size_t row = tk.run.size();
+      for (int i = off[c]; i < off[c + 1]; ++i) {
+        for (int w : g.neighbors(sc.members[static_cast<std::size_t>(i)])) {
+          const int d = cid[w];
+          if (d == c) continue;
+          if (tk.stamp[d] != c) {
+            tk.stamp[d] = c;
+            tk.slot[d] = static_cast<int>(tk.run.size() - row);
+            tk.run.push_back({d, 1});
+          } else {
+            ++tk.run[row + static_cast<std::size_t>(tk.slot[d])].w;
+          }
+        }
+      }
+      std::sort(tk.run.begin() + static_cast<std::ptrdiff_t>(row),
+                tk.run.end(),
+                [](const WeightedGraph::Arc& a, const WeightedGraph::Arc& b) {
+                  return a.to < b.to;
+                });
+      sc.row_len[static_cast<std::size_t>(c)] =
+          static_cast<std::int64_t>(tk.run.size() - row);
+    }
+  });
+  for (int c = 0; c < k; ++c) offsets[c + 1] = offsets[c] + sc.row_len[c];
+  arcs.resize(static_cast<std::size_t>(offsets[k]));
+  // Same (k, tasks) partition as above, so task t's run is rows [lo, hi).
+  congest::parallel_ranges(pool, k, tasks, [&](int lo, int, int t) {
+    const auto& run = sc.tasks[static_cast<std::size_t>(t)].run;
+    std::copy(run.begin(), run.end(), arcs.begin() + offsets[lo]);
+  });
+  return WeightedGraph(k, std::move(offsets), std::move(arcs));
+}
+
+}  // namespace detail
+
 struct LocalLddParams {
   // Eccentricity guard: clusters never exceed this certified radius, so the
   // strong diameter stays <= 2*ecc_cap. 0 derives ceil(4/eps).
   int ecc_cap = 0;
   int max_iterations = 100;  // hard cap; the eps budget normally stops first
   EvalParams eval;           // quality measurement knobs
-  // Optional lent pool: partitions the per-iteration vertex work
-  // (cluster-edge build, heavy-stars phases, relabel sweep, cut recount,
-  // per-cluster designee BFS) across its threads. Results are bit-identical
-  // to the inline run (nullptr) for every thread count; only wall time
-  // changes.
+  // Optional lent pool: partitions the per-iteration work (cluster-graph
+  // rows, heavy-stars phases, relabel sweep, cut recount, per-cluster
+  // designee BFS) and the final evaluate_clustering across its threads.
+  // Results are bit-identical to the inline run (nullptr) for every thread
+  // count; only wall time changes.
   congest::ShardPool* pool = nullptr;
 };
 
@@ -93,47 +193,26 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   for (int v = 0; v < n; ++v) label[v] = designee[v] = v;
   std::int64_t cut = g.m();
 
-  std::vector<int> compact(n, -1), rep;    // cluster ids -> dense [0, k)
+  // Dense cluster ids of this iteration: cid[v] in [0, k), numbered in
+  // order of each cluster's first vertex; rep[c] is cluster c's label.
+  std::vector<int> dense_of(n, -1), cid(n), rep;
   std::vector<int> order, head, next_in;   // marked-tree children buckets
   std::vector<int> dist(n, -1);  // shared BFS scratch (clusters are disjoint)
+  detail::ContractScratch contract_scratch;
   while (cut > allowance && out.iterations < params.max_iterations) {
-    // Dense cluster ids for this iteration.
-    std::fill(compact.begin(), compact.end(), -1);
     rep.clear();
     for (int v = 0; v < n; ++v) {
-      if (compact[label[v]] < 0) {
-        compact[label[v]] = static_cast<int>(rep.size());
+      int& c = dense_of[label[v]];
+      if (c < 0) {
+        c = static_cast<int>(rep.size());
         rep.push_back(label[v]);
       }
+      cid[v] = c;
     }
+    for (int r : rep) dense_of[r] = -1;
     const int k = static_cast<int>(rep.size());
-    // Cut-edge scan, sharded by source vertex: per-task runs concatenated in
-    // task order reproduce the serial emission order exactly (tasks cover
-    // ascending contiguous u ranges), so the WeightedGraph — and everything
-    // downstream — is bit-identical for every thread count.
-    std::vector<std::vector<WeightedEdge>> cedges_by_task(
-        static_cast<std::size_t>(tasks));
-    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
-      std::vector<WeightedEdge>& ces =
-          cedges_by_task[static_cast<std::size_t>(task)];
-      for (int u = lo; u < hi; ++u) {
-        for (int v : g.neighbors(u)) {
-          if (u < v && label[u] != label[v]) {
-            ces.push_back({compact[label[u]], compact[label[v]], 1});
-          }
-        }
-      }
-    });
-    std::vector<WeightedEdge> cedges;
-    {
-      std::size_t total = 0;
-      for (const auto& ces : cedges_by_task) total += ces.size();
-      cedges.reserve(total);
-      for (auto& ces : cedges_by_task) {
-        cedges.insert(cedges.end(), ces.begin(), ces.end());
-      }
-    }
-    const WeightedGraph cg(k, std::move(cedges));
+    const WeightedGraph cg =
+        detail::contract_clusters(g, cid, k, pool, contract_scratch);
     const HeavyStarsResult hs = heavy_stars(cg, pool);
     ++out.iterations;
     out.cv_rounds_total += hs.cv_rounds;
@@ -214,7 +293,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
       congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
         std::int64_t local = 0;
         for (int v = lo; v < hi; ++v) {
-          const int nl = rep[new_root[compact[label[v]]]];
+          const int nl = rep[new_root[cid[v]]];
           if (nl != label[v]) local += g.degree(v);
           label[v] = nl;
         }
@@ -239,8 +318,8 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     // One BFS per cluster from its designee. Clusters are vertex-disjoint,
     // so concurrent cluster BFSes share the dist array without racing: a
     // BFS only touches dist[w2] when label[w2] == its own cluster root, and
-    // resets its touched entries to -1 before finishing. Each cluster is
-    // one pool task (dynamic claiming balances the skewed late-iteration
+    // resets its touched entries to -1 before finishing. Clusters go out in
+    // contiguous chunks (dynamic claiming balances the skewed late-iteration
     // cluster sizes); per-cluster message counts and eccentricities fold in
     // root order, identical to the serial sweep.
     int max_ecc = 1;
@@ -250,7 +329,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
         if (label[v] == v) roots.push_back(v);
       }
       const int workers = pool != nullptr ? pool->threads() : 1;
-      struct Scratch {
+      struct alignas(64) Scratch {
         std::vector<int> frontier, nxt, touched;
       };
       std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
@@ -287,10 +366,12 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
         ecc_of[idx] = ecc;
         bfs_msgs[idx] = msgs;
       };
-      congest::for_each_task(
-          pool, static_cast<int>(roots.size()), [&](int t, int worker) {
-            bfs_cluster(static_cast<std::size_t>(t),
-                        scratch[static_cast<std::size_t>(worker)], dist);
+      congest::for_each_chunk(
+          pool, static_cast<int>(roots.size()), [&](int lo, int hi, int worker) {
+            for (int t = lo; t < hi; ++t) {
+              bfs_cluster(static_cast<std::size_t>(t),
+                          scratch[static_cast<std::size_t>(worker)], dist);
+            }
           });
       for (std::size_t i = 0; i < roots.size(); ++i) {
         ecc_est[roots[i]] = ecc_of[i];
@@ -313,7 +394,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   out.clustering.cluster = std::move(label);
   out.clustering.k = n;
   out.clustering.compact();
-  out.quality = evaluate_clustering(g, out.clustering, params.eval);
+  out.quality = evaluate_clustering(g, out.clustering, params.eval, pool);
   return out;
 }
 

@@ -1,10 +1,16 @@
 // Weighted CSR graph for cluster graphs (heavy-stars contraction, §4).
 //
-// Same construction contract as Graph::from_edges — self-loops and
-// out-of-range endpoints are dropped — except duplicate edges MERGE BY
-// SUMMING their weights: a cluster graph's edge weight is the number (or
-// total weight) of original edges between two clusters, so careless emission
-// of one entry per original edge is the intended usage.
+// Two constructors, one resident form (offsets + arcs, every row in
+// ascending neighbour id):
+//   * from an edge list — same contract as Graph::from_edges (self-loops and
+//     out-of-range endpoints are dropped) except that duplicate edges MERGE
+//     BY SUMMING their weights: a cluster graph's edge weight is the number
+//     (or total weight) of original edges between two clusters, so careless
+//     emission of one entry per original edge is the intended usage;
+//   * from a ready CSR — offsets and arcs the caller already built in that
+//     canonical form (decomp/ldd_local.hpp contracts the vertex CSR straight
+//     into one), taken over without re-sorting.
+// Both produce the same arcs for the same edge multiset.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +28,16 @@ struct WeightedEdge {
 
 class WeightedGraph {
  public:
+  struct Arc {
+    // No zero-fill: an arc array is sized, then its builder writes every
+    // slot. On a 1M-vertex grid at 4 threads, zeroing the first
+    // contraction's arcs took longer than filling them.
+    Arc() {}
+    Arc(int to_, std::int64_t w_) : to(to_), w(w_) {}
+    int to;
+    std::int64_t w;
+  };
+
   WeightedGraph() = default;
 
   WeightedGraph(int n, std::vector<WeightedEdge> edges) {
@@ -32,38 +48,51 @@ class WeightedGraph {
     std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
       return a.u != b.u ? a.u < b.u : a.v < b.v;
     });
-    // Merge duplicates by summing, drop self-loops / out-of-range.
+    // Merge duplicates by summing, drop self-loops / out-of-range, in place.
+    std::size_t kept = 0;
     for (const auto& e : edges) {
       if (e.u == e.v || e.u < 0 || e.v >= n_) continue;
-      if (!edges_.empty() && edges_.back().u == e.u && edges_.back().v == e.v) {
-        edges_.back().w += e.w;
+      if (kept > 0 && edges[kept - 1].u == e.u && edges[kept - 1].v == e.v) {
+        edges[kept - 1].w += e.w;
       } else {
-        edges_.push_back(e);
+        edges[kept++] = e;
       }
     }
+    edges.resize(kept);
+    m_ = static_cast<std::int64_t>(kept);
     offset_.assign(n_ + 1, 0);
-    for (const auto& e : edges_) {
+    for (const auto& e : edges) {
       ++offset_[e.u + 1];
       ++offset_[e.v + 1];
     }
     for (int i = 0; i < n_; ++i) offset_[i + 1] += offset_[i];
-    arcs_.resize(2 * edges_.size());
+    arcs_.resize(2 * kept);
     std::vector<std::int64_t> cursor(offset_.begin(), offset_.end() - 1);
-    for (const auto& e : edges_) {
+    // Edges are sorted by (u, v), so row x receives its smaller neighbours
+    // (edges (u, x)) before its larger ones, each run ascending.
+    for (const auto& e : edges) {
       arcs_[cursor[e.u]++] = {e.v, e.w};
       arcs_[cursor[e.v]++] = {e.u, e.w};
       total_weight_ += e.w;
     }
   }
 
-  int n() const { return n_; }
-  std::int64_t m() const { return static_cast<std::int64_t>(edges_.size()); }
-  std::int64_t total_weight() const { return total_weight_; }
+  /// Take over a CSR built by the caller: offsets.size() == n + 1 with
+  /// offsets[0] == 0, row v = arcs[offsets[v], offsets[v+1]) in ascending
+  /// neighbour id, no self-loops, no repeated neighbour, and symmetric (arc
+  /// u->v of weight w iff arc v->u of weight w). m() and total_weight() are
+  /// read off the arcs.
+  WeightedGraph(int n, std::vector<std::int64_t> offsets, std::vector<Arc> arcs)
+      : n_(std::max(n, 0)), offset_(std::move(offsets)), arcs_(std::move(arcs)) {
+    m_ = static_cast<std::int64_t>(arcs_.size()) / 2;
+    std::int64_t twice = 0;
+    for (const Arc& a : arcs_) twice += a.w;
+    total_weight_ = twice / 2;
+  }
 
-  struct Arc {
-    int to;
-    std::int64_t w;
-  };
+  int n() const { return n_; }
+  std::int64_t m() const { return m_; }
+  std::int64_t total_weight() const { return total_weight_; }
 
   struct ArcRange {
     const Arc* first;
@@ -81,13 +110,10 @@ class WeightedGraph {
     return static_cast<int>(offset_[v + 1] - offset_[v]);
   }
 
-  /// Canonical merged edge list (u < v, sorted).
-  const std::vector<WeightedEdge>& edges() const { return edges_; }
-
  private:
   int n_ = 0;
+  std::int64_t m_ = 0;
   std::int64_t total_weight_ = 0;
-  std::vector<WeightedEdge> edges_;
   std::vector<std::int64_t> offset_;
   std::vector<Arc> arcs_;
 };

@@ -24,6 +24,12 @@
 //     tables directly; they must equal flatten_pointer_routing of this
 //     scheme field for field, and apps::flat_route_hops must reproduce
 //     pointer_route_hops' hop counts and visited vertices.
+//   * cluster_graph_by_sort — the Theorem 1.1 contraction's cluster graph as
+//     an edge-list round trip: one unit WeightedEdge per cut G-edge, then
+//     WeightedGraph(k, edges) sorts, merges and scatters them.
+//     decomp::detail::contract_clusters builds the CSR straight from the
+//     vertex CSR; every offset, arc, m() and total_weight() must equal this
+//     at every thread count.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +46,7 @@
 #include "expander/cut_matching.hpp"
 #include "expander/rw_routing.hpp"
 #include "graph/graph.hpp"
+#include "graph/weighted.hpp"
 
 namespace mfd::oracles {
 
@@ -169,6 +176,21 @@ inline double dense_mixing_alpha(
   double mn = 1.0;
   for (double e : mix) mn = std::min(mn, e);
   return static_cast<double>(n) * mn;
+}
+
+/// The weighted cluster graph of g under the labelling cid (cid[v] in
+/// [0, k)): every cut G-edge emitted as one unit edge between its endpoints'
+/// clusters, duplicates merged by the edge-list constructor.
+inline WeightedGraph cluster_graph_by_sort(const Graph& g,
+                                           const std::vector<int>& cid,
+                                           int k) {
+  std::vector<WeightedEdge> edges;
+  for (int u = 0; u < g.n(); ++u) {
+    for (int v : g.neighbors(u)) {
+      if (u < v && cid[u] != cid[v]) edges.push_back({cid[u], cid[v], 1});
+    }
+  }
+  return WeightedGraph(k, std::move(edges));
 }
 
 /// The exact MIS branch and bound with full O(n) rescans: every branch node

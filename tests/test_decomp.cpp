@@ -5,8 +5,10 @@
 //     for the randomized MPX),
 //   * max cluster diameter respects each algorithm's advertised bound shape:
 //     O(1/eps) for EDT, O(log_{1+eps} m) balls for CHW, O(log n / eps) for MPX.
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -119,6 +121,40 @@ TEST_CASE(clustering_compact) {
   c.compact();
   CHECK(c.k == 3);
   CHECK((c.cluster == std::vector<int>{1, 2, 1, 0, 2}));
+
+  // The rank pass against the sort + lower_bound formula it replaced, on
+  // gaps, all-equal ids, n = 0, and ids at or above the incoming k (k is
+  // not a precondition: the pass sizes itself from the largest id).
+  const auto by_sort = [](std::vector<int> ids) {
+    std::vector<int> sorted(ids);
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    for (int& id : ids) {
+      id = static_cast<int>(
+          std::lower_bound(sorted.begin(), sorted.end(), id) - sorted.begin());
+    }
+    return std::make_pair(ids, static_cast<int>(sorted.size()));
+  };
+  struct Case {
+    std::vector<int> ids;
+    int k;
+  };
+  const Case cases[] = {{{0, 40, 7, 40, 1000, 7, 3}, 1001},
+                        {{4, 4, 4, 4}, 5},
+                        {{}, 0},
+                        {{}, 3},
+                        {{0}, 1},
+                        {{12, 3, 99, 3}, 4},
+                        {{6, 5, 4, 3, 2, 1, 0}, 0}};
+  for (const Case& cs : cases) {
+    Clustering d;
+    d.cluster = cs.ids;
+    d.k = cs.k;
+    d.compact();
+    const auto [want, want_k] = by_sort(cs.ids);
+    CHECK(d.cluster == want);
+    CHECK(d.k == want_k);
+  }
 }
 
 TEST_CASE(edt_grid) { run_edt("grid"); }

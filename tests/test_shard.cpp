@@ -6,7 +6,11 @@
 //     ShardedMeter merge vs a serial MessageMeter fed the same traffic),
 //   * heavy-stars contraction on a weighted cluster graph,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
-//     cut edges, per-phase ledger entries, and Runtime::audit totals),
+//     cut edges, per-phase ledger entries, Runtime::audit totals, and the
+//     pooled evaluate_clustering's quality),
+//   * the contraction's direct CSR build (decomp::detail::contract_clusters)
+//     vs the edge-list oracle of tests/oracles.hpp, arc for arc, and the
+//     pooled evaluate_clustering vs its inline run,
 //   * the pooled walk engine vs the token-serial oracle of tests/oracles.hpp
 //     (routes, rounds, accepted seed, and the merged-meter congestion gate),
 //   * certify_parts' cluster schedule, including the heavy-first pass that
@@ -71,6 +75,43 @@ void same_report(const decomp::PartCertifyReport& a,
   CHECK_MSG(a.max_certified_cluster == b.max_certified_cluster, ctx);
   CHECK_MSG(a.state_bytes_peak == b.state_bytes_peak, ctx);
   same_charges(a.ledger, b.ledger, ctx);
+}
+
+void same_quality(const decomp::ClusterQuality& a,
+                  const decomp::ClusterQuality& b, const std::string& ctx) {
+  CHECK_MSG(a.max_diameter == b.max_diameter, ctx + ": max_diameter");
+  CHECK_MSG(a.max_cluster_size == b.max_cluster_size,
+            ctx + ": max_cluster_size");
+  CHECK_MSG(a.cut_edges == b.cut_edges, ctx + ": cut_edges");
+  CHECK_MSG(a.eps_fraction == b.eps_fraction, ctx + ": eps_fraction");
+  CHECK_MSG(a.clusters_connected == b.clusters_connected,
+            ctx + ": clusters_connected");
+}
+
+// Every row (hence every offset), arc, m() and total_weight() of two
+// cluster graphs.
+void same_cluster_graph(const WeightedGraph& a, const WeightedGraph& b,
+                        const std::string& ctx) {
+  CHECK_MSG(a.n() == b.n(), ctx + ": n");
+  CHECK_MSG(a.m() == b.m(), ctx + ": m");
+  CHECK_MSG(a.total_weight() == b.total_weight(), ctx + ": total_weight");
+  if (a.n() != b.n()) return;
+  for (int v = 0; v < a.n(); ++v) {
+    if (a.degree(v) != b.degree(v)) {  // equal degrees: equal offsets
+      CHECK_MSG(false, ctx + ": degree of " + std::to_string(v));
+      return;
+    }
+  }
+  for (int v = 0; v < a.n(); ++v) {
+    const WeightedGraph::Arc* x = a.arcs(v).begin();
+    for (const WeightedGraph::Arc& y : b.arcs(v)) {
+      if (x->to != y.to || x->w != y.w) {
+        CHECK_MSG(false, ctx + ": arc of " + std::to_string(v));
+        return;
+      }
+      ++x;
+    }
+  }
 }
 
 // A deterministic weighted graph for the heavy-stars sweep: grid edges with
@@ -214,6 +255,7 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
       CHECK_MSG(serial.cut_edges == sharded.cut_edges, ctx);
       CHECK_MSG(serial.iterations == sharded.iterations, ctx);
       CHECK_MSG(serial.merges == sharded.merges, ctx);
+      same_quality(serial.quality, sharded.quality, ctx);
       same_charges(serial.ledger, sharded.ledger, ctx);
       const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
       const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
@@ -225,6 +267,113 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
       CHECK_MSG(
           serial.ledger.peak_congestion() == sharded.ledger.peak_congestion(),
           ctx);
+    }
+  }
+}
+
+TEST_CASE(contract_clusters_matches_sort_oracle) {
+  // Labellings: the singletons in vertex order (the CSR shortcut), the same
+  // singletons reversed (k == n, but aggregated), every contraction
+  // iteration's clustering, and the last one with two unused ids appended.
+  struct Family {
+    const char* name;
+    Graph g;
+  };
+  Rng rng(5);
+  std::vector<std::pair<int, int>> sparse;  // isolated vertices between
+  for (int v = 0; v + 3 < 60; v += 3) sparse.emplace_back(v, v + 3);
+  const Family families[] = {
+      {"grid", grid_graph(30, 30)},
+      {"torus", torus_graph(20, 20)},
+      {"planar", random_planar(600, 1400, rng)},
+      {"isolated", Graph::from_edges(60, sparse)},
+      {"n=0", Graph::from_edges(0, {})},
+      {"n=1", Graph::from_edges(1, {})}};
+  for (const Family& fam : families) {
+    const int n = fam.g.n();
+    std::vector<std::pair<std::vector<int>, int>> labellings;
+    std::vector<int> ids(static_cast<std::size_t>(n));
+    std::iota(ids.begin(), ids.end(), 0);
+    labellings.emplace_back(ids, n);
+    std::reverse(ids.begin(), ids.end());
+    labellings.emplace_back(ids, n);
+    for (int it = 1;; ++it) {
+      decomp::LocalLddParams p;
+      p.max_iterations = it;
+      const decomp::LocalLdd ldd = decomp::ldd_minor_free_local(fam.g, 0.25, p);
+      if (ldd.iterations < it) break;
+      labellings.emplace_back(ldd.clustering.cluster, ldd.clustering.k);
+    }
+    labellings.emplace_back(labellings.back().first,
+                            labellings.back().second + 2);
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      decomp::detail::ContractScratch scratch;  // reused, as across iterations
+      for (std::size_t i = 0; i < labellings.size(); ++i) {
+        const auto& [cid, k] = labellings[i];
+        const std::string ctx = std::string(fam.name) + " labelling " +
+                                std::to_string(i) + " threads=" +
+                                std::to_string(pool.threads());
+        same_cluster_graph(
+            decomp::detail::contract_clusters(fam.g, cid, k, &pool, scratch),
+            oracles::cluster_graph_by_sort(fam.g, cid, k), ctx);
+      }
+    }
+  }
+}
+
+TEST_CASE(evaluate_clustering_pooled_matches_inline) {
+  // 4x4 blocks of a 48x48 grid: 144 clusters, more than the chunks of any
+  // swept pool. Variants: the blocks as they are; block 0 and the far
+  // corner block sharing id 0 (a disconnected cluster, id 143 unused);
+  // every id tripled (gaps); whole rows (48-vertex clusters).
+  const int side = 48;
+  const Graph g = grid_graph(side, side);
+  decomp::Clustering blocks;
+  blocks.k = (side / 4) * (side / 4);
+  for (int v = 0; v < side * side; ++v) {
+    blocks.cluster.push_back((v / side / 4) * (side / 4) + (v % side) / 4);
+  }
+  decomp::Clustering split = blocks;
+  for (int& c : split.cluster) {
+    if (c == blocks.k - 1) c = 0;
+  }
+  decomp::Clustering gaps = blocks;
+  gaps.k = 3 * blocks.k;
+  for (int& c : gaps.cluster) c *= 3;
+  decomp::Clustering rows;
+  rows.k = side;
+  for (int v = 0; v < side * side; ++v) rows.cluster.push_back(v / side);
+  const decomp::Clustering ldd =
+      decomp::ldd_minor_free_local(g, 0.25).clustering;
+  struct Case {
+    const char* name;
+    const decomp::Clustering* c;
+  };
+  const Case cases[] = {{"blocks", &blocks},
+                        {"split", &split},
+                        {"gaps", &gaps},
+                        {"rows", &rows},
+                        {"ldd", &ldd}};
+  decomp::EvalParams exact, sampled, forced;
+  sampled.exact_cap = 8;  // every 16-vertex block takes the sampled path
+  forced.exact_cap = 8;
+  forced.force_exact = true;
+  const decomp::EvalParams* params[] = {&exact, &sampled, &forced};
+  const char* param_names[] = {"exact_cap=64", "exact_cap=8", "force_exact"};
+  for (const Case& cs : cases) {
+    for (int pi = 0; pi < 3; ++pi) {
+      const decomp::ClusterQuality inline_q =
+          decomp::evaluate_clustering(g, *cs.c, *params[pi]);
+      const std::string base = std::string(cs.name) + " " + param_names[pi];
+      CHECK_MSG(inline_q.clusters_connected == (cs.c != &split), base);
+      for (int threads : kThreadSweep) {
+        ShardPool pool(threads);
+        same_quality(
+            inline_q,
+            decomp::evaluate_clustering(g, *cs.c, *params[pi], &pool),
+            base + " threads=" + std::to_string(pool.threads()));
+      }
     }
   }
 }
