@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "decomp/cs22_baseline.hpp"
 #include "decomp/edt.hpp"
+#include "decomp/ldd_chop.hpp"
 #include "expander/load_balance.hpp"
 #include "expander/rw_routing.hpp"
 #include "expander/split.hpp"
@@ -73,13 +74,9 @@ int main(int argc, char** argv) {
     Table t({"filter constant c (thr = eps/(c*alpha))", "eps measured",
              "iterations", "T", "construction rounds"});
     for (double c : {8.0, 32.0, 512.0}) {
-      decomp::EdtParams p;
-      // The light-link filter is Step 3 of the chop route; the default
-      // heavy-stars engine merges as it contracts and never consults it.
-      p.chop = decomp::EdtChop::kGlobalBfs;
-      p.merge_filter_c = c;
-      const decomp::EdtDecomposition edt =
-          decomp::build_edt_decomposition(g, 0.25, p);
+      // The light-link filter is Step 3 of the chop route; the heavy-stars
+      // engine merges as it contracts and never consults it.
+      const decomp::EdtDecomposition edt = decomp::ldd_global_chop(g, 0.25, c);
       t.add_row({Table::num(c, 0), Table::num(edt.quality.eps_fraction, 3),
                  Table::integer(edt.iterations), Table::integer(edt.T_measured),
                  Table::integer(edt.ledger.total())});
@@ -155,10 +152,7 @@ int main(int argc, char** argv) {
                    Table::integer(edt.ledger.total()) + " rounds"});
       }
       {
-        decomp::EdtParams p;
-        p.chop = decomp::EdtChop::kGlobalBfs;
-        const decomp::EdtDecomposition edt =
-            decomp::build_edt_decomposition(g, eps, p);
+        const decomp::EdtDecomposition edt = decomp::ldd_global_chop(g, eps);
         t.add_row({"bottom-up (global-BFS chop)", Table::num(eps, 2),
                    Table::num(edt.quality.eps_fraction, 3),
                    Table::integer(edt.quality.max_diameter),

@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "decomp/edt.hpp"
+#include "decomp/ldd_chop.hpp"
 #include "decomp/ldd_chw.hpp"
 #include "decomp/ldd_mpx.hpp"
 
@@ -111,10 +112,10 @@ int main(int argc, char** argv) {
   check_runtime_audit(rep.ledger, 2 * g.m(), "edt eps=0.3");
 
   // Construction-rounds scaling: the Section-4 local pipeline (heavy-stars
-  // contraction, default) against the retired global-BFS chop
-  // (EdtChop::kGlobalBfs). The chop charges real BFS depth per pass, so its
-  // rounds track sqrt(n) on a grid; the local pipeline's only n-dependence
-  // is the O(log* n) Cole–Vishkin term.
+  // contraction) against the retired global-BFS chop (ldd_global_chop). The
+  // chop charges real BFS depth per pass, so its rounds track sqrt(n) on a
+  // grid; the local pipeline's only n-dependence is the O(log* n)
+  // Cole–Vishkin term.
   {
     std::cout << "\n-- EDT construction rounds vs n (eps = 0.3): local "
                  "pipeline vs global-BFS chop\n";
@@ -126,10 +127,7 @@ int main(int argc, char** argv) {
       const Graph sg = make_family(family, sn, srng);
       const decomp::EdtDecomposition local =
           decomp::build_edt_decomposition(sg, 0.3);
-      decomp::EdtParams chop_params;
-      chop_params.chop = decomp::EdtChop::kGlobalBfs;
-      const decomp::EdtDecomposition chop =
-          decomp::build_edt_decomposition(sg, 0.3, chop_params);
+      const decomp::EdtDecomposition chop = decomp::ldd_global_chop(sg, 0.3);
       check_runtime_audit(local.ledger, 2 * sg.m(),
                           "local n=" + std::to_string(sg.n()));
       check_runtime_audit(chop.ledger, 2 * sg.m(),

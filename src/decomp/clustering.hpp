@@ -67,18 +67,12 @@ struct ClusterQuality {
   int max_cluster_size = 0;
 };
 
-/// Historical name; EDT and the LDD baselines expose this spelling.
-using Quality = ClusterQuality;
-
 /// Knobs of evaluate_clustering. Clusters of at most exact_cap vertices get
-/// the exact all-pairs-BFS diameter; larger ones are estimated from
-/// 2*sweeps alternating-double-sweep BFSes plus sample_sources evenly spread
-/// extra sources. force_exact disables the sampling path entirely (tests use
-/// it to pin the estimator against ground truth).
+/// the exact all-pairs-BFS diameter; larger ones are estimated (see
+/// evaluate_clustering). force_exact disables the sampling path entirely
+/// (tests use it to pin the estimator against ground truth).
 struct EvalParams {
   int exact_cap = 64;
-  int sweeps = 4;
-  int sample_sources = 8;
   bool force_exact = false;
 };
 
@@ -133,13 +127,18 @@ inline void group_members(const std::vector<int>& cluster, int k,
 
 }  // namespace detail
 
+/// The sampled-eccentricity estimator's probes per large cluster.
+inline constexpr int kEvalSweeps = 4;
+inline constexpr int kEvalSampleSources = 8;
+
 /// Measure cut fraction and per-cluster strong diameter.
 ///
 /// Diameter is exact (all-pairs BFS inside the cluster) for clusters up to
 /// EvalParams::exact_cap vertices; larger clusters use sampled eccentricity
-/// — an iterated double sweep plus evenly spread extra sources (a lower
-/// bound within 2x, exact on trees) — so the measurement stays near-linear
-/// even when clusters are large. force_exact runs all-pairs BFS everywhere.
+/// — kEvalSweeps alternating double-sweep BFSes plus kEvalSampleSources
+/// evenly spread extra sources (a lower bound within 2x, exact on trees) —
+/// so the measurement stays near-linear even when clusters are large.
+/// force_exact runs all-pairs BFS everywhere.
 ///
 /// An optional lent pool shards the cut count by vertex and the clusters in
 /// contiguous chunks. Clusters are disjoint, so their BFSes share one dist
@@ -200,14 +199,13 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
       } else {
         // Alternating double sweep: hop to the farthest vertex found so far.
         int src = verts[0];
-        for (int sweep = 0; sweep < params.sweeps; ++sweep) {
+        for (int sweep = 0; sweep < kEvalSweeps; ++sweep) {
           int far = src;
           probe(src, &far);
           src = far;
         }
         // Evenly spread extra sources guard against sweeps stuck on a limb.
-        const int stride =
-            std::max(1, size / std::max(params.sample_sources, 1));
+        const int stride = std::max(1, size / kEvalSampleSources);
         for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
       }
       f.max_diameter = std::max(f.max_diameter, diam);
@@ -221,17 +219,9 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
   return q;
 }
 
-/// Historical entry point: exact diameters up to `exact_cap`, sampled above.
-inline Quality measure_quality(const Graph& g, const Clustering& c,
-                               int exact_cap = 64) {
-  EvalParams p;
-  p.exact_cap = exact_cap;
-  return evaluate_clustering(g, c, p);
-}
-
 /// True iff every vertex carries a cluster id in [0, k). Connectivity of the
-/// induced clusters is reported separately by measure_quality
-/// (Quality::clusters_connected).
+/// induced clusters is reported separately by evaluate_clustering
+/// (ClusterQuality::clusters_connected).
 inline bool is_valid_partition(const Graph& g, const Clustering& c) {
   if (static_cast<int>(c.cluster.size()) != g.n()) return false;
   for (int v = 0; v < g.n(); ++v) {

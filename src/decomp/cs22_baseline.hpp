@@ -31,18 +31,9 @@
 
 namespace mfd::decomp {
 
-struct Cs22Params {
-  // Slow-mixing graphs (grids) need deep power iteration before the sweep
-  // vector resolves their sparse cuts; several probes hedge the start vector.
-  int power_iters = 256;
-  int probes = 3;
-  double phi_floor = 0.01;  // clamp for the routing-time estimate
-  int depth_slack = 2;      // recursion cap = depth_slack * ceil(log2 n)
-};
-
 struct Cs22Result {
   Clustering clustering;
-  Quality quality;
+  ClusterQuality quality;
   congest::Runtime ledger;
   int T_measured = 0;   // expander-routing time: max ceil(log2 vol / phi)
   double phi_target = 0.0;
@@ -50,7 +41,15 @@ struct Cs22Result {
 };
 
 inline Cs22Result cs22_decompose_and_route(const Graph& g, double eps,
-                                           Rng& rng, Cs22Params params = {}) {
+                                           Rng& rng) {
+  // Slow-mixing graphs (grids) need deep power iteration before the sweep
+  // vector resolves their sparse cuts; several probes hedge the start
+  // vector. Recursion is capped at kDepthSlack * ceil(log2 n) levels, and
+  // kPhiFloor clamps the certificate in the routing-time estimate.
+  constexpr int kPowerIters = 256;
+  constexpr int kProbes = 3;
+  constexpr int kDepthSlack = 2;
+  constexpr double kPhiFloor = 0.01;
   Cs22Result out;
   const int n = g.n();
   const double logm =
@@ -59,10 +58,10 @@ inline Cs22Result cs22_decompose_and_route(const Graph& g, double eps,
 
   SweepPartitionParams sp;
   sp.phi_target = out.phi_target;
-  sp.power_iters = params.power_iters;
-  sp.probes = params.probes;
+  sp.power_iters = kPowerIters;
+  sp.probes = kProbes;
   sp.min_part = 2;
-  sp.max_depth = params.depth_slack *
+  sp.max_depth = kDepthSlack *
                  static_cast<int>(std::ceil(std::log2(std::max(n, 2))));
   const SweepPartitionResult partition = sweep_partition(g, rng.next(), sp);
 
@@ -78,12 +77,12 @@ inline Cs22Result cs22_decompose_and_route(const Graph& g, double eps,
     const double cert = partition.parts[p].cert;
     out.phi_certified = std::min(out.phi_certified, cert);
     // Finalized expander cluster: routing costs the mixing-time factor.
-    const double phi_route = std::max(cert, params.phi_floor);
+    const double phi_route = std::max(cert, kPhiFloor);
     worst_route = std::max(
         worst_route,
         std::ceil(std::log2(static_cast<double>(vol) + 2.0) / phi_route));
   }
-  out.quality = measure_quality(g, out.clustering);
+  out.quality = evaluate_clustering(g, out.clustering);
   out.T_measured = static_cast<int>(worst_route);
   out.ledger.charge_envelope("centralized decomposition (symbolic)", 1,
                              2 * g.m());

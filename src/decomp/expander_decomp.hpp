@@ -38,23 +38,14 @@
 namespace mfd::decomp {
 
 struct ExpanderDecompParams {
-  double edt_eps_share = 0.5;  // fraction of eps spent by the EDT stage
-  int power_iters = 40;        // Fiedler iterations per split probe
-  int exact_phi_cap = 12;      // exact conductance at or below this size
-  int edt_exact_diameter_cap = 64;  // forwarded to the EDT quality pass
   // Audit mode: re-certify every emitted cluster through the three-tier
   // expander/cut_matching.hpp::certified_phi (exact / cut-matching game /
   // Cheeger), fail loudly on an inconsistent certificate, and charge the
   // games' CONGEST cost into the ledger. Off by default — the games cost
   // real wall time per cluster, so this is a bench/test gate, not a
-  // construction cost.
+  // construction cost. A caller that wants the audit pooled runs
+  // certify_parts on the clustering itself.
   bool certify = false;
-  expander::PhiCertParams certify_params;
-  // Optional pool for the certify audit: dominant clusters run first with
-  // the pool lent to their replays, the rest fan out as independent tasks
-  // (see certify_parts; the result fold stays in cluster order, so the
-  // report is bit-identical to the serial loop at every thread count).
-  congest::ShardPool* certify_pool = nullptr;
 };
 
 struct ExpanderDecomp {
@@ -99,6 +90,8 @@ struct PartCertifyReport {
   congest::Runtime ledger;
 };
 
+/// The pool, when given, is written into pc.game.pool unless the caller
+/// already lent one there.
 inline PartCertifyReport certify_parts(
     const Graph& g, const std::vector<std::vector<int>>& parts,
     expander::PhiCertParams pc = {}, congest::ShardPool* pool = nullptr) {
@@ -113,7 +106,7 @@ inline PartCertifyReport certify_parts(
   // a fair share of the fan-out on its own. Such clusters run one at a
   // time, largest first, with the pool lent to their replays; the rest fan
   // out as whole-cluster tasks, where a nested replay runs inline.
-  if (pc.pool == nullptr) pc.pool = pool;
+  if (pc.game.pool == nullptr) pc.game.pool = pool;
   const int nparts = static_cast<int>(parts.size());
   std::vector<expander::PhiReport> reports(nparts);
   std::vector<int> sizes(nparts, 0);
@@ -182,10 +175,11 @@ inline ExpanderDecomp expander_decomposition_minor_free(
   ExpanderDecomp out;
   out.phi_target = minor_free_phi_target(eps, g.max_degree());
 
-  EdtParams ep;
-  ep.exact_diameter_cap = params.edt_exact_diameter_cap;
-  EdtDecomposition edt =
-      build_edt_decomposition(g, eps * params.edt_eps_share, ep);
+  // The EDT stage spends half of the eps budget; the split stage's Fiedler
+  // probes run kSplitPowerIters averaging rounds each.
+  constexpr double kEdtEpsShare = 0.5;
+  constexpr int kSplitPowerIters = 40;
+  EdtDecomposition edt = build_edt_decomposition(g, eps * kEdtEpsShare);
   {
     congest::ChargeScope edt_scope(out.ledger, "edt");
     edt_scope.absorb(edt.ledger);
@@ -203,7 +197,7 @@ inline ExpanderDecomp expander_decomposition_minor_free(
   std::vector<std::vector<int>> final_members;  // global ids, certify input
   SweepPartitionParams sp;
   sp.phi_target = out.phi_target;
-  sp.power_iters = params.power_iters;
+  sp.power_iters = kSplitPowerIters;
   for (int c = 0; c < edt.clustering.k; ++c) {
     const InducedSubgraph sub = induced_subgraph(g, members[c]);
     const SweepPartitionResult parts = sweep_partition(
@@ -215,7 +209,7 @@ inline ExpanderDecomp expander_decomposition_minor_free(
       // rest the sweep certificate and the Cheeger estimate cross-check.
       const InducedSubgraph psub = induced_subgraph(sub.graph, part.verts);
       const PhiCertificate cert =
-          phi_certificate(psub.graph, params.exact_phi_cap, params.power_iters);
+          phi_certificate(psub.graph, kExactPhiCap, kSplitPowerIters);
       const double phi = cert.exact ? cert.phi : std::min(part.cert, cert.phi);
       if (phi < out.min_certified_phi) out.min_certified_phi = phi;
       out.min_phi_estimate = std::min(out.min_phi_estimate, cert.phi);
@@ -234,14 +228,15 @@ inline ExpanderDecomp expander_decomposition_minor_free(
       if (params.certify) final_members.push_back(std::move(global));
       ++next_id;
     }
-    // Each split level costs power_iters averaging rounds + an aggregation;
-    // clusters run in parallel, so charge the max, not the sum. Every
-    // averaging/aggregation round moves one O(log n)-bit value per directed
-    // intra-cluster edge, so messages sum the per-cluster round * edge
-    // products while congestion stays 1 (clusters are vertex-disjoint).
+    // Each split level costs kSplitPowerIters averaging rounds + an
+    // aggregation; clusters run in parallel, so charge the max, not the sum.
+    // Every averaging/aggregation round moves one O(log n)-bit value per
+    // directed intra-cluster edge, so messages sum the per-cluster
+    // round * edge products while congestion stays 1 (clusters are
+    // vertex-disjoint).
     const std::int64_t cluster_rounds =
         static_cast<std::int64_t>(std::max(parts.levels, 1)) *
-        (params.power_iters +
+        (kSplitPowerIters +
          static_cast<std::int64_t>(std::ceil(std::log2(
              std::max<double>(static_cast<double>(members[c].size()), 2.0)))));
     max_split_rounds = std::max(max_split_rounds, cluster_rounds);
@@ -255,8 +250,7 @@ inline ExpanderDecomp expander_decomposition_minor_free(
     // the game-backed tallies REPLACE the cheap default tallies above (the
     // audit mode's whole point is upgrading estimated clusters to certified
     // ones), and its CONGEST cost lands in the ledger like any other phase.
-    const PartCertifyReport rep = certify_parts(
-        g, final_members, params.certify_params, params.certify_pool);
+    const PartCertifyReport rep = certify_parts(g, final_members);
     out.clusters_certified = rep.clusters_certified;
     out.clusters_estimated = rep.clusters_estimated;
     out.min_phi_lower = rep.min_phi_lower;

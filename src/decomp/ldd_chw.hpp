@@ -28,7 +28,7 @@ namespace mfd::decomp {
 /// the ledger totals simulated LOCAL-model rounds (round_factor per radius).
 struct ChwLdd {
   Clustering clustering;
-  Quality quality;
+  ClusterQuality quality;
   congest::Runtime ledger;
   int max_radius = 0;  // deepest ball radius, BFS hops
 };
@@ -97,7 +97,7 @@ inline ChwLdd ldd_chw_local_model(const Graph& g, double eps,
 
   out.clustering.cluster = std::move(assigned);
   out.clustering.k = k;
-  out.quality = measure_quality(g, out.clustering);
+  out.quality = evaluate_clustering(g, out.clustering);
   out.ledger.charge("symmetry breaking (log* n)", congest::log_star(n));
   out.ledger.charge("ball growing",
                     static_cast<std::int64_t>(round_factor) *

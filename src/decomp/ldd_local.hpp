@@ -151,7 +151,6 @@ struct LocalLddParams {
   // strong diameter stays <= 2*ecc_cap. 0 derives ceil(4/eps).
   int ecc_cap = 0;
   int max_iterations = 100;  // hard cap; the eps budget normally stops first
-  EvalParams eval;           // quality measurement knobs
   // Optional lent pool: partitions the per-iteration work (cluster-graph
   // rows, heavy-stars phases, relabel sweep, cut recount, per-cluster
   // designee BFS) and the final evaluate_clustering across its threads.
@@ -394,7 +393,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   out.clustering.cluster = std::move(label);
   out.clustering.k = n;
   out.clustering.compact();
-  out.quality = evaluate_clustering(g, out.clustering, params.eval, pool);
+  out.quality = evaluate_clustering(g, out.clustering, {}, pool);
   return out;
 }
 

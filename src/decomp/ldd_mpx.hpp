@@ -27,7 +27,7 @@ namespace mfd::decomp {
 /// the start-time offset of the shifted multi-source BFS.
 struct MpxLdd {
   Clustering clustering;
-  Quality quality;
+  ClusterQuality quality;
   congest::Runtime ledger;
   int rounds = 0;  // simulated CONGEST rounds: max shift + deepest BFS arm
 };
@@ -77,7 +77,7 @@ inline MpxLdd ldd_mpx(const Graph& g, double eps, Rng& rng) {
   out.clustering.cluster = std::move(center);
   out.clustering.k = n;  // placeholder; compact() densifies below
   out.clustering.compact();
-  out.quality = measure_quality(g, out.clustering);
+  out.quality = evaluate_clustering(g, out.clustering);
   out.rounds = static_cast<int>(std::ceil(max_shift)) + max_hops;
   // The shifted-BFS wave carries one O(log n)-bit (center, key) message per
   // directed edge per round at most — envelope-billed.

@@ -18,7 +18,7 @@
 // repaired SURGICALLY — the still-uncovered edge subgraph (not the whole
 // level) is re-partitioned at half the level ε, its clusters appended to
 // the family (overlap is exactly what the object licenses), and the ladder
-// repeats on the geometrically smaller remainder up to budget_retries
+// repeats on the geometrically smaller remainder up to kBudgetRetries
 // times. Coverage is monotone across retries — an edge covered by an
 // earlier pass stays covered — so retries only shrink the uncovered set. A
 // level that still misses its budget is recorded in
@@ -28,9 +28,10 @@
 // runs the overlap c is bounded by levels + total retries (retries are
 // rare: the trail in level_retries records them).
 //
-// evaluate_overlap audits all three guarantees on the finished object;
-// min_support_phi_lower reuses graph/metrics.hpp::phi_certificate (exact
-// for tiny supports, Cheeger-estimate otherwise).
+// evaluate_overlap audits all three guarantees on the finished object. Its
+// support conductances come from graph/metrics.hpp::phi_certificate: exact
+// supports (at most kExactPhiCap vertices) fold into min_support_phi_lower,
+// Cheeger estimates of larger ones into min_support_phi_estimate.
 #pragma once
 
 #include <algorithm>
@@ -58,27 +59,23 @@ struct OverlapClustering {
 
 struct OverlapDecompParams {
   double level_eps = 0.5;  // per-level cut target handed to the partition
-  int max_levels = 0;      // 0 derives ceil(log2(1/eps)) + 2
-  int min_level_edges = 1; // stop once fewer uncovered edges remain
   // Enforce the per-level halving instead of measuring it: a level leaving
   // more than half of its edges uncovered re-partitions just that uncovered
-  // remainder at level_eps/2 (then /4, ...) up to budget_retries times,
+  // remainder at level_eps/2 (then /4, ...) up to kBudgetRetries times,
   // appending the retry clusters; a level that still overshoots lands in
   // OverlapDecompResult::budget_violations.
   bool budgeted = false;
-  int budget_retries = 3;
   // Audit mode: after the ladder finishes, re-certify every cluster support
   // in the family through certify_parts (three-tier certified_phi, with the
   // cut-matching game above the exact cap) and fail loudly on an
   // inconsistent certificate — see the matching flag on ExpanderDecompParams.
   // This certifies the FINAL overlap object; it does not alter construction.
   bool certify = false;
-  expander::PhiCertParams certify_params;
-  // Optional pool for the certify audit (see ExpanderDecompParams) — the
-  // supports fan out as independent tasks, report folded in cluster order.
-  congest::ShardPool* certify_pool = nullptr;
-  ExpanderDecompParams expander;
 };
+
+/// Surgical retries a budgeted level may run before it is recorded as a
+/// budget violation.
+inline constexpr int kBudgetRetries = 3;
 
 struct OverlapDecompResult {
   OverlapClustering oc;
@@ -111,16 +108,14 @@ inline OverlapDecompResult overlap_expander_decomposition(
   OverlapDecompResult out;
   out.oc.n = g.n();
   const int max_levels =
-      params.max_levels > 0
-          ? params.max_levels
-          : static_cast<int>(std::ceil(std::log2(1.0 / eps))) + 2;
+      static_cast<int>(std::ceil(std::log2(1.0 / eps))) + 2;
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
   std::vector<std::pair<int, int>> uncovered = g.edges();
   for (int level = 0; level < max_levels; ++level) {
-    if (static_cast<std::int64_t>(uncovered.size()) <= allowance ||
-        static_cast<int>(uncovered.size()) < params.min_level_edges) {
+    if (uncovered.empty() ||
+        static_cast<std::int64_t>(uncovered.size()) <= allowance) {
       break;
     }
     // The level's charges (partition pipeline + any budgeted retries) close
@@ -178,7 +173,7 @@ inline OverlapDecompResult overlap_expander_decomposition(
     double lvl_eps = params.level_eps;
     const Graph h = build_graph(uncovered);
     const ExpanderDecomp ed =
-        expander_decomposition_minor_free(h, lvl_eps, params.expander);
+        expander_decomposition_minor_free(h, lvl_eps);
     scope.absorb(ed.ledger);
     if (level == 0) out.phi_target = ed.phi_target;
     adopt_clusters(ed);
@@ -192,7 +187,7 @@ inline OverlapDecompResult overlap_expander_decomposition(
       // monotone — an edge covered by an earlier pass stays covered — so
       // each rung works on a smaller instance and `still` only shrinks.
       for (int retry = 1;
-           retry <= params.budget_retries &&
+           retry <= kBudgetRetries &&
            2 * static_cast<std::int64_t>(still.size()) >
                static_cast<std::int64_t>(uncovered.size());
            ++retry) {
@@ -200,7 +195,7 @@ inline OverlapDecompResult overlap_expander_decomposition(
         lvl_eps /= 2.0;
         const Graph rh = build_graph(still);
         const ExpanderDecomp red =
-            expander_decomposition_minor_free(rh, lvl_eps, params.expander);
+            expander_decomposition_minor_free(rh, lvl_eps);
         scope.absorb(red.ledger, "retry " + std::to_string(retry) + ": ");
         adopt_clusters(red);
         still = separated(red, still);
@@ -219,8 +214,7 @@ inline OverlapDecompResult overlap_expander_decomposition(
   out.uncovered_edges = static_cast<std::int64_t>(uncovered.size());
   if (params.certify) {
     congest::ChargeScope scope(out.ledger, "certify");
-    const PartCertifyReport rep = certify_parts(
-        g, out.oc.members, params.certify_params, params.certify_pool);
+    const PartCertifyReport rep = certify_parts(g, out.oc.members);
     out.clusters_certified = rep.clusters_certified;
     out.clusters_estimated = rep.clusters_estimated;
     out.min_phi_lower = rep.min_phi_lower;
@@ -238,16 +232,21 @@ inline OverlapDecompResult overlap_expander_decomposition(
 /// construction result (the overload below): it verifies every level left
 /// at most half of its edges uncovered — the budget that caps the level
 /// count (and hence the overlap c) at O(log 1/ε).
+/// min_support_phi_lower folds only supports whose phi_certificate is a
+/// sound lower bound (PhiCertificate::certified_lower: exact enumeration or
+/// a degenerate verdict) and stays 1.0 when none is; the Cheeger estimates
+/// of the larger supports, which bound nothing, fold into
+/// min_support_phi_estimate instead (1.0 when every support certified).
 struct OverlapQuality {
   ClusterQuality base;
-  int overlap_c = 0;                  // max clusters sharing one vertex
-  double min_support_phi_lower = 1.0; // min certified support conductance
-  bool level_budget_ok = true;        // per-level halving held (see above)
+  int overlap_c = 0;                     // max clusters sharing one vertex
+  double min_support_phi_lower = 1.0;    // min certified support conductance
+  double min_support_phi_estimate = 1.0; // min estimate over the rest
+  bool level_budget_ok = true;           // per-level halving held (see above)
 };
 
 inline OverlapQuality evaluate_overlap(const Graph& g,
-                                       const OverlapClustering& oc,
-                                       int exact_phi_cap = 12) {
+                                       const OverlapClustering& oc) {
   OverlapQuality q;
   std::vector<std::vector<int>> of(g.n());  // clusters containing v, sorted
   for (int c = 0; c < oc.k(); ++c) {
@@ -277,8 +276,10 @@ inline OverlapQuality evaluate_overlap(const Graph& g,
         std::max(q.base.max_cluster_size, static_cast<int>(mem.size()));
     const InducedSubgraph sub = induced_subgraph(g, mem);
     if (!is_connected(sub.graph)) q.base.clusters_connected = false;
-    const PhiCertificate cert = phi_certificate(sub.graph, exact_phi_cap);
-    q.min_support_phi_lower = std::min(q.min_support_phi_lower, cert.phi);
+    const PhiCertificate cert = phi_certificate(sub.graph);
+    double& fold = cert.certified_lower() ? q.min_support_phi_lower
+                                          : q.min_support_phi_estimate;
+    fold = std::min(fold, cert.phi);
     // Support diameter via double sweep (lower bound, exact on trees).
     int src = 0, diam = 0;
     for (int sweep = 0; sweep < 2 && sub.graph.n() > 0; ++sweep) {
@@ -301,9 +302,8 @@ inline OverlapQuality evaluate_overlap(const Graph& g,
 /// so a run that silently blew its level budget cannot pass a bench or
 /// test that audits it.
 inline OverlapQuality evaluate_overlap(const Graph& g,
-                                       const OverlapDecompResult& result,
-                                       int exact_phi_cap = 12) {
-  OverlapQuality q = evaluate_overlap(g, result.oc, exact_phi_cap);
+                                       const OverlapDecompResult& result) {
+  OverlapQuality q = evaluate_overlap(g, result.oc);
   for (std::size_t level = 0; level < result.level_edges.size(); ++level) {
     if (2 * result.level_uncovered[level] > result.level_edges[level]) {
       q.level_budget_ok = false;

@@ -43,7 +43,7 @@
 //     block size and thread count.
 //
 // The game runs this one engine at every n; its O(n + B*n) state is what
-// lets certified_phi's cut_matching_cap sit at 65536. The matching player's
+// lets certified_phi's kCutMatchingCap sit at 65536. The matching player's
 // flow network is built once per game and only its source and sink arcs
 // change between rounds. The resident-matrix reference lives in
 // tests/oracles.hpp: tests/test_fuzz.cpp rebuilds the n x n matrix from the
@@ -271,14 +271,22 @@ inline int derive_replay_block(int n, int block) {
 struct CutMatchingParams {
   double phi_target = 0.0;  // flow capacity = ceil(1/phi_target); 0 derives
                             // max(Cheeger estimate, 1/n) from the input
-  int max_rounds = 0;       // 0 derives 2 * ceil_log2(n)^2
-  double mix_alpha = 0.5;   // stop early once n * min entry of F reaches this
-  int power_iters = 60;     // Cheeger probe used when phi_target is derived
-  std::uint64_t seed = 0x243f6a8885a308d3ULL;  // published cut-player seed
-  int probes = 8;           // cut-player probe bank size k (round-robin)
-  int replay_block = 0;       // alpha replay column width B; 0 derives <= 64
-  congest::ShardPool* pool = nullptr;  // replay blocks fan out here
+  int replay_block = 0;     // alpha replay column width B; 0 derives <= 64
+  // Replay blocks (of the game and of certified_phi's verification) fan
+  // out here; the one pool of a certification call chain.
+  congest::ShardPool* pool = nullptr;
 };
+
+/// The game's fixed constants, from the Chang–Saranurak construction rather
+/// than tuning: the cut player's published seed and probe-bank size k
+/// (round-robin), the early stop once n * min entry of F reaches
+/// kCutMatchingMixAlpha, and the Fiedler iterations of every Cheeger probe
+/// (the game's derived phi_target, certified_phi's estimate and sweep).
+/// The round cap is 2 * ceil_log2(n)^2.
+inline constexpr std::uint64_t kCutMatchingSeed = 0x243f6a8885a308d3ULL;
+inline constexpr int kCutMatchingProbes = 8;
+inline constexpr double kCutMatchingMixAlpha = 0.5;
+inline constexpr int kCertPowerIters = 60;
 
 /// One embedded matching edge: `path` walks from u to v through adjacent
 /// vertices of the cluster (path.front() == u, path.back() == v).
@@ -546,7 +554,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   // A non-finite target derives too.
   double target = params.phi_target;
   if (!(target > 0.0) || !std::isfinite(target)) {
-    const PhiCertificate est = phi_certificate(g, 0, params.power_iters);
+    const PhiCertificate est = phi_certificate(g, 0, kCertPowerIters);
     target = std::max({est.phi, 1.0 / n, 1e-6});
   }
   out.phi_target = target;
@@ -555,11 +563,10 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
       std::ceil(1.0 / target), static_cast<double>(4 * g.m() + 1)));
 
   const int log_n = congest::ceil_log2(n);
-  const int max_rounds =
-      params.max_rounds > 0 ? params.max_rounds : 2 * log_n * log_n;
+  const int max_rounds = 2 * log_n * log_n;
 
   const int block = detail_cm::derive_replay_block(n, params.replay_block);
-  const int k = std::max(1, params.probes);
+  constexpr int k = kCutMatchingProbes;
 
   // Probe bank: row v holds (F * proj_j)[v] for the k seeded projections,
   // column-major per vertex so one average_rows call updates every probe of
@@ -567,11 +574,13 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   std::vector<double> probes(static_cast<std::size_t>(n) * k);
   for (int j = 0; j < k; ++j) {
     double mean = 0.0;
-    for (int v = 0; v < n; ++v) mean += detail_cm::hash_unit(params.seed + j, v);
+    for (int v = 0; v < n; ++v) {
+      mean += detail_cm::hash_unit(kCutMatchingSeed + j, v);
+    }
     mean /= n;
     for (int v = 0; v < n; ++v) {
       probes[static_cast<std::size_t>(v) * k + j] =
-          detail_cm::hash_unit(params.seed + j, v) - mean;
+          detail_cm::hash_unit(kCutMatchingSeed + j, v) - mean;
     }
   }
 
@@ -626,7 +635,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
     // selection, envelope-billed below.
     const int j = round % k;
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&probes, j, k](int a, int b) {
+    std::sort(order.begin(), order.end(), [&probes, j](int a, int b) {
       const double pa = probes[static_cast<std::size_t>(a) * k + j];
       const double pb = probes[static_cast<std::size_t>(b) * k + j];
       return pa != pb ? pa < pb : a < b;
@@ -754,7 +763,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
       ck_alpha.push_back(a);
       ck_cong.push_back(cong_so_far);
       ck_dil.push_back(dilation_so_far);
-      if (a >= params.mix_alpha) break;
+      if (a >= kCutMatchingMixAlpha) break;
     }
   }
 
@@ -806,16 +815,14 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 // The three-tier certification entry point.
 
 struct PhiCertParams {
-  int exact_cap = 12;        // brute force at or below this many vertices
-  int power_iters = 60;      // Fiedler iterations (sweep upper + Cheeger)
-  bool cut_matching = true;  // play the game above exact_cap
-  // Skip the game above this size. The game's state is
-  // O(n + m + B*n) — no resident matrix — so the cap is a wall-clock knob
-  // (each alpha replay is O(#matching-edges * n)), not a memory wall.
-  int cut_matching_cap = 65536;
-  CutMatchingParams game;
-  congest::ShardPool* pool = nullptr;  // forwarded to game + verify replays
+  int exact_cap = kExactPhiCap;  // brute force at or below this many vertices
+  CutMatchingParams game;        // the game above exact_cap (and its pool)
 };
+
+/// certified_phi skips the game above this size. The game's state is
+/// O(n + m + B*n) — no resident matrix — so the cap is a wall-clock bound
+/// (each alpha replay is O(#matching-edges * n)), not a memory wall.
+inline constexpr int kCutMatchingCap = 65536;
 
 /// What certified_phi reports for one cluster. `cert` is the headline
 /// (verdict + value; see PhiVerdict for which verdicts are sound bounds);
@@ -844,7 +851,7 @@ struct PhiReport {
 /// kDisconnected) before any tier runs.
 inline PhiReport certified_phi(const Graph& g, PhiCertParams params = {}) {
   PhiReport report;
-  report.cert = phi_certificate(g, params.exact_cap, params.power_iters);
+  report.cert = phi_certificate(g, params.exact_cap, kCertPowerIters);
   report.estimate = report.cert.phi;
   if (report.cert.verdict != PhiVerdict::kCheeger) {
     report.upper = report.cert.phi;  // exact value, or the 1/0 conventions
@@ -855,13 +862,10 @@ inline PhiReport certified_phi(const Graph& g, PhiCertParams params = {}) {
   const InducedSubgraph core = induced_subgraph(g, non_isolated_vertices(g));
   const SweepCut sweep = sweep_min_cut(
       core.graph,
-      approx_fiedler(core.graph, 0x517cc1b727220a95ULL, params.power_iters));
+      approx_fiedler(core.graph, 0x517cc1b727220a95ULL, kCertPowerIters));
   report.upper = std::min(1.0, sweep.conductance);
-  if (!params.cut_matching || core.graph.n() > params.cut_matching_cap) {
-    return report;
-  }
-  CutMatchingParams gp = params.game;
-  if (gp.pool == nullptr) gp.pool = params.pool;
+  if (core.graph.n() > kCutMatchingCap) return report;
+  const CutMatchingParams& gp = params.game;
   CutMatchingOutcome game = cut_matching_game(core.graph, gp);
   report.game_verdict = game.verdict;
   report.game_state_bytes = game.state_bytes_peak;

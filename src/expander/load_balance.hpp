@@ -36,11 +36,12 @@
 namespace mfd::expander {
 
 struct LoadBalanceParams {
-  int max_outer = 200;     // outer blocks (one block = ~1/phi diffusion rounds)
-  int max_splits = 20;     // token-splitting doublings; 0 disables the fix
-  double phi_floor = 0.02; // clamp for the certificate in the schedule formula
-  std::int64_t round_cap = 200000;  // simulation safety cap
+  int max_splits = 20;  // token-splitting doublings; 0 disables the fix
 };
+
+/// The outer budget in blocks (one block = ~1/phi diffusion rounds), which a
+/// stalled run reports as its outer_iterations.
+inline constexpr int kLoadBalanceMaxOuter = 200;
 
 struct LoadBalanceResult {
   double delivered_fraction = 0.0;
@@ -55,11 +56,14 @@ struct LoadBalanceResult {
 inline LoadBalanceResult gather_load_balance(const ExpanderSplit& sp,
                                              int v_star, double f,
                                              LoadBalanceParams p = {}) {
+  // kPhiFloor clamps the certificate in the schedule formula; kRoundCap is
+  // the simulation's safety cap.
+  constexpr double kPhiFloor = 0.02;
+  constexpr std::int64_t kRoundCap = 200000;
   LoadBalanceResult out;
   const int pid = sp.part_of(v_star);
   const std::vector<int>& verts = sp.members[pid];
-  const double phi =
-      std::min(1.0, std::max(sp.phi_cert[pid], p.phi_floor));
+  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], kPhiFloor));
   f = std::min(std::max(f, 1e-9), 1.0);
 
   // Local state: one slot per part vertex; v* mass counts as delivered.
@@ -90,8 +94,8 @@ inline LoadBalanceResult gather_load_balance(const ExpanderSplit& sp,
   const int block_rounds = std::max(4, static_cast<int>(std::ceil(1.0 / phi)));
   std::int64_t sim_rounds = 0, messages = 0;
   bool done = false;
-  while (!done && out.outer_iterations < p.max_outer &&
-         sim_rounds < p.round_cap) {
+  while (!done && out.outer_iterations < kLoadBalanceMaxOuter &&
+         sim_rounds < kRoundCap) {
     ++out.outer_iterations;
     std::int64_t moved_in_block = 0;
     for (int r = 0; r < block_rounds && !done; ++r) {
@@ -140,7 +144,7 @@ inline LoadBalanceResult gather_load_balance(const ExpanderSplit& sp,
         // Frozen integer state: the oblivious algorithm would burn the rest
         // of its round budget without progress.
         out.stalled = true;
-        out.outer_iterations = p.max_outer;
+        out.outer_iterations = kLoadBalanceMaxOuter;
         break;
       }
     }

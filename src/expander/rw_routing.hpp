@@ -40,14 +40,18 @@
 
 namespace mfd::expander {
 
+/// The walk's fixed constants: the stay-put probability per round, the
+/// clamp for the certificate in the length formula, and the published
+/// origin of the seed search.
+inline constexpr double kRwLaziness = 0.5;
+inline constexpr double kRwPhiFloor = 0.02;
+inline constexpr std::uint64_t kRwBaseSeed = 0x243F6A8885A308D3ULL;
+
 struct RwParams {
-  double laziness = 0.5;   // stay-put probability per round
   std::int64_t step_budget = 20'000'000;   // walk-steps per simulated seed
   std::int64_t search_budget = 80'000'000; // walk-steps across the seed search
   std::int64_t max_walks_total = 500'000;  // cap on the simulated population
   int max_seed_tries = 64;
-  double phi_floor = 0.02;  // clamp for the certificate in the length formula
-  std::uint64_t base_seed = 0x243F6A8885A308D3ULL;  // published search origin
   // Optional lent pool: the walk rounds shard their vertices over it
   // (results are identical for every thread count); nullptr runs inline.
   congest::ShardPool* pool = nullptr;
@@ -366,7 +370,7 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   RwResult out;
   f = std::min(std::max(f, 1e-9), 1.0);
   const int pid = sp.part_of(v_star);
-  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], p.phi_floor));
+  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], kRwPhiFloor));
   detail::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
@@ -382,9 +386,9 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   std::uint64_t best_seed = 0;
   int best_T = T;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
-    const std::uint64_t seed = detail::rw_mix(p.base_seed, attempt, 0);
+    const std::uint64_t seed = detail::rw_mix(kRwBaseSeed, attempt, 0);
     const detail::SimOutcome sim =
-        detail::simulate(arena, seed, T, p.laziness, 1.0 - f, p.pool);
+        detail::simulate(arena, seed, T, kRwLaziness, 1.0 - f, p.pool);
     steps_spent += sim.steps;
     out.schedule.seed_tries = attempt;
     if (sim.delivered_fraction > best.delivered_fraction ||
@@ -431,7 +435,7 @@ inline std::vector<RwResult> gather_random_walks_shared(
     arenas.back().spawn_walks(p.max_walks_total);
     const int pid = sps[i]->part_of(stars[i]);
     phis.push_back(
-        std::min(1.0, std::max(sps[i]->phi_cert[pid], p.phi_floor)));
+        std::min(1.0, std::max(sps[i]->phi_cert[pid], kRwPhiFloor)));
     lengths.push_back(detail::walk_length(arenas.back(), phis.back(), f, p));
   }
 
@@ -441,11 +445,11 @@ inline std::vector<RwResult> gather_random_walks_shared(
   std::int64_t tries = 0, steps_spent = 0;
   double best_min_fraction = -1.0;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
-    const std::uint64_t seed = detail::rw_mix(p.base_seed, attempt, 1);
+    const std::uint64_t seed = detail::rw_mix(kRwBaseSeed, attempt, 1);
     std::vector<detail::SimOutcome> sims(sps.size());
     double min_fraction = 1.0;
     for (std::size_t i = 0; i < sps.size(); ++i) {
-      sims[i] = detail::simulate(arenas[i], seed, lengths[i], p.laziness,
+      sims[i] = detail::simulate(arenas[i], seed, lengths[i], kRwLaziness,
                                  1.0 - f, p.pool);
       steps_spent += sims[i].steps;
       min_fraction = std::min(min_fraction, sims[i].delivered_fraction);

@@ -29,9 +29,6 @@ namespace mfd::expander {
 
 struct SplitParams {
   double phi_target = 0.10;  // sweep-cut sparsity below which a part is split
-  int power_iters = 40;      // lazy-walk power iterations per sweep
-  int max_depth = 0;         // recursion cap; 0 means ceil(log2 n)
-  int min_part = 3;          // parts at or below this size are never split
 };
 
 /// Result of expander_split: a partition of V into well-connected parts, the
@@ -60,16 +57,16 @@ inline ExpanderSplit expander_split(const Graph& g, Rng& rng,
   ExpanderSplit out;
   out.g = g;
   const int n = g.n();
-  if (params.max_depth <= 0) {
-    params.max_depth = static_cast<int>(std::ceil(std::log2(std::max(n, 2))));
-  }
   out.params = params;
 
+  // Lazy-walk power iterations per sweep; parts of at most three vertices
+  // are never split.
+  constexpr int kPowerIters = 40;
   SweepPartitionParams sp;
   sp.phi_target = params.phi_target;
-  sp.power_iters = params.power_iters;
-  sp.max_depth = params.max_depth;
-  sp.min_part = params.min_part;
+  sp.power_iters = kPowerIters;
+  sp.max_depth = static_cast<int>(std::ceil(std::log2(std::max(n, 2))));
+  sp.min_part = 3;
   SweepPartitionResult partition = sweep_partition(out.g, rng.next(), sp);
 
   out.parts.cluster.assign(n, 0);
@@ -98,7 +95,7 @@ inline ExpanderSplit expander_split(const Graph& g, Rng& rng,
   out.ledger.charge_envelope(
       "fiedler sweeps",
       static_cast<std::int64_t>(std::max(partition.levels, 1)) *
-          (params.power_iters +
+          (kPowerIters +
            static_cast<std::int64_t>(std::ceil(
                std::log2(static_cast<double>(std::max(n, 2)))))),
       2 * g.m());

@@ -198,10 +198,16 @@ inline std::vector<int> non_isolated_vertices(const Graph& g) {
   return verts;
 }
 
+/// The largest cluster whose conductance is enumerated exactly by default:
+/// 2^11 cuts, cheap enough to run on every tiny cluster. phi_certificate,
+/// certified_phi (PhiCertParams::exact_cap), the (ε, φ) split stage and
+/// evaluate_overlap all share it.
+inline constexpr int kExactPhiCap = 12;
+
 /// Conductance certificate for a cluster. `exact_cap` selects the exact
 /// enumeration path for graphs of at most that many vertices — it DEFAULTS
-/// TO 12 and is HARD-CLAMPED TO 20 inside the function (the exact path
-/// enumerates 2^(n-1) cuts, so a generous knob must neither hang nor
+/// TO kExactPhiCap and is HARD-CLAMPED TO 20 inside the function (the exact
+/// path enumerates 2^(n-1) cuts, so a generous knob must neither hang nor
 /// overflow the 32-bit subset mask): passing exact_cap = 64 still means
 /// "exact at <= 20 vertices, Cheeger estimate above". Above the effective
 /// cap, phi is the λ2/2 Cheeger value with λ2 estimated as the Rayleigh
@@ -210,7 +216,8 @@ inline std::vector<int> non_isolated_vertices(const Graph& g) {
 /// kCheeger, exact = false). Degenerate inputs (isolated vertices,
 /// disconnected clusters, edgeless graphs) get the explicit verdicts
 /// documented on PhiVerdict instead of the historical implicit behavior.
-inline PhiCertificate phi_certificate(const Graph& g, int exact_cap = 12,
+inline PhiCertificate phi_certificate(const Graph& g,
+                                      int exact_cap = kExactPhiCap,
                                       int power_iters = 60) {
   PhiCertificate out;
   // Zero-volume sides cannot enter the conductance minimum, so isolated

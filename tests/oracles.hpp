@@ -115,7 +115,8 @@ inline expander::RwResult gather_random_walks_serial(
   expander::RwResult out;
   f = std::min(std::max(f, 1e-9), 1.0);
   const int pid = sp.part_of(v_star);
-  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], p.phi_floor));
+  const double phi =
+      std::min(1.0, std::max(sp.phi_cert[pid], expander::kRwPhiFloor));
   ed::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
@@ -128,8 +129,9 @@ inline expander::RwResult gather_random_walks_serial(
   std::int64_t steps_spent = 0;
   ed::SimOutcome best;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
-    const std::uint64_t seed = ed::rw_mix(p.base_seed, attempt, 0);
-    ed::SimOutcome sim = simulate_serial(arena, seed, T, p.laziness, 1.0 - f);
+    const std::uint64_t seed = ed::rw_mix(expander::kRwBaseSeed, attempt, 0);
+    ed::SimOutcome sim =
+        simulate_serial(arena, seed, T, expander::kRwLaziness, 1.0 - f);
     steps_spent += sim.steps;
     out.schedule.seed_tries = attempt;
     if (sim.delivered_fraction > best.delivered_fraction || attempt == 1) {

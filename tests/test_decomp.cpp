@@ -25,8 +25,8 @@ namespace {
 
 constexpr int kN = 1024;
 
-void check_partition(const Graph& g, const Clustering& c, const Quality& q,
-                     const std::string& ctx) {
+void check_partition(const Graph& g, const Clustering& c,
+                     const ClusterQuality& q, const std::string& ctx) {
   CHECK_MSG(is_valid_partition(g, c), ctx);
   CHECK_MSG(c.k >= 1, ctx);
   CHECK_MSG(q.clusters_connected, ctx + ": cluster induces disconnected subgraph");
@@ -106,7 +106,7 @@ TEST_CASE(quality_on_known_graph) {
   Clustering c;
   c.k = 2;
   c.cluster = {0, 0, 0, 1, 1, 1};
-  const Quality q = measure_quality(g, c);
+  const ClusterQuality q = evaluate_clustering(g, c);
   CHECK(q.cut_edges == 1);
   CHECK(std::abs(q.eps_fraction - 1.0 / 7.0) < 1e-12);
   CHECK(q.max_diameter == 1);

@@ -1,22 +1,35 @@
 // Decomposition-engine invariants across the new Section-4 pipeline:
-//   * EDT chop modes: both engines meet the hard ε budget with connected
-//     clusters; the local engine's rounds stay diameter-free while the
-//     global chop pays BFS depth; both are deterministic,
+//   * EDT and the global-BFS chop baseline: both meet the hard ε budget
+//     with connected clusters; the local engine's rounds stay diameter-free
+//     while the global chop pays BFS depth; both are deterministic,
 //   * (ε, φ) expander decomposition: valid partition, certified φ > 0,
 //     cut fraction within budget, deterministic,
 //   * (ε, φ, c) overlap decomposition: supports connected, overlap c
 //     bounded by the level cap, uncovered fraction <= ε,
 //   * evaluate_clustering: the sampled-eccentricity estimator is a lower
 //     bound of (and close to) the forced-exact diameter, and cut counts
-//     agree exactly.
+//     agree exactly,
+//   * evaluate_overlap: only sound support certificates reach
+//     min_support_phi_lower,
+//   * golden outputs: the integer outputs of every decomposition,
+//     certification and gather entry point on one fixed instance each.
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "decomp/cs22_baseline.hpp"
 #include "decomp/edt.hpp"
 #include "decomp/expander_decomp.hpp"
+#include "decomp/ldd_chop.hpp"
 #include "decomp/overlap_decomp.hpp"
+#include "expander/cut_matching.hpp"
+#include "expander/load_balance.hpp"
+#include "expander/rw_routing.hpp"
+#include "expander/split.hpp"
+#include "graph/ops.hpp"
 #include "test_main.hpp"
 
 using namespace mfd;
@@ -26,13 +39,11 @@ using mfd::bench::make_family;
 TEST_CASE(edt_chop_modes_both_meet_budget) {
   Rng rng(23);
   const Graph g = make_family("grid", 1024, rng);
-  for (const auto chop : {EdtChop::kLocalContraction, EdtChop::kGlobalBfs}) {
-    const std::string ctx =
-        chop == EdtChop::kGlobalBfs ? "global" : "local";
+  for (const bool chop : {false, true}) {
+    const std::string ctx = chop ? "global" : "local";
     for (double eps : {0.2, 0.4}) {
-      EdtParams p;
-      p.chop = chop;
-      const EdtDecomposition d = build_edt_decomposition(g, eps, p);
+      const EdtDecomposition d = chop ? ldd_global_chop(g, eps)
+                                      : build_edt_decomposition(g, eps);
       CHECK_MSG(is_valid_partition(g, d.clustering), ctx);
       CHECK_MSG(d.quality.clusters_connected, ctx);
       CHECK_MSG(d.quality.eps_fraction <= eps + 1e-12, ctx);
@@ -48,10 +59,8 @@ TEST_CASE(edt_local_rounds_beat_global_chop) {
   // engine pays log* n + O(1/eps) per iteration.
   Rng rng(3);
   const Graph g = make_family("grid", 4096, rng);
-  EdtParams global;
-  global.chop = EdtChop::kGlobalBfs;
   const EdtDecomposition dl = build_edt_decomposition(g, 0.3);
-  const EdtDecomposition dg = build_edt_decomposition(g, 0.3, global);
+  const EdtDecomposition dg = ldd_global_chop(g, 0.3);
   CHECK_MSG(dl.ledger.total() < dg.ledger.total(),
             "local " + std::to_string(dl.ledger.total()) + " vs global " +
                 std::to_string(dg.ledger.total()));
@@ -137,4 +146,202 @@ TEST_CASE(evaluate_clustering_sampled_vs_exact) {
   CHECK(a.clusters_connected == b.clusters_connected);
   CHECK_MSG(b.max_diameter <= a.max_diameter, "estimate exceeded exact");
   CHECK_MSG(2 * b.max_diameter >= a.max_diameter, "estimate below 2x bound");
+}
+
+TEST_CASE(overlap_support_phi_lower_is_certified_only) {
+  // A 16-cycle support is above the exact cap, so phi_certificate only
+  // estimates it (Cheeger); the estimate must not pose as a lower bound.
+  const Graph g = cycle_graph(16);
+  OverlapClustering oc;
+  oc.n = g.n();
+  oc.members.emplace_back();
+  for (int v = 0; v < g.n(); ++v) oc.members.back().push_back(v);
+  const OverlapQuality q = evaluate_overlap(g, oc);
+  CHECK(q.min_support_phi_lower == 1.0);
+  CHECK(q.min_support_phi_estimate < 1.0);
+  CHECK(q.min_support_phi_estimate > 0.0);
+
+  // Split into two 8-vertex paths: both supports are enumerated exactly.
+  oc.members = {{0, 1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14, 15}};
+  const OverlapQuality exact = evaluate_overlap(g, oc);
+  CHECK(exact.min_support_phi_lower < 1.0);
+  CHECK(exact.min_support_phi_estimate == 1.0);
+}
+
+namespace {
+
+struct LedgerPin {
+  std::int64_t rounds, messages, peak;
+};
+
+void check_ledger(const congest::Runtime& r, const LedgerPin& pin,
+                  const std::string& ctx) {
+  CHECK_MSG(r.total() == pin.rounds,
+            ctx + ": rounds " + std::to_string(r.total()));
+  CHECK_MSG(r.total_messages() == pin.messages,
+            ctx + ": messages " + std::to_string(r.total_messages()));
+  CHECK_MSG(r.peak_congestion() == pin.peak,
+            ctx + ": peak " + std::to_string(r.peak_congestion()));
+}
+
+// value repeated count times, run after run.
+std::vector<int> runs(const std::vector<std::pair<int, int>>& value_count) {
+  std::vector<int> out;
+  for (const auto& [value, count] : value_count) {
+    out.insert(out.end(), count, value);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST_CASE(golden_entry_point_outputs) {
+  // One fixed small instance per entry point, integer outputs only (so g++
+  // and clang++ agree): any change to a default, a constant or a fold shows
+  // up here as a diff.
+  const Graph grid = grid_graph(8, 8);
+  const std::vector<int> edt_labels = {
+      0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1,
+      0, 0, 0, 2, 1, 1, 1, 3, 4, 4, 4, 4, 5, 5, 5, 5, 4, 4, 4, 4, 5, 5, 5, 5,
+      4, 4, 6, 6, 5, 5, 7, 7, 4, 4, 6, 6, 5, 5, 7, 7};
+  {
+    const EdtDecomposition d = build_edt_decomposition(grid, 0.3);
+    CHECK(d.clustering.cluster == edt_labels);
+    CHECK(d.clustering.k == 8);
+    CHECK(d.quality.cut_edges == 28);
+    CHECK(d.quality.max_diameter == 6);
+    CHECK(d.T_measured == 15);
+    CHECK(d.iterations == 3);
+    CHECK(d.merges == 56);
+    check_ledger(d.ledger, {86, 9639, 6}, "edt");
+  }
+  {
+    // bench_ablation's path + ladder composite at toy size: a 30-vertex
+    // path glued to a 4 x 16 grid. c = 32 and c = 512 admit the same merges.
+    std::vector<std::pair<int, int>> es;
+    for (int v = 0; v + 1 < 30; ++v) es.emplace_back(v, v + 1);
+    for (const auto& [u, v] : grid_graph(4, 16).edges()) {
+      es.emplace_back(30 + u, 30 + v);
+    }
+    es.emplace_back(29, 30);
+    const Graph g = Graph::from_edges(94, es);
+    struct ChopPin {
+      double c;
+      std::vector<int> labels;
+      std::int64_t cut;
+      int diameter, T, merges;
+      LedgerPin ledger;
+    };
+    const std::vector<int> two = runs({{0, 25}, {1, 69}});
+    const ChopPin pins[] = {
+        {8.0, runs({{0, 1}, {1, 12}, {2, 12}, {3, 69}}), 3, 23, 32, 1,
+         {227, 15662, 1}},
+        {32.0, two, 1, 24, 33, 3, {228, 16080, 1}},
+        {512.0, two, 1, 24, 33, 3, {228, 16080, 1}}};
+    for (const ChopPin& pin : pins) {
+      const std::string ctx = "chop c=" + std::to_string(pin.c);
+      const EdtDecomposition d = ldd_global_chop(g, 0.25, pin.c);
+      CHECK_MSG(d.clustering.cluster == pin.labels, ctx);
+      CHECK_MSG(d.clustering.k == pin.labels.back() + 1, ctx);
+      CHECK_MSG(d.quality.cut_edges == pin.cut, ctx);
+      CHECK_MSG(d.quality.max_diameter == pin.diameter, ctx);
+      CHECK_MSG(d.T_measured == pin.T, ctx);
+      CHECK_MSG(d.iterations == 1, ctx);
+      CHECK_MSG(d.merges == pin.merges, ctx);
+      check_ledger(d.ledger, pin.ledger, ctx);
+    }
+  }
+  {
+    // The split stage cuts nothing here, so the clusters are EDT's at ε/2.
+    ExpanderDecompParams xp;
+    xp.certify = true;
+    const ExpanderDecomp ed = expander_decomposition_minor_free(grid, 0.5, xp);
+    CHECK(ed.clustering.cluster == edt_labels);
+    CHECK(ed.clustering.k == 8);
+    CHECK(ed.clusters_split == 0);
+    CHECK(ed.clusters_certified == 8);
+    CHECK(ed.clusters_estimated == 0);
+    CHECK(ed.certify_ok);
+    check_ledger(ed.ledger, {524, 28703, 6}, "expander decomp");
+  }
+  {
+    OverlapDecompParams op;
+    op.budgeted = true;
+    op.certify = true;
+    const OverlapDecompResult od =
+        overlap_expander_decomposition(grid, 0.15, op);
+    // Vertex v's first and second cluster (-1 when absent) at 2v, 2v + 1.
+    std::vector<int> labels(2 * grid.n(), -1);
+    for (int c = 0; c < od.oc.k(); ++c) {
+      for (int v : od.oc.members[c]) labels[2 * v + (labels[2 * v] >= 0)] = c;
+    }
+    const std::vector<int> expected = {
+        0,  -1, 0,  -1, 0,  -1, 0,  8,  1,  8,  1,  -1, 1,  -1, 1,  -1,
+        0,  -1, 0,  -1, 0,  -1, 0,  9,  1,  9,  1,  -1, 1,  -1, 1,  -1,
+        0,  -1, 0,  -1, 0,  -1, 0,  10, 1,  10, 1,  -1, 1,  -1, 1,  13,
+        0,  14, 0,  15, 0,  11, 2,  11, 1,  11, 1,  18, 1,  12, 3,  13,
+        4,  14, 4,  15, 4,  16, 4,  11, 5,  17, 5,  18, 5,  12, 5,  19,
+        4,  -1, 4,  -1, 4,  21, 4,  20, 5,  20, 5,  -1, 5,  23, 5,  24,
+        4,  -1, 4,  21, 6,  21, 6,  22, 5,  22, 5,  23, 7,  23, 7,  24,
+        4,  -1, 4,  25, 6,  25, 6,  26, 5,  26, 5,  27, 7,  27, 7,  -1};
+    CHECK(labels == expected);
+    CHECK(od.oc.k() == 28);
+    CHECK(od.iterations == 2);
+    CHECK(od.uncovered_edges == 7);
+    CHECK(od.clusters_certified == 28);
+    CHECK(od.clusters_estimated == 0);
+    const OverlapQuality q = evaluate_overlap(grid, od);
+    CHECK(q.overlap_c == 2);
+    CHECK(q.base.cut_edges == 7);
+    CHECK(q.base.max_diameter == 5);
+    check_ledger(od.ledger, {607, 32495, 6}, "overlap");
+  }
+  {
+    const expander::PhiReport r = expander::certified_phi(grid_graph(6, 6));
+    CHECK(r.cert.verdict == PhiVerdict::kCutMatching);
+    CHECK(r.game_verdict == expander::CutMatchingVerdict::kCertified);
+    CHECK(r.game_state_bytes == 4896);
+    check_ledger(r.ledger, {715, 58368, 4}, "certified_phi");
+  }
+  {
+    Rng rng(7);
+    const expander::ExpanderSplit sp =
+        expander::expander_split(add_apex(cycle_graph(20)), rng);
+    const expander::RwResult rw = expander::gather_random_walks(sp, 20, 0.1);
+    const std::vector<int> route = {
+        20, 20, 1,  1,  20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
+        20, 20, 20, 20, 20, 20, 20, 5,  20, 9,  8,  20, 20, 20, 20,
+        20, 20, 20, 11, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 13,
+        20, 16, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20};
+    CHECK(rw.route == route);
+    CHECK(rw.rounds == 20);
+    CHECK(rw.schedule.seed == 10305275515898613374ULL);
+    CHECK(rw.schedule.seed_tries == 1);
+    CHECK(rw.schedule.walks == 60);
+    CHECK(rw.walk_length == 208);
+    check_ledger(rw.ledger, {20, 163, 4}, "random walks");
+
+    const expander::LoadBalanceResult lb =
+        expander::gather_load_balance(sp, 20, 0.1);
+    CHECK(lb.rounds == 510);
+    CHECK(lb.outer_iterations == 6);
+    CHECK(lb.max_load == 3);
+    CHECK(lb.splits_used == 3);
+    CHECK(!lb.stalled);
+    check_ledger(lb.ledger, {510, 540, 1}, "load balance");
+  }
+  {
+    Rng rng(7);
+    const Cs22Result cs = cs22_decompose_and_route(grid, 0.8, rng);
+    const std::vector<int> labels = {
+        1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2,
+        1, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 3, 3, 3, 3, 0, 0, 0, 0, 3, 3, 3, 3,
+        0, 0, 0, 0, 3, 3, 3, 3, 0, 0, 0, 0, 3, 3, 3, 3};
+    CHECK(cs.clustering.cluster == labels);
+    CHECK(cs.clustering.k == 4);
+    CHECK(cs.quality.cut_edges == 16);
+    CHECK(cs.quality.max_diameter == 6);
+    CHECK(cs.T_measured == 36);
+    check_ledger(cs.ledger, {37, 8288, 1}, "cs22");
+  }
 }

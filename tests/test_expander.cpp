@@ -209,7 +209,7 @@ TEST_CASE(lb_stalls_without_token_splitting) {
   const LoadBalanceResult r = gather_load_balance(sp, 24, 0.1, p);
   CHECK_MSG(r.delivered_fraction < 0.9, Table::num(r.delivered_fraction, 3));
   CHECK(r.stalled);
-  CHECK(r.outer_iterations == p.max_outer);
+  CHECK(r.outer_iterations == kLoadBalanceMaxOuter);
 }
 
 TEST_CASE(lb_deterministic) {

@@ -450,7 +450,7 @@ TEST_CASE(fuzz_large_cluster_certify) {
   congest::ShardPool pool(3);
   expander::PhiCertParams pc;
   pc.game.phi_target = 0.02;
-  pc.pool = &pool;
+  pc.game.pool = &pool;
   const expander::PhiReport rep = expander::certified_phi(g, pc);
   CHECK_MSG(rep.cert.verdict == PhiVerdict::kCutMatching,
             "large cluster did not certify");
@@ -462,7 +462,7 @@ TEST_CASE(fuzz_large_cluster_certify) {
                     8 * static_cast<std::int64_t>(g.n()) * g.n(),
             "state bytes not sub-quadratic");
   // Pure function of the input: the pooled run equals a serial re-run.
-  pc.pool = nullptr;
+  pc.game.pool = nullptr;
   const expander::PhiReport again = expander::certified_phi(g, pc);
   CHECK(again.cert.phi == rep.cert.phi);
   CHECK(again.game_state_bytes == rep.game_state_bytes);

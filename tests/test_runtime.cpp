@@ -19,6 +19,7 @@
 #include "congest/runtime.hpp"
 #include "decomp/edt.hpp"
 #include "decomp/heavy_stars.hpp"
+#include "decomp/ldd_chop.hpp"
 #include "decomp/ldd_local.hpp"
 #include "decomp/overlap_decomp.hpp"
 #include "graph/generators.hpp"
@@ -311,15 +312,13 @@ TEST_CASE(ldd_local_peak_congestion_bounded) {
 
 TEST_CASE(edt_all_live_phases_have_messages) {
   // Every phase that charges rounds must now carry messages — measured or
-  // envelope — on both chop routes.
+  // envelope — on the local engine and on the chop baseline.
   const Graph g = grid_graph(16, 16);
-  for (const auto chop :
-       {decomp::EdtChop::kLocalContraction, decomp::EdtChop::kGlobalBfs}) {
-    decomp::EdtParams p;
-    p.chop = chop;
-    const decomp::EdtDecomposition edt = decomp::build_edt_decomposition(g, 0.3, p);
-    const std::string ctx =
-        chop == decomp::EdtChop::kGlobalBfs ? "chop" : "local";
+  for (const bool chop : {false, true}) {
+    const decomp::EdtDecomposition edt =
+        chop ? decomp::ldd_global_chop(g, 0.3)
+             : decomp::build_edt_decomposition(g, 0.3);
+    const std::string ctx = chop ? "chop" : "local";
     CHECK_MSG(edt.ledger.total_messages() > 0, ctx);
     CHECK_MSG(edt.ledger.peak_congestion() >= 1, ctx);
     CHECK_MSG(edt.ledger.audit(2 * g.m()).ok,
