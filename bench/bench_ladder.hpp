@@ -1,13 +1,11 @@
 // Solver-ladder CLI surface shared by the application benches (E-MDS,
 // E-MIS, E-Matching/VC, E-MaxCut): --tw_cap caps the width the treewidth-DP
-// tier accepts, --solver forces a tier (auto|tw|bb|greedy), --threads fans
-// the per-cluster solves over a congest::ShardPool. The per-tier cluster
+// tier accepts (0 runs the ladder without it), --threads fans the
+// per-cluster solves over a congest::ShardPool. The per-tier cluster
 // counts and search-effort counters land in both the tables and the JSON
 // metrics so scripts/check_bench_json.py can audit tier coverage offline.
 #pragma once
 
-#include <iostream>
-#include <optional>
 #include <string>
 
 #include "apps/treewidth.hpp"
@@ -16,20 +14,11 @@
 
 namespace mfd::bench {
 
-/// Parse the shared ladder flags and record them as JSON params.
+/// Parse the shared ladder flag and record it as a JSON param.
 inline apps::LadderConfig ladder_from_cli(const Cli& cli, BenchJson& json) {
   apps::LadderConfig ladder;
   ladder.tw_cap = static_cast<int>(cli.get_int("tw_cap", ladder.tw_cap));
-  const std::string solver = cli.get("solver", "auto");
-  const std::optional<apps::SolverMode> mode =
-      apps::solver_mode_from_string(solver);
-  if (!mode) {
-    std::cerr << "warning: --solver '" << solver
-              << "' is not one of auto|tw|bb|greedy; using auto\n";
-  }
-  ladder.mode = mode.value_or(apps::SolverMode::kAuto);
   json.param("tw_cap", static_cast<std::int64_t>(ladder.tw_cap));
-  json.param("solver", std::string(apps::solver_mode_name(ladder.mode)));
   return ladder;
 }
 

@@ -104,11 +104,12 @@ int main(int argc, char** argv) {
     // The tentpole demo: a 12x12 grid treated as ONE cluster. Branch &
     // bound needs minutes here; the width-12 DP (BFS-sweep elimination
     // order, 3^13-state dominating-set kernel) is exact in milliseconds.
+    // The ladder runs with its width gate at 12, so the DP tier must take
+    // the cluster before the exact search is ever tried.
     std::cout << "\n-- treewidth-DP showcase (12x12 grid as one cluster)\n";
     const Graph g = grid_graph(12, 12);
     apps::LadderConfig cfg = ladder;
     cfg.tw_cap = std::max(ladder.tw_cap, 12);
-    cfg.mode = apps::SolverMode::kTreewidth;  // no branch & bound rescue
     apps::TierReport rep;
     const std::vector<int> set = apps::detail::cluster_mds(g, cfg, rep);
     std::vector<char> dominated(g.n(), 0);

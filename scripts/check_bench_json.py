@@ -56,12 +56,12 @@ The four cluster-solver application benches (bench in {"mds", "mis",
 "matching_vc", "maxcut"}) additionally publish the solver-ladder audit
 trail (docs/ARCHITECTURE.md, "The solver ladder"): per-tier cluster counts
 that sum to the cluster count, a DP-width high-water mark within the
---tw_cap gate, and a self-consistent exact-search effort trail. Under
---solver auto or tw, the mis, matching_vc and maxcut representatives are
-chosen so the treewidth-DP tier must fire (tier_tw_dp >= 1); the forced bb
-and greedy modes never run it. mds instead gates its dedicated 12x12-grid
-showcase: solved BY the DP tier, witness dominates every vertex, under
-10 seconds of wall time.
+--tw_cap gate, and a self-consistent exact-search effort trail. Whenever
+the gate admits the DP tier (params.tw_cap > 0), the mis, matching_vc and
+maxcut representatives are chosen so it must fire (tier_tw_dp >= 1);
+--tw_cap 0 is the no-DP ladder. mds instead gates its dedicated
+12x12-grid showcase: solved BY the DP tier, witness dominates every
+vertex, under 10 seconds of wall time.
 """
 import glob
 import json
@@ -327,10 +327,9 @@ def check_ladder(path, doc):
         return fail(path, f"{bench}: metrics.solve_ms invalid ({solve_ms!r})")
     # Exact coverage floors. The mis / matching_vc / maxcut representatives
     # (planar, outerplanar, grid) are chosen so the width gate certifies at
-    # least one cluster whenever the ladder may use it (--solver auto|tw);
+    # least one cluster whenever the gate admits the DP tier (tw_cap > 0);
     # mds gates its dedicated showcase below instead.
-    dp_allowed = params.get("solver", "auto") in ("auto", "tw")
-    if bench != "mds" and dp_allowed and tiers["tier_tw_dp"] < 1:
+    if bench != "mds" and tw_cap > 0 and tiers["tier_tw_dp"] < 1:
         return fail(path, f"{bench}: treewidth-DP tier never fired ({tiers})")
     if bench == "mds":
         for key, lo, hi in (("tw_showcase_via_dp", 1, 1),

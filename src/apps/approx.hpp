@@ -180,14 +180,7 @@ inline std::vector<int> cluster_mis(const Graph& h, const LadderConfig& cfg,
 /// edges), minimum whenever the tier was exact. Same tier report.
 inline std::vector<int> cluster_vc(const Graph& h, const LadderConfig& cfg,
                                    TierReport& rep) {
-  const std::vector<int> mis = cluster_mis(h, cfg, rep);
-  std::vector<char> in_set(h.n(), 0);
-  for (int v : mis) in_set[v] = 1;
-  std::vector<int> out;
-  for (int v = 0; v < h.n(); ++v) {
-    if (!in_set[v]) out.push_back(v);
-  }
-  return out;
+  return vertex_complement(h, cluster_mis(h, cfg, rep));
 }
 
 }  // namespace detail
@@ -196,7 +189,7 @@ inline std::vector<int> cluster_vc(const Graph& h, const LadderConfig& cfg,
 /// alpha is the family's density bound (m <= alpha*n). `pool` fans the
 /// per-cluster ladder solves (detail::solve_clusters: bit-identical at every
 /// thread count); the seam repair is one serial sweep over the cut edges.
-/// `ladder` selects the solver tiers.
+/// `ladder` sets the ladder's width gate.
 inline SetSolution approx_max_independent_set(const Graph& g, double eps,
                                               int alpha,
                                               congest::ShardPool* pool = nullptr,
@@ -268,7 +261,7 @@ inline MatchingSolution approx_max_matching(const Graph& g, double eps,
 /// Corollary 6.4 (cover half): deterministic (1+eps)-approximate minimum
 /// vertex cover — per-cluster ladder covers plus one endpoint per cut edge.
 /// `pool` fans the per-cluster solves; the seam patch is a serial sweep.
-/// `ladder` selects the solver tiers.
+/// `ladder` sets the ladder's width gate.
 inline SetSolution approx_min_vertex_cover(const Graph& g, double eps,
                                            int alpha,
                                            congest::ShardPool* pool = nullptr,

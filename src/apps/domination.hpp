@@ -431,8 +431,8 @@ inline std::vector<int> greedy_dominating_set(const Graph& g) {
 /// dominating set via per-cluster domination on the (ε*, D, T)-decomposition
 /// with eps* = eps / (alpha * (Delta + 1)). `pool` fans the per-cluster
 /// ladder solves (detail::solve_clusters: bit-identical at every thread
-/// count — test_shard gates it); `ladder` selects the solver tiers (the
-/// benches' --tw_cap / --solver knobs).
+/// count — test_shard gates it); `ladder` sets the ladder's width gate
+/// (the benches' --tw_cap).
 inline MdsSolution approx_min_dominating_set(const Graph& g, double eps,
                                              int alpha,
                                              congest::ShardPool* pool = nullptr,

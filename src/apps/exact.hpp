@@ -43,7 +43,7 @@ struct MisResult {
   std::vector<int> set;
 };
 
-/// Search-effort report from a budgeted MIS/VC run: branch nodes explored
+/// Search-effort report from a budgeted MIS run: branch nodes explored
 /// and whether the search finished inside its budget (exact result).
 struct MisSearchReport {
   std::int64_t nodes = 0;
@@ -377,34 +377,25 @@ inline MisResult max_independent_set(const Graph& g, std::int64_t node_budget,
   return out;
 }
 
-/// A minimum vertex cover of g: the complement of a maximum independent set
-/// (König-free exactness — valid on every graph since V \ I covers all
-/// edges and |V| - alpha(G) is optimal).
-inline MisResult min_vertex_cover(const Graph& g) {
-  const MisResult mis = max_independent_set(g);
+/// The sorted complement V \ set of a vertex set of g. The complement of
+/// any independent set covers every edge, so this turns each MIS witness
+/// into a vertex cover — minimum whenever the set was maximum.
+inline std::vector<int> vertex_complement(const Graph& g,
+                                          const std::vector<int>& set) {
   std::vector<char> in_set(g.n(), 0);
-  for (int v : mis.set) in_set[v] = 1;
-  MisResult out;
+  for (int v : set) in_set[v] = 1;
+  std::vector<int> out;
   for (int v = 0; v < g.n(); ++v) {
-    if (!in_set[v]) out.set.push_back(v);
+    if (!in_set[v]) out.push_back(v);
   }
   return out;
 }
 
-/// Budget-bounded vertex cover: complement of the budgeted MIS. The
-/// complement of ANY independent set covers every edge, so the result is a
-/// valid cover even when the search blew its budget (report->exact false —
-/// the cover is then merely not guaranteed minimum).
-inline MisResult min_vertex_cover(const Graph& g, std::int64_t node_budget,
-                                  MisSearchReport* report) {
-  const MisResult mis = max_independent_set(g, node_budget, report);
-  std::vector<char> in_set(g.n(), 0);
-  for (int v : mis.set) in_set[v] = 1;
-  MisResult out;
-  for (int v = 0; v < g.n(); ++v) {
-    if (!in_set[v]) out.set.push_back(v);
-  }
-  return out;
+/// A minimum vertex cover of g: the complement of a maximum independent set
+/// (König-free exactness — valid on every graph since V \ I covers all
+/// edges and |V| - alpha(G) is optimal).
+inline MisResult min_vertex_cover(const Graph& g) {
+  return {vertex_complement(g, max_independent_set(g).set)};
 }
 
 }  // namespace mfd::apps

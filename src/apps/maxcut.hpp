@@ -180,7 +180,7 @@ inline std::vector<char> cluster_cut(const Graph& h, int exact_cap,
 /// gray-code enumeration, parity + flips) and the per-cluster solves fan
 /// over `pool` (detail::solve_clusters: bit-identical at every thread
 /// count); the cluster-flip gain scan is a serial O(m) sweep per pass.
-/// `ladder` selects the solver tiers.
+/// `ladder` sets the ladder's width gate.
 inline CutSolution approx_max_cut(const Graph& g, double eps,
                                   int exact_cap = 24,
                                   congest::ShardPool* pool = nullptr,

@@ -21,13 +21,14 @@
 //     normal form every kernel programs against. Node children always have
 //     smaller ids than their parent, so a plain ascending loop IS the
 //     bottom-up DP order and reconstruction is a top-down stack walk.
-//   * Four DP kernels, each reconstructing a witness (not just a value):
-//     MIS (2^w subset states), MDS (the covered/dominated 3-state encoding:
-//     black = in set, white = must be dominated, gray = no requirement —
-//     monotone tables make the join a 4^w white-split enumeration), VC (the
-//     complement of the MIS kernel, exact on every graph), and max-cut
-//     (side-assignment states; join subtracts the bag-internal cut counted
-//     once per branch).
+//   * Three DP kernels, each reconstructing a witness (not just a value):
+//     MIS and max-cut run one 2^w subset DP (detail::subset_dp — a state
+//     labels each bag vertex in/out of the set, or its cut side) and supply
+//     only their introduce gain and join overlap; MDS uses the
+//     covered/dominated 3-state encoding (black = in set, white = must be
+//     dominated, gray = no requirement — monotone tables make the join a
+//     4^w white-split enumeration). Vertex cover is the complement of the
+//     MIS witness (exact on every graph).
 //
 // Memory contract: DP value tables live only while a parent still needs
 // them (children are consumed in the ascending loop and freed); witnesses
@@ -49,7 +50,6 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -92,26 +92,18 @@ enum class SolveTier : int {
   kForest = 0,       // exact forest/tree DP (or parity sides for max-cut)
   kTreewidthDp = 1,  // width-gated nice-tree-decomposition DP (exact)
   kBranchBound = 2,  // budgeted exact search that finished within budget
-  kGreedy = 3,       // pruned-greedy fallback (budget blown or forced)
+  kGreedy = 3,       // fallback (no exact tier applied or budget blown)
 };
 
-/// Solver selection for the ladder, wired to the benches' --solver flag.
-enum class SolverMode : int {
-  kAuto = 0,        // full ladder: forest -> tw-DP -> B&B -> greedy
-  kTreewidth = 1,   // forest -> tw-DP -> greedy (no B&B rescue)
-  kBranchBound = 2, // the pre-tw ladder: forest -> B&B -> greedy
-  kGreedy = 3,      // greedy tier only (the ratio floor)
-};
-
-/// Per-cluster ladder knobs, the two the benches set (--tw_cap, --solver).
-/// tw_cap is the width gate: the DP runs only when the computed
-/// decomposition width is <= tw_cap. It is HARD-CLAMPED to 13 inside the
-/// ladder — the MDS kernel's tables are 3^(w+1) entries and its join
-/// enumerates 4^(w+1) white-splits, so a generous knob must not silently
-/// ask for gigabytes (same rationale as max_cut's exact_cap clamp).
+/// The ladder's one knob, the benches' --tw_cap: the width gate. The DP
+/// runs only when the computed decomposition width is <= tw_cap, so
+/// tw_cap 0 is the no-DP ladder (forest -> exact search -> greedy). It is
+/// HARD-CLAMPED to 13 inside the ladder — the MDS kernel's tables are
+/// 3^(w+1) entries and its join enumerates 4^(w+1) white-splits, so a
+/// generous knob must not silently ask for gigabytes (same rationale as
+/// max_cut's exact_cap clamp).
 struct LadderConfig {
   int tw_cap = 10;
-  SolverMode mode = SolverMode::kAuto;
 };
 
 /// The B&B tier's node budget (survived nodes before the search gives up).
@@ -152,26 +144,6 @@ inline void accumulate_tier(congest::SolverStats& stats, const TierReport& r) {
     if (r.bb_exact) ++stats.bb_exact_runs;
   }
   stats.solve_ms += r.ms;
-}
-
-inline const char* solver_mode_name(SolverMode m) {
-  switch (m) {
-    case SolverMode::kAuto: return "auto";
-    case SolverMode::kTreewidth: return "tw";
-    case SolverMode::kBranchBound: return "bb";
-    case SolverMode::kGreedy: return "greedy";
-  }
-  return "auto";
-}
-
-/// Parse a --solver flag value; nullopt for a name that is not one of
-/// auto|tw|bb|greedy (bench::ladder_from_cli warns and falls back to auto).
-inline std::optional<SolverMode> solver_mode_from_string(const std::string& s) {
-  if (s == "auto") return SolverMode::kAuto;
-  if (s == "tw") return SolverMode::kTreewidth;
-  if (s == "bb") return SolverMode::kBranchBound;
-  if (s == "greedy") return SolverMode::kGreedy;
-  return std::nullopt;
 }
 
 namespace detail {
@@ -592,7 +564,9 @@ inline NiceTreeDecomposition nice_tree_decomposition(
 /// The ladder's width gate: true iff the cluster is small enough (n <=
 /// kLadderTwMaxN) and the capped decomposition search certifies width <=
 /// the clamped tw_cap; fills `nd` with the nice decomposition the kernels
-/// consume (nd.width is the certified width).
+/// consume (nd.width is the certified width). A cap below 1 declines
+/// without probing: a width-0 cluster is edgeless, and the later tiers
+/// solve edgeless clusters exactly.
 /// The probe passes abort_width = cap + 2 — slack for greedy suboptimality —
 /// and re-checks the final width against the cap, so a wide cluster costs
 /// only the aborted greedy, never a full decomposition.
@@ -600,7 +574,7 @@ inline bool ladder_tw_probe(const Graph& g, const LadderConfig& cfg,
                             NiceTreeDecomposition& nd) {
   if (g.n() > kLadderTwMaxN) return false;
   const int cap = std::min(cfg.tw_cap, 13);  // see LadderConfig::tw_cap
-  if (cap < 0) return false;
+  if (cap < 1) return false;
   const TreeDecomposition td = tree_decomposition(g, cap + 2);
   if (!td.complete || td.width > cap) return false;
   nd = nice_tree_decomposition(td);
@@ -624,11 +598,10 @@ struct LadderSearch {
 ///   search()  the exact search as std::optional<LadderSearch<Sol>>, nullopt
 ///             when it does not apply to this cluster;
 ///   greedy()  the fallback.
-/// Order: greedy when forced (kGreedy), else forest -> width probe (kAuto,
-/// kTreewidth) -> exact search (not under kTreewidth) -> greedy. A search
-/// that blew its budget lands on the greedy tier with the witness it
-/// returned. Fills `rep` with the tier, the certified width when the DP
-/// ran, the search effort when that tier ran, and the wall time.
+/// Order: forest -> width probe -> exact search -> greedy. A search that
+/// blew its budget lands on the greedy tier with the witness it returned.
+/// Fills `rep` with the tier, the certified width when the DP ran, the
+/// search effort when that tier ran, and the wall time.
 template <class Forest, class Tw, class Search, class Greedy>
 auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
                 Forest&& forest, Tw&& tw, Search&& search, Greedy&& greedy) {
@@ -640,24 +613,20 @@ auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
   Sol sol;
   NiceTreeDecomposition nd;
   std::optional<LadderSearch<Sol>> found;
-  if (cfg.mode == SolverMode::kGreedy) {
-    sol = greedy();
-    rep.tier = SolveTier::kGreedy;
-  } else if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
+  if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
     sol = forest();
     rep.tier = SolveTier::kForest;
-  } else if (cfg.mode != SolverMode::kBranchBound &&
-             ladder_tw_probe(h, cfg, nd)) {
+  } else if (ladder_tw_probe(h, cfg, nd)) {
     sol = tw(nd);
     rep.tier = SolveTier::kTreewidthDp;
     rep.width = nd.width;
-  } else if (cfg.mode != SolverMode::kTreewidth && (found = search())) {
+  } else if ((found = search())) {
     sol = std::move(found->sol);
     rep.bb_ran = true;
     rep.bb_exact = found->exact;
     rep.bb_nodes = found->nodes;
     rep.tier = found->exact ? SolveTier::kBranchBound : SolveTier::kGreedy;
-  } else {  // no exact search applies (or kTreewidth past the width gate)
+  } else {  // no exact search applies to this cluster
     sol = greedy();
     rep.tier = SolveTier::kGreedy;
   }
@@ -705,23 +674,35 @@ inline int popcount(unsigned x) {
   return c;
 }
 
-}  // namespace detail
+/// The subset DP's infeasible-state sentinel (far from overflow when two
+/// branch values are summed).
+template <class T>
+inline constexpr T kNeg = std::numeric_limits<T>::min() / 4;
 
-/// Maximum independent set via the 2^w subset DP over a nice decomposition.
-/// Returns the witness set (sorted). Exact on every graph the decomposition
-/// is valid for.
-inline std::vector<int> tw_max_independent_set(
-    const Graph& g, const NiceTreeDecomposition& nd) {
-  if (g.n() == 0 || nd.root < 0) return {};
-  using detail::bag_neighbor_mask;
-  using detail::bag_pos;
-  using detail::insert_bit;
-  using detail::popcount;
-  using detail::remove_bit;
-  constexpr std::int32_t kNeg = std::numeric_limits<std::int32_t>::min() / 4;
+/// The 2^w subset DP over a nice decomposition that MIS and max-cut share:
+/// bit p of a state labels the p-th bag vertex 1 (in the set, or on cut
+/// side 1). The problems supply only
+///   gain(bit, nb, s)     what introducing a vertex labeled `bit` adds in
+///                        parent state s, where nb masks its bag neighbors
+///                        (kNeg<T> forbids the state);
+///   overlap(s, edges)    what both join branches counted under state s,
+///                        given the bag-internal edges as position pairs.
+/// A forget keeps label 1 only on a strict gain. Returns the optimum and
+/// writes the witness labels top-down from the per-forget choice bits.
+template <class T, class Gain, class Overlap>
+T subset_dp(const Graph& g, const NiceTreeDecomposition& nd, Gain&& gain,
+            Overlap&& overlap, std::vector<char>& labels) {
+  labels.assign(g.n(), 0);
+  if (g.n() == 0 || nd.root < 0) return 0;
+  constexpr T kNone = kNeg<T>;
   const int m = static_cast<int>(nd.nodes.size());
-  std::vector<std::vector<std::int32_t>> table(m);
-  std::vector<std::vector<std::uint64_t>> forget_take(m);  // bit: take v
+  std::vector<std::vector<T>> table(m);
+  std::vector<std::vector<std::uint64_t>> forget_one(m);  // bit: label 1
+  const auto release = [&table](int c) {
+    table[c].clear();
+    table[c].shrink_to_fit();
+  };
+  std::vector<std::pair<int, int>> bag_edges;
 
   for (int i = 0; i < m; ++i) {
     const NiceTreeDecomposition::Node& x = nd.nodes[i];
@@ -733,60 +714,62 @@ inline std::vector<int> tw_max_independent_set(
       case NiceTreeDecomposition::kIntroduce: {
         const int p = bag_pos(x.bag, x.vertex);
         const int nb = bag_neighbor_mask(g, x.bag, x.vertex) & ~(1 << p);
-        const std::vector<std::int32_t>& child = table[x.left];
-        table[i].assign(std::size_t{1} << b, kNeg);
+        const std::vector<T>& child = table[x.left];
+        table[i].resize(std::size_t{1} << b);
         for (int s = 0; s < (1 << b); ++s) {
-          const int cs = remove_bit(s, p);
-          if (((s >> p) & 1) == 0) {
-            table[i][s] = child[cs];
-          } else if ((s & nb) == 0 && child[cs] != kNeg) {
-            table[i][s] = child[cs] + 1;
-          }
+          const T c = child[remove_bit(s, p)];
+          const T add = gain((s >> p) & 1, nb, s);
+          table[i][s] = c == kNone || add == kNone ? kNone : c + add;
         }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
+        release(x.left);
         break;
       }
       case NiceTreeDecomposition::kForget: {
         const int p = bag_pos(nd.nodes[x.left].bag, x.vertex);
-        const std::vector<std::int32_t>& child = table[x.left];
-        table[i].assign(std::size_t{1} << b, kNeg);
-        forget_take[i].assign(((std::size_t{1} << b) + 63) / 64, 0);
+        const std::vector<T>& child = table[x.left];
+        table[i].resize(std::size_t{1} << b);
+        forget_one[i].assign(((std::size_t{1} << b) + 63) / 64, 0);
         for (int s = 0; s < (1 << b); ++s) {
-          const int s0 = insert_bit(s, p, 0);
-          const int s1 = insert_bit(s, p, 1);
-          if (child[s1] != kNeg && child[s1] > child[s0]) {
-            table[i][s] = child[s1];
-            forget_take[i][static_cast<std::size_t>(s) / 64] |=
+          const T c0 = child[insert_bit(s, p, 0)];
+          const T c1 = child[insert_bit(s, p, 1)];
+          if (c1 > c0) {
+            table[i][s] = c1;
+            forget_one[i][static_cast<std::size_t>(s) / 64] |=
                 std::uint64_t{1} << (s % 64);
           } else {
-            table[i][s] = child[s0];
+            table[i][s] = c0;
           }
         }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
+        release(x.left);
         break;
       }
       case NiceTreeDecomposition::kJoin: {
-        const std::vector<std::int32_t>& a = table[x.left];
-        const std::vector<std::int32_t>& c = table[x.right];
-        table[i].assign(std::size_t{1} << b, kNeg);
-        for (int s = 0; s < (1 << b); ++s) {
-          if (a[s] != kNeg && c[s] != kNeg) {
-            table[i][s] = a[s] + c[s] - popcount(static_cast<unsigned>(s));
+        bag_edges.clear();
+        for (int pi = 0; pi < b; ++pi) {
+          for (int w : g.neighbors(x.bag[pi])) {
+            const auto it = std::lower_bound(x.bag.begin(), x.bag.end(), w);
+            if (it != x.bag.end() && *it == w) {
+              const int pj = static_cast<int>(it - x.bag.begin());
+              if (pi < pj) bag_edges.emplace_back(pi, pj);
+            }
           }
         }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
-        table[x.right].clear();
-        table[x.right].shrink_to_fit();
+        const std::vector<T>& a = table[x.left];
+        const std::vector<T>& c = table[x.right];
+        table[i].resize(std::size_t{1} << b);
+        for (int s = 0; s < (1 << b); ++s) {
+          table[i][s] = a[s] == kNone || c[s] == kNone
+                            ? kNone
+                            : a[s] + c[s] - overlap(s, bag_edges);
+        }
+        release(x.left);
+        release(x.right);
         break;
       }
     }
   }
 
   // Top-down witness reconstruction from the root (empty bag, state 0).
-  std::vector<char> in_set(g.n(), 0);
   std::vector<std::pair<int, int>> stack = {{nd.root, 0}};
   while (!stack.empty()) {
     const auto [i, s] = stack.back();
@@ -797,14 +780,14 @@ inline std::vector<int> tw_max_independent_set(
         break;
       case NiceTreeDecomposition::kIntroduce: {
         const int p = bag_pos(x.bag, x.vertex);
-        if ((s >> p) & 1) in_set[x.vertex] = 1;
+        labels[x.vertex] = static_cast<char>((s >> p) & 1);
         stack.emplace_back(x.left, remove_bit(s, p));
         break;
       }
       case NiceTreeDecomposition::kForget: {
         const int p = bag_pos(nd.nodes[x.left].bag, x.vertex);
         const int bit = static_cast<int>(
-            (forget_take[i][static_cast<std::size_t>(s) / 64] >> (s % 64)) & 1);
+            (forget_one[i][static_cast<std::size_t>(s) / 64] >> (s % 64)) & 1);
         stack.emplace_back(x.left, insert_bit(s, p, bit));
         break;
       }
@@ -814,23 +797,31 @@ inline std::vector<int> tw_max_independent_set(
         break;
     }
   }
+  return table[nd.root][0];
+}
+
+}  // namespace detail
+
+/// Maximum independent set via the subset DP: an introduce may take its
+/// vertex only when no bag neighbor is taken, and a join subtracts the
+/// bag vertices both branches took. Returns the witness set (sorted).
+/// Exact on every graph the decomposition is valid for.
+inline std::vector<int> tw_max_independent_set(
+    const Graph& g, const NiceTreeDecomposition& nd) {
+  constexpr std::int32_t kNone = detail::kNeg<std::int32_t>;
+  std::vector<char> in_set;
+  detail::subset_dp<std::int32_t>(
+      g, nd,
+      [](int bit, int nb, int s) -> std::int32_t {
+        return bit == 0 ? 0 : (s & nb) == 0 ? 1 : kNone;
+      },
+      [](int s, const std::vector<std::pair<int, int>>& /*bag_edges*/) {
+        return detail::popcount(static_cast<unsigned>(s));
+      },
+      in_set);
   std::vector<int> out;
   for (int v = 0; v < g.n(); ++v) {
     if (in_set[v]) out.push_back(v);
-  }
-  return out;
-}
-
-/// Minimum vertex cover: the complement of the MIS kernel's witness (exact
-/// on every graph — |V| - alpha(G) is optimal and V \ I covers all edges).
-inline std::vector<int> tw_min_vertex_cover(const Graph& g,
-                                            const NiceTreeDecomposition& nd) {
-  const std::vector<int> mis = tw_max_independent_set(g, nd);
-  std::vector<char> in_set(g.n(), 0);
-  for (int v : mis) in_set[v] = 1;
-  std::vector<int> out;
-  for (int v = 0; v < g.n(); ++v) {
-    if (!in_set[v]) out.push_back(v);
   }
   return out;
 }
@@ -1061,125 +1052,24 @@ struct TwCut {
   std::vector<char> side;
 };
 
-/// Maximum cut via the 2^w side-assignment DP. Every edge is counted at the
-/// introduce of its later endpoint; joins subtract the bag-internal cut
-/// that both branches counted once each.
+/// Maximum cut via the subset DP over side assignments. Every edge is
+/// counted at the introduce of its later endpoint; joins subtract the
+/// bag-internal cut that both branches counted once each.
 inline TwCut tw_max_cut(const Graph& g, const NiceTreeDecomposition& nd) {
   TwCut out;
-  out.side.assign(g.n(), 0);
-  if (g.n() == 0 || nd.root < 0) return out;
-  using detail::bag_neighbor_mask;
-  using detail::bag_pos;
-  using detail::insert_bit;
-  using detail::popcount;
-  using detail::remove_bit;
-  const int m = static_cast<int>(nd.nodes.size());
-  std::vector<std::vector<std::int64_t>> table(m);
-  std::vector<std::vector<std::uint64_t>> forget_one(m);  // bit: v on side 1
-
-  for (int i = 0; i < m; ++i) {
-    const NiceTreeDecomposition::Node& x = nd.nodes[i];
-    const int b = static_cast<int>(x.bag.size());
-    switch (x.kind) {
-      case NiceTreeDecomposition::kLeaf:
-        table[i] = {0};
-        break;
-      case NiceTreeDecomposition::kIntroduce: {
-        const int p = bag_pos(x.bag, x.vertex);
-        const int nb = bag_neighbor_mask(g, x.bag, x.vertex) & ~(1 << p);
-        const std::vector<std::int64_t>& child = table[x.left];
-        table[i].assign(std::size_t{1} << b, 0);
-        for (int s = 0; s < (1 << b); ++s) {
-          const int cs = remove_bit(s, p);
-          const int gain = ((s >> p) & 1)
-                               ? popcount(static_cast<unsigned>(nb & ~s))
-                               : popcount(static_cast<unsigned>(nb & s));
-          table[i][s] = child[cs] + gain;
+  out.cut_edges = detail::subset_dp<std::int64_t>(
+      g, nd,
+      [](int bit, int nb, int s) -> std::int64_t {
+        return detail::popcount(static_cast<unsigned>(nb & (bit ? ~s : s)));
+      },
+      [](int s, const std::vector<std::pair<int, int>>& bag_edges) {
+        std::int64_t bag_cut = 0;
+        for (const auto& [pi, pj] : bag_edges) {
+          bag_cut += ((s >> pi) ^ (s >> pj)) & 1;
         }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
-        break;
-      }
-      case NiceTreeDecomposition::kForget: {
-        const int p = bag_pos(nd.nodes[x.left].bag, x.vertex);
-        const std::vector<std::int64_t>& child = table[x.left];
-        table[i].assign(std::size_t{1} << b, 0);
-        forget_one[i].assign(((std::size_t{1} << b) + 63) / 64, 0);
-        for (int s = 0; s < (1 << b); ++s) {
-          const std::int64_t c0 = child[insert_bit(s, p, 0)];
-          const std::int64_t c1 = child[insert_bit(s, p, 1)];
-          if (c1 > c0) {
-            table[i][s] = c1;
-            forget_one[i][static_cast<std::size_t>(s) / 64] |=
-                std::uint64_t{1} << (s % 64);
-          } else {
-            table[i][s] = c0;
-          }
-        }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
-        break;
-      }
-      case NiceTreeDecomposition::kJoin: {
-        // Bag-internal edges were counted once per branch — subtract one
-        // copy of the bag cut under each state.
-        std::vector<std::pair<int, int>> bag_edges;
-        for (int pi = 0; pi < b; ++pi) {
-          for (int w : g.neighbors(x.bag[pi])) {
-            const auto it = std::lower_bound(x.bag.begin(), x.bag.end(), w);
-            if (it != x.bag.end() && *it == w) {
-              const int pj = static_cast<int>(it - x.bag.begin());
-              if (pi < pj) bag_edges.emplace_back(pi, pj);
-            }
-          }
-        }
-        const std::vector<std::int64_t>& a = table[x.left];
-        const std::vector<std::int64_t>& c = table[x.right];
-        table[i].assign(std::size_t{1} << b, 0);
-        for (int s = 0; s < (1 << b); ++s) {
-          std::int64_t bag_cut = 0;
-          for (const auto& [pi, pj] : bag_edges) {
-            bag_cut += ((s >> pi) ^ (s >> pj)) & 1;
-          }
-          table[i][s] = a[s] + c[s] - bag_cut;
-        }
-        table[x.left].clear();
-        table[x.left].shrink_to_fit();
-        table[x.right].clear();
-        table[x.right].shrink_to_fit();
-        break;
-      }
-    }
-  }
-  out.cut_edges = table[nd.root][0];
-
-  std::vector<std::pair<int, int>> stack = {{nd.root, 0}};
-  while (!stack.empty()) {
-    const auto [i, s] = stack.back();
-    stack.pop_back();
-    const NiceTreeDecomposition::Node& x = nd.nodes[i];
-    switch (x.kind) {
-      case NiceTreeDecomposition::kLeaf:
-        break;
-      case NiceTreeDecomposition::kIntroduce: {
-        const int p = bag_pos(x.bag, x.vertex);
-        out.side[x.vertex] = static_cast<char>((s >> p) & 1);
-        stack.emplace_back(x.left, remove_bit(s, p));
-        break;
-      }
-      case NiceTreeDecomposition::kForget: {
-        const int p = bag_pos(nd.nodes[x.left].bag, x.vertex);
-        const int bit = static_cast<int>(
-            (forget_one[i][static_cast<std::size_t>(s) / 64] >> (s % 64)) & 1);
-        stack.emplace_back(x.left, insert_bit(s, p, bit));
-        break;
-      }
-      case NiceTreeDecomposition::kJoin:
-        stack.emplace_back(x.left, s);
-        stack.emplace_back(x.right, s);
-        break;
-    }
-  }
+        return bag_cut;
+      },
+      out.side);
   return out;
 }
 

@@ -20,8 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/graph.hpp"
-
 namespace mfd::congest {
 
 struct ColeVishkinResult {
@@ -100,13 +98,6 @@ inline ColeVishkinResult cole_vishkin_3color_forest(
   out.color.assign(n, 0);
   for (int v = 0; v < n; ++v) out.color[v] = static_cast<int>(c[v]);
   return out;
-}
-
-/// Graph-flavored entry point (the forest must be a subgraph of g; only
-/// g.n() is consulted — the algorithm communicates along parent edges only).
-inline ColeVishkinResult cole_vishkin_3color(const Graph& g,
-                                             const std::vector<int>& parent) {
-  return cole_vishkin_3color_forest(g.n(), parent);
 }
 
 }  // namespace mfd::congest

@@ -94,12 +94,6 @@ inline std::uint64_t rw_mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   return z ^ (z >> 31);
 }
 
-inline int ceil_log2(int x) {
-  int bits = 0;
-  while ((1LL << bits) < x) ++bits;
-  return std::max(bits, 1);
-}
-
 /// The part-local walking arena: intra-part adjacency with directed slot ids
 /// for per-round congestion counting, and the walk population (one walk per
 /// intra-part edge endpoint, proportionally subsampled above the cap).
@@ -374,7 +368,7 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   detail::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
-  out.schedule.domain_bits = detail::ceil_log2(sp.g.n());
+  out.schedule.domain_bits = congest::ceil_log2(sp.g.n());
   if (arena.population == 0 || arena.start.empty()) {
     out.delivered_fraction = 1.0;
     return out;
@@ -473,7 +467,7 @@ inline std::vector<RwResult> gather_random_walks_shared(
     r.schedule.seed = best_seed;
     r.schedule.seed_tries = tries;
     r.schedule.walks = static_cast<int>(arenas[i].start.size());
-    r.schedule.domain_bits = detail::ceil_log2(sps[i]->g.n());
+    r.schedule.domain_bits = congest::ceil_log2(sps[i]->g.n());
     r.shard_messages = std::move(best[i].shard_messages);
     r.ledger.charge("walk rounds", best[i].walk_rounds, best[i].moves,
                     best[i].peak_load);

@@ -120,7 +120,7 @@ inline expander::RwResult gather_random_walks_serial(
   ed::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
-  out.schedule.domain_bits = ed::ceil_log2(sp.g.n());
+  out.schedule.domain_bits = congest::ceil_log2(sp.g.n());
   if (arena.population == 0 || arena.start.empty()) {
     out.delivered_fraction = 1.0;
     return out;

@@ -86,11 +86,3 @@ TEST_CASE(cv_deterministic) {
   CHECK(a.color == b.color);
   CHECK(a.rounds == b.rounds);
 }
-
-TEST_CASE(cv_graph_overload) {
-  const int n = 256;
-  const Graph g = path_graph(n);
-  const auto parent = path_parents(n);
-  const auto cv = congest::cole_vishkin_3color(g, parent);
-  check_proper(parent, cv, "graph overload");
-}

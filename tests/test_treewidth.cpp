@@ -2,9 +2,11 @@
 // on every generator family, structural width bounds (outerplanar and
 // series-parallel are partial 2-trees, so the degree-2 greedy certifies
 // width <= 2; every min-degree vertex of a k-tree is simplicial, so k-trees
-// certify width == k), and the differential sweeps the ISSUE pins: all four
-// DP kernels against bitmask brute force on <= 20-vertex graphs, and
-// against the exact B&B / tree-DP baselines on mid-size forests and grids.
+// certify width == k), the differential sweeps: the three DP kernels (and
+// the cover complementing the MIS witness) against bitmask brute force on
+// <= 20-vertex graphs and against the exact B&B / tree-DP baselines on
+// mid-size forests and grids, the ladder's tier accounting under its width
+// gate, and golden outputs of the laddered solvers and subset-DP kernels.
 // Every draw derives from a fixed seed, so failures reproduce from the
 // printed context string.
 #include <algorithm>
@@ -266,20 +268,12 @@ TEST_CASE(tw_probe_aborts_on_wide_clusters) {
   const TreeDecomposition full = tree_decomposition(k9);
   CHECK(full.complete);
   CHECK(full.width == 8);
-  // Mode strings round-trip (the benches' --solver flag).
-  CHECK(solver_mode_from_string("tw") == SolverMode::kTreewidth);
-  CHECK(solver_mode_from_string("bb") == SolverMode::kBranchBound);
-  CHECK(solver_mode_from_string("greedy") == SolverMode::kGreedy);
-  CHECK(solver_mode_from_string("auto") == SolverMode::kAuto);
-  // A mistyped name is reported, not silently read as auto.
-  CHECK(!solver_mode_from_string("tww").has_value());
-  CHECK(!solver_mode_from_string("").has_value());
-  CHECK(std::string(solver_mode_name(SolverMode::kTreewidth)) == "tw");
 }
 
 TEST_CASE(tw_dp_matches_bruteforce_small) {
-  // All four kernels against bitmask brute force on <= 20-vertex connected
-  // graphs: optimal VALUE equal, and every witness valid.
+  // The three kernels (and the cover complementing the MIS witness)
+  // against bitmask brute force on <= 20-vertex connected graphs: optimal
+  // VALUE equal, and every witness valid.
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const Graph g = small_connected(seed);
     const std::string ctx = "seed=" + std::to_string(seed) +
@@ -293,7 +287,7 @@ TEST_CASE(tw_dp_matches_bruteforce_small) {
     CHECK_MSG(is_independent(g, mis), ctx);
     CHECK_MSG(static_cast<int>(mis.size()) == alpha, ctx + " alpha");
 
-    const std::vector<int> vc = tw_min_vertex_cover(g, nd);
+    const std::vector<int> vc = vertex_complement(g, mis);
     CHECK_MSG(is_vertex_cover(g, vc), ctx);
     CHECK_MSG(static_cast<int>(vc.size()) == g.n() - alpha, ctx + " vc");
 
@@ -325,7 +319,7 @@ TEST_CASE(tw_dp_matches_bb_midsize) {
     CHECK_MSG(is_dominating(g, mds), ctx);
     CHECK_MSG(mds.size() == min_dominating_set(g).set.size(), ctx + " mds");
 
-    const std::vector<int> vc = tw_min_vertex_cover(g, nd);
+    const std::vector<int> vc = vertex_complement(g, mis);
     CHECK_MSG(is_vertex_cover(g, vc), ctx);
     CHECK_MSG(vc.size() == min_vertex_cover(g).set.size(), ctx + " vc");
 
@@ -361,8 +355,8 @@ TEST_CASE(tw_dp_matches_bb_midsize) {
 
 TEST_CASE(tw_ladder_tier_accounting) {
   // The rewired app solvers: per-tier cluster counts sum to the cluster
-  // total, solver modes steer the ladder, and every mode still produces a
-  // valid solution with a clean audit.
+  // total, the width gate steers the ladder, and every gate still produces
+  // a valid solution with a clean audit.
   Rng rng(0xC0FFEE);
   const Graph g = make_family("planar", 150, rng);
   const auto tier_sum = [](const congest::SolverStats& s) {
@@ -386,16 +380,14 @@ TEST_CASE(tw_ladder_tier_accounting) {
   CHECK(tier_sum(cut.stats) == cut.stats.clusters);
   CHECK(cut.value == side_cut(g, cut.side));
 
-  // Forced modes, checked on every laddered solver (they share one ladder):
-  // greedy puts every cluster on the greedy tier; tw disables the B&B tier;
-  // bb (the legacy ladder) never runs the DP. A width gate of 2 leaves some
-  // clusters past it, where tw mode must fall to greedy, not to B&B.
-  for (const SolverMode mode : {SolverMode::kGreedy, SolverMode::kTreewidth,
-                                SolverMode::kBranchBound}) {
+  // The width gate, checked on every laddered solver (they share one
+  // ladder): tw_cap 0 is the no-DP ladder; tw_cap 2 leaves some cluster
+  // past the gate, where the exact search or greedy must take it. Either
+  // way every solution stays valid and the tiers still sum to the clusters.
+  for (const int tw_cap : {0, 2}) {
     LadderConfig cfg;
-    cfg.mode = mode;
-    cfg.tw_cap = 2;
-    const std::string ctx = solver_mode_name(mode);
+    cfg.tw_cap = tw_cap;
+    const std::string ctx = "tw_cap " + std::to_string(tw_cap);
     const MdsSolution fmds = approx_min_dominating_set(g, 0.3, 3, nullptr, cfg);
     CHECK_MSG(is_dominating(g, fmds.vertices), ctx + ": mds");
     const SetSolution fmis =
@@ -405,10 +397,6 @@ TEST_CASE(tw_ladder_tier_accounting) {
     CHECK_MSG(is_vertex_cover(g, fvc.vertices), ctx + ": vc");
     const CutSolution fcut = approx_max_cut(g, 0.3, 24, nullptr, cfg);
     CHECK_MSG(fcut.value == side_cut(g, fcut.side), ctx + ": cut");
-    if (mode == SolverMode::kGreedy) {
-      // The greedy ladder can only be looser than the full one.
-      CHECK(fmds.vertices.size() >= mds.vertices.size());
-    }
     for (const auto& [name, st] :
          {std::pair<std::string, const congest::SolverStats*>{"mds",
                                                                &fmds.stats},
@@ -417,18 +405,11 @@ TEST_CASE(tw_ladder_tier_accounting) {
           {"cut", &fcut.stats}}) {
       const std::string at = ctx + ": " + name;
       CHECK_MSG(tier_sum(*st) == st->clusters, at + " tier sum");
-      switch (mode) {
-        case SolverMode::kGreedy:
-          CHECK_MSG(st->tier_greedy == st->clusters, at + " all greedy");
-          CHECK_MSG(st->bb_runs == 0, at + " no B&B");
-          break;
-        case SolverMode::kTreewidth:
-          CHECK_MSG(st->tier_bb == 0 && st->bb_runs == 0, at + " no B&B");
-          CHECK_MSG(st->tier_greedy > 0, at + " a cluster past the gate");
-          break;
-        default:
-          CHECK_MSG(st->tier_tw_dp == 0, at + " no DP");
-          break;
+      if (tw_cap == 0) {
+        CHECK_MSG(st->tier_tw_dp == 0, at + " no DP");
+      } else {
+        CHECK_MSG(st->tier_bb + st->tier_greedy > 0,
+                  at + " a cluster past the gate");
       }
     }
   }
@@ -444,4 +425,109 @@ TEST_CASE(tw_ladder_tier_accounting) {
   CHECK_MSG(omds.stats.tier_tw_dp > 0, "outerplanar clusters hit the DP tier");
   CHECK(omds.stats.max_width_dp >= 1);
   CHECK(omds.stats.max_width_dp <= 2);
+}
+
+namespace {
+
+/// FNV-1a over a witness (vertex ids or side labels): one integer that pins
+/// the exact set, not just its size.
+template <class T>
+std::uint64_t witness_hash(const std::vector<T>& xs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const T x : xs) {
+    h ^= static_cast<std::uint64_t>(x);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST_CASE(golden_ladder_outputs) {
+  // Integer outputs only (so g++ and clang++ agree): any change to a tier
+  // rule, a tie break, a budget or a DP kernel shows up here as a diff.
+  // pipebench's apps-grid-36 instance (36x36 grid, eps 0.5, alpha 3,
+  // exact_cap 24) reaches all four tiers at the default ladder.
+  const Graph grid = grid_graph(36, 36);
+  struct LadderPin {
+    std::int64_t value;  // set size, or cut value
+    std::uint64_t hash;  // witness_hash of the set or the side labels
+    std::int64_t forest, tw_dp, bb, greedy, bb_runs, bb_nodes, rounds,
+        messages;
+  };
+  const auto check_pin = [](const congest::SolverStats& s,
+                            std::int64_t value, std::uint64_t hash,
+                            const LadderPin& pin, const std::string& ctx) {
+    CHECK_MSG(value == pin.value, ctx + ": value " + std::to_string(value));
+    CHECK_MSG(hash == pin.hash, ctx + ": hash " + std::to_string(hash));
+    CHECK_MSG(s.tier_forest == pin.forest && s.tier_tw_dp == pin.tw_dp &&
+                  s.tier_bb == pin.bb && s.tier_greedy == pin.greedy,
+              ctx + ": tiers F" + std::to_string(s.tier_forest) + "/TW" +
+                  std::to_string(s.tier_tw_dp) + "/BB" +
+                  std::to_string(s.tier_bb) + "/G" +
+                  std::to_string(s.tier_greedy));
+    CHECK_MSG(s.bb_runs == pin.bb_runs,
+              ctx + ": bb_runs " + std::to_string(s.bb_runs));
+    CHECK_MSG(s.bb_nodes == pin.bb_nodes,
+              ctx + ": bb_nodes " + std::to_string(s.bb_nodes));
+    CHECK_MSG(s.total_rounds == pin.rounds,
+              ctx + ": rounds " + std::to_string(s.total_rounds));
+    CHECK_MSG(s.runtime.total_messages() == pin.messages,
+              ctx + ": messages " +
+                  std::to_string(s.runtime.total_messages()));
+  };
+  const MdsSolution mds = approx_min_dominating_set(grid, 0.5, 3);
+  check_pin(mds.stats, static_cast<std::int64_t>(mds.vertices.size()),
+            witness_hash(mds.vertices),
+            {319, 15817117964885487425ULL, 1, 0, 0, 2, 2, 500002, 777,
+             1855370},
+            "mds");
+  const SetSolution mis = approx_max_independent_set(grid, 0.5, 3);
+  check_pin(mis.stats, static_cast<std::int64_t>(mis.vertices.size()),
+            witness_hash(mis.vertices),
+            {647, 6728079492165562438ULL, 1, 0, 1, 1, 2, 260582, 829,
+             2112411},
+            "mis");
+  const SetSolution vc = approx_min_vertex_cover(grid, 0.5, 3);
+  check_pin(vc.stats, static_cast<std::int64_t>(vc.vertices.size()),
+            witness_hash(vc.vertices),
+            {665, 10581222738619758585ULL, 3, 3, 1, 2, 3, 510563, 559,
+             1289604},
+            "vc");
+  const CutSolution cut = approx_max_cut(grid, 0.5, 24);
+  check_pin(cut.stats, cut.value, witness_hash(cut.side),
+            {2451, 11648113101282111554ULL, 38, 43, 0, 0, 0, 0, 188, 508637},
+            "cut");
+
+  // The subset-DP kernels' witnesses on fixed instances of width 2, 3, 10.
+  struct KernelPin {
+    std::string name;
+    Graph g;
+    int width;
+    std::size_t mis_size;
+    std::uint64_t mis_hash;
+    std::int64_t cut;
+    std::uint64_t cut_hash;
+  };
+  Rng rng(0x601DE);
+  Graph outerplanar = make_family("outerplanar", 80, rng);
+  Graph ktree = make_family("ktree3", 80, rng);
+  const KernelPin kernels[] = {
+      {"outerplanar", std::move(outerplanar), 2, 33, 5354237802716423904ULL,
+       114, 14471530108512737532ULL},
+      {"ktree3", std::move(ktree), 3, 40, 1488473169794790540ULL, 166,
+       5780511813885903741ULL},
+      {"grid 10x11", grid_graph(10, 11), 10, 55, 385130528863505838ULL, 199,
+       11079561265738207088ULL}};
+  for (const KernelPin& pin : kernels) {
+    const NiceTreeDecomposition nd =
+        nice_tree_decomposition(tree_decomposition(pin.g));
+    CHECK_MSG(nd.width == pin.width, pin.name + ": width");
+    const std::vector<int> set = tw_max_independent_set(pin.g, nd);
+    CHECK_MSG(set.size() == pin.mis_size, pin.name + ": mis size");
+    CHECK_MSG(witness_hash(set) == pin.mis_hash, pin.name + ": mis hash");
+    const TwCut tc = tw_max_cut(pin.g, nd);
+    CHECK_MSG(tc.cut_edges == pin.cut, pin.name + ": cut");
+    CHECK_MSG(witness_hash(tc.side) == pin.cut_hash, pin.name + ": cut hash");
+  }
 }
