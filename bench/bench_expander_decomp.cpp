@@ -6,19 +6,20 @@
 //     c = O(log 1/ε).
 //
 // We sweep ε, build both objects (Observation 3.1 pipeline and the §4.2
-// overlap algorithm), and report measured cut fraction, certified
-// conductance (exact for tiny clusters, Cheeger λ2/2 otherwise), and the
-// overlap c — next to the paper's formula value for the same ε. The
-// bandwidth audit section prints the per-phase rounds x messages x
-// peak-congestion breakdown and fails the run on a Runtime::audit()
-// violation; the overlap table also exercises the budgeted per-level cut
-// (enforced halving) and its evaluate_overlap audit.
+// overlap algorithm), certify every emitted cluster with certify_parts, and
+// report measured cut fraction, the certified conductance lower bound (exact
+// or cut-matching) next to the Cheeger λ2/2 estimate, and the overlap c —
+// next to the paper's formula value for the same ε. The bandwidth audit
+// section prints the per-phase rounds x messages x peak-congestion breakdown
+// and fails the run on a Runtime::audit() violation; the overlap table also
+// exercises the budgeted per-level cut (enforced halving) and its
+// evaluate_overlap audit.
 #include <chrono>
 #include <cmath>
-#include "decomp/clustering.hpp"
 
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
+#include "decomp/clustering.hpp"
 #include "decomp/expander_decomp.hpp"
 #include "decomp/overlap_decomp.hpp"
 
@@ -54,51 +55,53 @@ int main(int argc, char** argv) {
   std::cout << g.summary() << "\n\n";
 
   {
-    // certify=true engages the three-tier audit: every emitted cluster is
-    // re-certified through expander/cut_matching.hpp::certified_phi, so the
-    // "phi lower" column is a SOUND bound (exact or replayed cut-matching
-    // certificate) wherever "certified" covers the cluster count, and the
-    // "phi estimate" column is the old heuristic Cheeger/exact value for
-    // comparison. An inconsistent certificate fails the bench.
+    // certify_parts re-certifies every emitted cluster through
+    // expander/cut_matching.hpp::certified_phi, so the "phi lower" column is
+    // a SOUND bound (exact or replayed cut-matching certificate) wherever
+    // "certified" covers the cluster count, and the "phi estimate" column is
+    // the heuristic Cheeger/exact value for comparison. An inconsistent
+    // certificate fails the bench. The ledger below is the construction's
+    // followed by the certification's.
     Table t({"eps", "eps measured", "phi target", "phi lower (certified)",
              "phi estimate", "certified", "estimated", "clusters",
              "messages"});
     for (double eps : {0.6, 0.5, 0.4}) {
-      decomp::ExpanderDecompParams xp;
-      xp.certify = true;
       const decomp::ExpanderDecomp ed =
-          decomp::expander_decomposition_minor_free(g, eps, xp);
+          decomp::expander_decomposition_minor_free(g, eps);
+      const decomp::PartCertifyReport rep =
+          decomp::certify_parts(g, decomp::cluster_members(ed.clustering));
+      congest::Runtime ledger = ed.ledger;
+      ledger.absorb(rep.ledger);
       const decomp::ClusterQuality q = decomp::evaluate_clustering(g, ed.clustering);
-      if (!ed.certify_ok) {
+      if (!rep.ok) {
         std::cerr << "expander decomp certify audit FAILED at eps=" << eps
                   << "\n";
         return 1;
       }
       t.add_row({Table::num(eps, 2), Table::num(q.eps_fraction, 3),
                  Table::num(ed.phi_target, 4),
-                 Table::num(ed.min_phi_lower, 4),
-                 Table::num(ed.min_phi_estimate, 4),
-                 Table::integer(ed.clusters_certified),
-                 Table::integer(ed.clusters_estimated),
+                 Table::num(rep.min_phi_lower, 4),
+                 Table::num(rep.min_phi_estimate, 4),
+                 Table::integer(rep.clusters_certified),
+                 Table::integer(rep.clusters_estimated),
                  Table::integer(ed.clustering.k),
-                 Table::integer(ed.ledger.total_messages())});
+                 Table::integer(ledger.total_messages())});
       if (eps == 0.5) {
-        print_phase_table(std::cout, ed.ledger,
+        print_phase_table(std::cout, ledger,
                           "(eps, phi) pipeline, eps = 0.5 on " + family);
-        check_runtime_audit(ed.ledger, 2 * g.m(), "expander decomp eps=0.5");
-        json.phases(ed.ledger, 2 * g.m());
+        check_runtime_audit(ledger, 2 * g.m(), "expander decomp eps=0.5");
+        json.phases(ledger, 2 * g.m());
         json.metric("eps_target", eps);
         json.metric("eps_measured", q.eps_fraction);
         json.metric("phi_target", ed.phi_target);
-        json.metric("phi_certified", ed.min_certified_phi);
         json.metric("clusters", static_cast<std::int64_t>(ed.clustering.k));
-        json.metric("phi_certified_lower", ed.min_phi_lower);
-        json.metric("phi_estimate_min", ed.min_phi_estimate);
+        json.metric("phi_certified_lower", rep.min_phi_lower);
+        json.metric("phi_estimate_min", rep.min_phi_estimate);
         json.metric("clusters_certified",
-                    static_cast<std::int64_t>(ed.clusters_certified));
+                    static_cast<std::int64_t>(rep.clusters_certified));
         json.metric("clusters_estimated",
-                    static_cast<std::int64_t>(ed.clusters_estimated));
-        json.metric("certify_ok", static_cast<std::int64_t>(ed.certify_ok));
+                    static_cast<std::int64_t>(rep.clusters_estimated));
+        json.metric("certify_ok", static_cast<std::int64_t>(rep.ok));
       }
     }
     std::cout << "-- (eps, phi) expander decomposition (Observation 3.1)\n"
@@ -114,22 +117,26 @@ int main(int argc, char** argv) {
     for (double eps : {0.5, 0.35, 0.25, 0.15}) {
       decomp::OverlapDecompParams op;
       op.budgeted = true;  // enforce the per-level halving, don't just measure
-      op.certify = true;   // re-certify every support in the final family
       const decomp::OverlapDecompResult od =
           decomp::overlap_expander_decomposition(g, eps, op);
       const decomp::OverlapQuality q = decomp::evaluate_overlap(g, od);
-      check_runtime_audit(od.ledger, 2 * g.m(),
+      // Re-certify every support in the final family.
+      const decomp::PartCertifyReport rep =
+          decomp::certify_parts(g, od.oc.members);
+      congest::Runtime ledger = od.ledger;
+      ledger.absorb(rep.ledger, "certify: ");
+      check_runtime_audit(ledger, 2 * g.m(),
                           "overlap eps=" + Table::num(eps, 2));
-      if (!od.certify_ok) {
+      if (!rep.ok) {
         std::cerr << "overlap certify audit FAILED at eps=" << eps << "\n";
         return 1;
       }
       t.add_row({Table::num(eps, 2), Table::num(q.base.eps_fraction, 3),
                  Table::integer(q.overlap_c),
                  Table::num(std::log2(1.0 / eps) + 1, 1),
-                 Table::num(od.min_phi_lower, 4),
-                 Table::integer(od.clusters_certified),
-                 Table::integer(od.clusters_estimated),
+                 Table::num(rep.min_phi_lower, 4),
+                 Table::integer(rep.clusters_certified),
+                 Table::integer(rep.clusters_estimated),
                  Table::integer(od.iterations),
                  q.level_budget_ok ? "ok" : "VIOLATED"});
       if (!q.level_budget_ok) {
@@ -147,22 +154,19 @@ int main(int argc, char** argv) {
     // triangulation is a global expander at loose eps (see the family note
     // above), so decomposing it at eps = 0.5 leaves clusters far above the
     // old 1024-vertex game cap — exactly the regime the O(n)-state engine
-    // exists for. The decomposition runs WITHOUT certify; certify_parts then
-    // re-certifies the emitted clusters twice — serial reference vs fanned
-    // over a ShardPool — and the two reports must agree bit-for-bit (the
-    // pooled fold runs in cluster order, so any disagreement is a bug).
+    // exists for. certify_parts certifies the emitted clusters twice —
+    // serial reference vs fanned over a ShardPool — and the two reports must
+    // agree bit-for-bit (the pooled fold runs in cluster order, so any
+    // disagreement is a bug).
     const int n_scale =
         static_cast<int>(cli.get_int("certify_n", cli.has("smoke") ? 512 : 2048));
     const int threads = static_cast<int>(cli.get_int("threads", 0));  // 0 = hw
     Rng rng_scale(cli.get_int("seed", 4) + 1);
     const Graph big = make_family("planar", n_scale, rng_scale);
-    decomp::ExpanderDecompParams xp;
     const decomp::ExpanderDecomp ed =
-        decomp::expander_decomposition_minor_free(big, 0.5, xp);
-    std::vector<std::vector<int>> members(ed.clustering.k);
-    for (int v = 0; v < big.n(); ++v) {
-      members[ed.clustering.cluster[v]].push_back(v);
-    }
+        decomp::expander_decomposition_minor_free(big, 0.5);
+    const std::vector<std::vector<int>> members =
+        decomp::cluster_members(ed.clustering);
     expander::PhiCertParams pc;
     // Pin the matching player's target low: a low target means high edge
     // capacities, so the flows saturate and the game certifies instead of

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         json.metric("captured_fraction",
                     static_cast<double>(hs.captured_weight) /
                         static_cast<double>(hs.total_weight));
-        json.metric("messages", hs.messages);
+        json.metric("messages", hs.ledger.total_messages());
       }
       t.add_row({c.family, Table::integer(g.n()), Table::integer(c.alpha),
                  weighted ? "random[1,100]" : "unit",
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
                  Table::num(1.0 / (8.0 * c.alpha), 3),
                  Table::integer(hs.cv_rounds),
                  Table::integer(hs.max_marked_depth),
-                 Table::integer(hs.messages),
-                 Table::num(static_cast<double>(hs.messages) /
+                 Table::integer(hs.ledger.total_messages()),
+                 Table::num(static_cast<double>(hs.ledger.total_messages()) /
                                 static_cast<double>(std::max<std::int64_t>(
                                     cg.m(), 1)),
                             1)});

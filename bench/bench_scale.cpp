@@ -2,7 +2,8 @@
 // sizes (congest/shard.hpp).
 //
 // Claims this harness measures:
-//   * correctness — the sharded Theorem 1.1 pipeline is BIT-IDENTICAL to the
+//   * correctness — the sharded Theorem 1.1 pipeline (build_edt_decomposition,
+//     the configuration every caller ships) is BIT-IDENTICAL to the
 //     serial reference at every size (clusterings, cut edges, per-phase
 //     ledger entries, Runtime::audit totals, all five quality fields of the
 //     pooled evaluate_clustering) — the run aborts on the first
@@ -26,7 +27,7 @@
 
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
-#include "decomp/ldd_local.hpp"
+#include "decomp/edt.hpp"
 #include "expander/rw_routing.hpp"
 #include "graph/ops.hpp"
 
@@ -115,21 +116,22 @@ int main(int argc, char** argv) {
       Rng rng(seed);
       const Graph g = make_family(family, static_cast<int>(size), rng);
       const auto t_serial = std::chrono::steady_clock::now();
-      const decomp::LocalLdd serial = decomp::ldd_minor_free_local(g, eps);
+      const decomp::EdtDecomposition serial =
+          decomp::build_edt_decomposition(g, eps);
       const double serial_ms = wall_ms_since(t_serial);
 
-      decomp::LocalLddParams sp;
+      decomp::EdtParams sp;
       sp.pool = &pool;
       const auto t_sharded = std::chrono::steady_clock::now();
-      const decomp::LocalLdd sharded =
-          decomp::ldd_minor_free_local(g, eps, sp);
+      const decomp::EdtDecomposition sharded =
+          decomp::build_edt_decomposition(g, eps, sp);
       const double sharded_ms = wall_ms_since(t_sharded);
 
       const std::string ctx = family + " n=" + std::to_string(g.n());
       // The equivalence gate: a sharded engine that diverges from the serial
       // reference in ANY observable fails the bench before any timing ships.
       if (serial.clustering.cluster != sharded.clustering.cluster ||
-          serial.cut_edges != sharded.cut_edges ||
+          serial.T_measured != sharded.T_measured ||
           !same_charges(serial.ledger, sharded.ledger) ||
           !same_quality(serial.quality, sharded.quality)) {
         std::cerr << "sharded/serial DIVERGENCE (" << ctx << ")\n";

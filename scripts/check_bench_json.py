@@ -30,8 +30,8 @@ equal walk_messages_merged — the offline proof that the per-shard meters
 merged to the serial totals (docs/ARCHITECTURE.md, "The bandwidth model").
 
 bench_expander_decomp (bench == "expander_decomp") additionally publishes
-the certified-vs-estimated conductance split from the cut-matching certify
-audit (docs/ARCHITECTURE.md, "Conductance certification"): certify_ok must
+the certified-vs-estimated conductance split of its certify_parts reports
+(docs/ARCHITECTURE.md, "Conductance certification"): certify_ok must
 be 1, the certified/estimated cluster counts must be non-negative, sum to
 the cluster count, and cover at least one cluster, and both phi columns
 must be genuine conductances in [0, 1].

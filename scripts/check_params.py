@@ -12,9 +12,13 @@ of each member on the way) or a designated initializer
 `Struct{.field = ...}`. A field no caller ever assigns is a constant in
 disguise: make it an `inline constexpr` next to its one use instead.
 
+The "N structs with M fields remain" sentence in docs/ARCHITECTURE.md
+must state the counts found here, so the documented surface cannot drift
+from the code.
+
 Offline and build-free: plain regular expressions over comment- and
-string-stripped sources. Exit code 1 lists the unset fields; 0 means every
-field has a setter.
+string-stripped sources. Exit code 1 lists the unset fields or the stale
+sentence; 0 means every field has a setter and the sentence is current.
 """
 import os
 import re
@@ -30,6 +34,8 @@ ASSIGN = re.compile(
     r"(?<![\w.>])([A-Za-z_]\w*)((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)"
     r"\s*(?:<<|>>|[-+*/%|&^])?=(?!=)")
 DESIGNATED = re.compile(r"\.\s*([A-Za-z_]\w*)\s*=(?!=)")
+DOC = os.path.join("docs", "ARCHITECTURE.md")
+DOC_COUNT = re.compile(r"(\d+)\s+structs\s+with\s+(\d+)\s+fields\s+remain")
 
 
 def strip_noise(text):
@@ -188,12 +194,24 @@ def main():
             print("  %-24s %s" % (f, where or "UNSET"))
     print("%d structs, %d fields, %d set outside their header, %d unset"
           % (len(structs), total, total - unset, unset))
+    status = 0
     if unset:
         print("check_params: %d field(s) are assigned nowhere outside their "
               "declaring header; make them named constants" % unset,
               file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    doc = open(os.path.join(root, DOC), encoding="utf-8").read()
+    stated = DOC_COUNT.search(doc)
+    if stated is None:
+        print("check_params: %s lost its \"N structs with M fields remain\" "
+              "sentence" % DOC, file=sys.stderr)
+        status = 1
+    elif (int(stated.group(1)), int(stated.group(2))) != (len(structs), total):
+        print("check_params: %s says %s structs with %s fields, the sources "
+              "have %d with %d" % (DOC, stated.group(1), stated.group(2),
+                                   len(structs), total), file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -79,10 +79,7 @@ inline AppDecomposition decompose_for_app(const Graph& g, double eps_star,
                                           congest::SolverStats& stats) {
   AppDecomposition out;
   out.edt = decomp::build_edt_decomposition(g, eps_star);
-  out.members.resize(out.edt.clustering.k);
-  for (int v = 0; v < g.n(); ++v) {
-    out.members[out.edt.clustering.cluster[v]].push_back(v);
-  }
+  out.members = decomp::cluster_members(out.edt.clustering);
   {
     congest::ChargeScope edt_scope(stats.runtime, "edt");
     edt_scope.absorb(out.edt.ledger);

@@ -50,6 +50,15 @@ struct Clustering {
   }
 };
 
+/// The vertices of each cluster, ascending: members[id] for id in [0, k).
+inline std::vector<std::vector<int>> cluster_members(const Clustering& c) {
+  std::vector<std::vector<int>> members(static_cast<std::size_t>(c.k));
+  for (int v = 0; v < static_cast<int>(c.cluster.size()); ++v) {
+    members[static_cast<std::size_t>(c.cluster[v])].push_back(v);
+  }
+  return members;
+}
+
 /// Measured quality of a Clustering, as produced by evaluate_clustering.
 ///
 /// Units: eps_fraction is dimensionless (cut edges / m); max_diameter is in
@@ -125,6 +134,28 @@ inline void group_members(const std::vector<int>& cluster, int k,
   off[0] = 0;
 }
 
+/// Edges of g whose endpoints carry different labels. A lent pool shards
+/// the vertices into one contiguous range per thread; the per-range counts
+/// fold in range order, so the total is the same at every thread count.
+inline std::int64_t count_cut_edges(const Graph& g,
+                                    const std::vector<int>& label,
+                                    congest::ShardPool* pool) {
+  const int tasks = pool != nullptr ? pool->threads() : 1;
+  std::vector<std::int64_t> cuts(static_cast<std::size_t>(tasks), 0);
+  congest::parallel_ranges(pool, g.n(), tasks, [&](int lo, int hi, int task) {
+    std::int64_t local = 0;
+    for (int u = lo; u < hi; ++u) {
+      for (int v : g.neighbors(u)) {
+        if (u < v && label[u] != label[v]) ++local;
+      }
+    }
+    cuts[static_cast<std::size_t>(task)] = local;
+  });
+  std::int64_t cut = 0;
+  for (std::int64_t x : cuts) cut += x;
+  return cut;
+}
+
 }  // namespace detail
 
 /// The sampled-eccentricity estimator's probes per large cluster.
@@ -151,19 +182,7 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
   ClusterQuality q;
   const int n = g.n();
   const int threads = pool != nullptr ? pool->threads() : 1;
-  {
-    std::vector<std::int64_t> cuts(static_cast<std::size_t>(threads), 0);
-    congest::parallel_ranges(pool, n, threads, [&](int lo, int hi, int task) {
-      std::int64_t local = 0;
-      for (int u = lo; u < hi; ++u) {
-        for (int v : g.neighbors(u)) {
-          if (u < v && c.cluster[u] != c.cluster[v]) ++local;
-        }
-      }
-      cuts[static_cast<std::size_t>(task)] = local;
-    });
-    for (std::int64_t x : cuts) q.cut_edges += x;
-  }
+  q.cut_edges = detail::count_cut_edges(g, c.cluster, pool);
   q.eps_fraction = g.m() == 0 ? 0.0
                               : static_cast<double>(q.cut_edges) /
                                     static_cast<double>(g.m());

@@ -8,8 +8,10 @@
 // (Θ(√n) on a grid), is the separate baseline decomp/ldd_chop.hpp that
 // bench_ldd and the ablation bench grade this engine against.
 //
-// The lent EdtParams::pool parallelizes the contraction's per-round vertex
-// work; results are identical for every thread count.
+// EdtParams and EdtDecomposition are declared next to the engine in
+// decomp/ldd_local.hpp. The lent EdtParams::pool parallelizes the
+// contraction's per-round vertex work; results are identical for every
+// thread count.
 //
 // The engine meets the hard ε cut budget deterministically. The ledger
 // charges simulated rounds: the O(log* n / ε) preprocessing term, the
@@ -23,43 +25,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "congest/runtime.hpp"
-#include "congest/shard.hpp"
 #include "decomp/clustering.hpp"
 #include "decomp/ldd_local.hpp"
 #include "graph/graph.hpp"
 
 namespace mfd::decomp {
-
-/// Theorem 1.1 offers two T tradeoffs: kOverlapRouting multiplies the cluster
-/// diameter by a log Δ factor, kPolylogRouting pays an additive
-/// polylog(Δ, 1/ε) term instead.
-enum class EdtVariant { kPolylogRouting, kOverlapRouting };
-
-/// Knobs of build_edt_decomposition.
-struct EdtParams {
-  EdtVariant variant = EdtVariant::kPolylogRouting;
-  // Optional lent pool, forwarded to LocalLddParams::pool. Results are
-  // bit-identical for every thread count (gated by tests/test_shard.cpp).
-  congest::ShardPool* pool = nullptr;
-};
-
-/// Output of build_edt_decomposition (Theorem 1.1 / Corollary 6.1) and of
-/// the ldd_global_chop baseline. Invariants the tests pin down: clustering
-/// partitions V into connected clusters, quality.eps_fraction <= eps (hard
-/// budget, deterministic), quality.max_diameter = O(1/eps) in BFS hops,
-/// ledger totals simulated CONGEST rounds, and the whole construction is
-/// deterministic.
-struct EdtDecomposition {
-  Clustering clustering;
-  ClusterQuality quality;
-  congest::Runtime ledger;  // phase-attributed simulated CONGEST rounds
-  int T_measured = 0;  // measured routing time (rounds) of the chosen variant
-  int iterations = 0;  // contraction iterations (chop passes for the chop)
-  int merges = 0;      // star merges (light-link merges for the chop)
-};
 
 namespace detail {
 
@@ -103,15 +75,8 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
   detail::charge_edt_preprocess(out.ledger, g, eps);
   // The eccentricity guard 2*w keeps the strong diameter <= 4*w, the chop
   // baseline's D = O(1/eps) constant regime.
-  LocalLddParams lp;
-  lp.ecc_cap = 2 * detail::edt_band_width(eps);
-  lp.pool = params.pool;
-  LocalLdd local = ldd_minor_free_local(g, eps, lp);
-  out.ledger.absorb(local.ledger);
-  out.clustering = std::move(local.clustering);
-  out.quality = local.quality;
-  out.iterations = local.iterations;
-  out.merges = local.merges;
+  detail::contract_heavy_stars(g, eps, 2 * detail::edt_band_width(eps), params,
+                               out);
   detail::charge_edt_routing(out, g, eps, params.variant);
   return out;
 }

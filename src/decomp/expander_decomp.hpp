@@ -7,9 +7,10 @@
 // is run through the expander/ sweep-split machinery at
 // φ = Ω(ε / (log 1/ε + log Δ)) — low-diameter minor-free clusters are
 // already expanders at that scale, so the split stage rarely cuts anything
-// and the total cut stays near ε/2·m. Every final cluster carries a
-// conductance certificate from graph/metrics.hpp::phi_certificate (exact
-// for tiny clusters, Cheeger-estimate otherwise).
+// and the total cut stays near ε/2·m. The construction certifies nothing
+// itself: a caller that needs φ evidence runs certify_parts (below) on the
+// emitted clusters, the one certification path of both decomposition
+// engines.
 //
 // Determinism: the split stage seeds its Fiedler probes from a fixed
 // published constant hashed with the cluster id — no Rng flows in, so the
@@ -37,47 +38,22 @@
 
 namespace mfd::decomp {
 
-struct ExpanderDecompParams {
-  // Audit mode: re-certify every emitted cluster through the three-tier
-  // expander/cut_matching.hpp::certified_phi (exact / cut-matching game /
-  // Cheeger), fail loudly on an inconsistent certificate, and charge the
-  // games' CONGEST cost into the ledger. Off by default — the games cost
-  // real wall time per cluster, so this is a bench/test gate, not a
-  // construction cost. A caller that wants the audit pooled runs
-  // certify_parts on the clustering itself.
-  bool certify = false;
-};
-
 struct ExpanderDecomp {
   Clustering clustering;
-  double phi_target = 0.0;        // Ω(eps / (log 1/eps + log Δ))
-  double min_certified_phi = 1.0; // min per-cluster certificate
-  congest::Runtime ledger;        // phase-attributed simulated CONGEST rounds
-  int clusters_split = 0;         // EDT clusters the split stage had to cut
-  // Honest certified-vs-estimated split of the per-cluster conductance
-  // evidence. A cluster is "certified" when its verdict is a sound lower
-  // bound (exact enumeration, trivial/disconnected convention, or a replayed
-  // cut-matching certificate under params.certify) and "estimated" when only
-  // the Cheeger heuristic spoke. min_phi_lower is the worst certified bound
-  // (1.0 when no cluster certified); min_phi_estimate the worst estimate
-  // across ALL clusters. certify_ok is the params.certify audit verdict —
-  // always true when the audit did not run.
-  int clusters_certified = 0;
-  int clusters_estimated = 0;
-  double min_phi_lower = 1.0;
-  double min_phi_estimate = 1.0;
-  bool certify_ok = true;
+  double phi_target = 0.0;  // Ω(eps / (log 1/eps + log Δ))
+  congest::Runtime ledger;  // phase-attributed simulated CONGEST rounds
+  int clusters_split = 0;   // EDT clusters the split stage had to cut
 };
 
 /// Re-certify a family of vertex sets (the emitted clusters of either
 /// decomposition engine) through the three-tier certified_phi, checking each
 /// certificate against its own witnessed upper bound. A certified lower
 /// bound exceeding the witnessed cut is impossible for a sound certificate,
-/// so it fails loudly (stderr + ok = false) — this is the `certify` audit
-/// mode of both engines and the bench gate. The ledger aggregates the games'
-/// CONGEST cost into one measured phase (rounds summed — the clusters are
-/// disjoint in the partition case but may overlap for the overlap object, so
-/// summing is the conservative schedule; congestion is the per-game peak).
+/// so it fails loudly (stderr + ok = false) — the one certification path
+/// of both engines' output and the bench gate. The ledger aggregates the
+/// games' CONGEST cost into one measured phase (rounds summed — the clusters
+/// are disjoint in the partition case but may overlap for the overlap object,
+/// so summing is the conservative schedule; congestion is the per-game peak).
 struct PartCertifyReport {
   bool ok = true;
   std::string violation;  // first failure, empty when ok
@@ -170,8 +146,8 @@ inline double minor_free_phi_target(double eps, int max_degree) {
          (4.0 * (std::log2(1.0 / eps) + std::log2(max_degree + 2.0) + 1.0));
 }
 
-inline ExpanderDecomp expander_decomposition_minor_free(
-    const Graph& g, double eps, ExpanderDecompParams params = {}) {
+inline ExpanderDecomp expander_decomposition_minor_free(const Graph& g,
+                                                        double eps) {
   ExpanderDecomp out;
   out.phi_target = minor_free_phi_target(eps, g.max_degree());
 
@@ -186,15 +162,11 @@ inline ExpanderDecomp expander_decomposition_minor_free(
   }
 
   // Split every EDT cluster at phi_target; parts become final clusters.
-  std::vector<std::vector<int>> members(edt.clustering.k);
-  for (int v = 0; v < g.n(); ++v) {
-    members[edt.clustering.cluster[v]].push_back(v);
-  }
+  const std::vector<std::vector<int>> members = cluster_members(edt.clustering);
   out.clustering.cluster.assign(g.n(), 0);
   int next_id = 0;
   std::int64_t max_split_rounds = 0;
   std::int64_t split_msgs = 0;
-  std::vector<std::vector<int>> final_members;  // global ids, certify input
   SweepPartitionParams sp;
   sp.phi_target = out.phi_target;
   sp.power_iters = kSplitPowerIters;
@@ -205,27 +177,9 @@ inline ExpanderDecomp expander_decomposition_minor_free(
         sp);
     if (parts.parts.size() > 1) ++out.clusters_split;
     for (const auto& part : parts.parts) {
-      // Exact certification overrides the sweep bound on tiny parts; on the
-      // rest the sweep certificate and the Cheeger estimate cross-check.
-      const InducedSubgraph psub = induced_subgraph(sub.graph, part.verts);
-      const PhiCertificate cert =
-          phi_certificate(psub.graph, kExactPhiCap, kSplitPowerIters);
-      const double phi = cert.exact ? cert.phi : std::min(part.cert, cert.phi);
-      if (phi < out.min_certified_phi) out.min_certified_phi = phi;
-      out.min_phi_estimate = std::min(out.min_phi_estimate, cert.phi);
-      if (cert.certified_lower()) {
-        ++out.clusters_certified;
-        out.min_phi_lower = std::min(out.min_phi_lower, cert.phi);
-      } else {
-        ++out.clusters_estimated;
-      }
-      std::vector<int> global;
-      global.reserve(part.verts.size());
       for (int local : part.verts) {
         out.clustering.cluster[sub.to_parent[local]] = next_id;
-        global.push_back(sub.to_parent[local]);
       }
-      if (params.certify) final_members.push_back(std::move(global));
       ++next_id;
     }
     // Each split level costs kSplitPowerIters averaging rounds + an
@@ -245,19 +199,6 @@ inline ExpanderDecomp expander_decomposition_minor_free(
   out.clustering.k = next_id;
   out.ledger.charge("split: fiedler sweeps (max over clusters)",
                     max_split_rounds, split_msgs, split_msgs > 0 ? 1 : 0);
-  if (params.certify) {
-    // Re-certify every emitted cluster with the cut-matching tier engaged;
-    // the game-backed tallies REPLACE the cheap default tallies above (the
-    // audit mode's whole point is upgrading estimated clusters to certified
-    // ones), and its CONGEST cost lands in the ledger like any other phase.
-    const PartCertifyReport rep = certify_parts(g, final_members);
-    out.clusters_certified = rep.clusters_certified;
-    out.clusters_estimated = rep.clusters_estimated;
-    out.min_phi_lower = rep.min_phi_lower;
-    out.min_phi_estimate = rep.min_phi_estimate;
-    out.certify_ok = rep.ok;
-    out.ledger.absorb(rep.ledger);
-  }
   return out;
 }
 

@@ -48,16 +48,13 @@ struct HeavyStarsResult {
   std::int64_t captured_weight = 0;  // weight of marked-tree edges
   std::int64_t total_weight = 0;     // weight of all edges
   int cv_rounds = 0;                 // Cole–Vishkin rounds (O(log* n))
-  int rounds = 0;                    // total simulated rounds incl. cv_rounds
   int max_marked_depth = 0;          // deepest marked tree (Lemma 4.3: <= 4)
-  // Measured bandwidth per phase (ledger.total() == rounds):
+  // Measured bandwidth per phase (ledger.total() == 3 + cv_rounds):
   //   pointing          1 round, 1 pointer id per directed edge;
   //   cole-vishkin      cv rounds, 1 color per pointer-forest edge per round;
   //   bipartition vote  1 round, the six class sums per forest edge;
   //   star formation    1 round, 1 bit-decision per kept edge.
   congest::Runtime ledger;
-  std::int64_t messages = 0;        // == ledger.total_messages()
-  std::int64_t max_congestion = 0;  // == ledger.peak_congestion()
 };
 
 /// Sharded when given a pool: the per-vertex phases (pointing, rooting,
@@ -224,9 +221,6 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   out.ledger.charge("bipartition vote", 1, 6 * forest_edges,
                     forest_edges > 0 ? 6 : 0);
   out.ledger.charge("star formation", 1, kept_edges, kept_edges > 0 ? 1 : 0);
-  out.rounds = 1 + out.cv_rounds + 2;
-  out.messages = out.ledger.total_messages();
-  out.max_congestion = out.ledger.peak_congestion();
   return out;
 }
 

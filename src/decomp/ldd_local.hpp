@@ -1,5 +1,8 @@
 // Theorem 1.1 LOCAL pipeline: iterated heavy-stars contraction with a
-// diameter guard — the replacement for the global-BFS chop.
+// diameter guard — the engine of build_edt_decomposition (decomp/edt.hpp),
+// which runs it at the guard 2w (w = detail::edt_band_width(ε)), and the
+// replacement for the global-BFS chop. This header also declares the
+// EdtParams / EdtDecomposition types that entry point takes and returns.
 //
 // The global chop pays its BFS depth in simulated rounds every pass, which
 // on a √n-diameter grid makes construction cost Θ(√n). This pipeline never
@@ -22,7 +25,9 @@
 // edges remain cut (a hard budget, like the chop's). If the guard ever
 // blocks every merge while the budget is unmet, ecc_cap doubles — the
 // escape hatch that guarantees termination on adversarial instances (the
-// bench families never trigger it at the default cap).
+// bench families never trigger it at the 2w guard). Each doubling leaves a
+// zero-round "stalled, ecc-cap doubled" marker in the ledger, so the final
+// diameter bound 2*ecc_cap*2^(stalls) can be read off the result.
 //
 // Rounds charged per iteration: the heavy-stars rounds (pointing +
 // Cole–Vishkin + star formation) plus 2*ecc_cap for the intra-cluster
@@ -39,7 +44,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -54,6 +58,40 @@
 #include "graph/weighted.hpp"
 
 namespace mfd::decomp {
+
+/// Theorem 1.1 offers two T tradeoffs: kOverlapRouting multiplies the cluster
+/// diameter by a log Δ factor, kPolylogRouting pays an additive
+/// polylog(Δ, 1/ε) term instead.
+enum class EdtVariant { kPolylogRouting, kOverlapRouting };
+
+/// Knobs of build_edt_decomposition (decomp/edt.hpp).
+struct EdtParams {
+  EdtVariant variant = EdtVariant::kPolylogRouting;
+  // Optional lent pool: partitions the per-iteration work (cluster-graph
+  // rows, heavy-stars phases, relabel sweep, cut recount, per-cluster
+  // designee BFS) and the final evaluate_clustering across its threads.
+  // Results are bit-identical to the inline run (nullptr) for every thread
+  // count (gated by tests/test_shard.cpp); only wall time changes.
+  congest::ShardPool* pool = nullptr;
+  // Hard cap on contraction iterations; the eps budget normally stops the
+  // loop first. Tests lower it to read every intermediate clustering.
+  int max_iterations = 100;
+};
+
+/// Output of build_edt_decomposition (Theorem 1.1 / Corollary 6.1) and of
+/// the ldd_global_chop baseline. Invariants the tests pin down: clustering
+/// partitions V into connected clusters, quality.eps_fraction <= eps (hard
+/// budget, deterministic), quality.max_diameter = O(1/eps) in BFS hops,
+/// ledger totals simulated CONGEST rounds, and the whole construction is
+/// deterministic.
+struct EdtDecomposition {
+  Clustering clustering;
+  ClusterQuality quality;
+  congest::Runtime ledger;  // phase-attributed simulated CONGEST rounds
+  int T_measured = 0;  // measured routing time (rounds) of the chosen variant
+  int iterations = 0;  // contraction iterations (chop passes for the chop)
+  int merges = 0;      // star merges (light-link merges for the chop)
+};
 
 namespace detail {
 
@@ -144,39 +182,14 @@ inline WeightedGraph contract_clusters(const Graph& g,
   return WeightedGraph(k, std::move(offsets), std::move(arcs));
 }
 
-}  // namespace detail
-
-struct LocalLddParams {
-  // Eccentricity guard: clusters never exceed this certified radius, so the
-  // strong diameter stays <= 2*ecc_cap. 0 derives ceil(4/eps).
-  int ecc_cap = 0;
-  int max_iterations = 100;  // hard cap; the eps budget normally stops first
-  // Optional lent pool: partitions the per-iteration work (cluster-graph
-  // rows, heavy-stars phases, relabel sweep, cut recount, per-cluster
-  // designee BFS) and the final evaluate_clustering across its threads.
-  // Results are bit-identical to the inline run (nullptr) for every thread
-  // count; only wall time changes.
-  congest::ShardPool* pool = nullptr;
-};
-
-struct LocalLdd {
-  Clustering clustering;
-  ClusterQuality quality;
-  congest::Runtime ledger;
-  int iterations = 0;       // heavy-stars contraction iterations run
-  int merges = 0;           // accepted cluster merges (marked-tree edges)
-  int cv_rounds_total = 0;  // Cole–Vishkin rounds summed over iterations
-  int ecc_cap_final = 0;    // cap after any doublings (== initial normally)
-  std::int64_t cut_edges = 0;
-};
-
-inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
-                                     LocalLddParams params = {}) {
-  LocalLdd out;
+/// The guarded heavy-stars contraction of g down to at most eps*m cut edges,
+/// under the eccentricity guard cap (doubled on a stall). Appends one
+/// "heavy-stars iter N: ..." group of charges per iteration to out.ledger
+/// and fills out.clustering, out.quality, out.iterations and out.merges.
+inline void contract_heavy_stars(const Graph& g, double eps, int cap,
+                                 const EdtParams& params,
+                                 EdtDecomposition& out) {
   const int n = g.n();
-  int cap = params.ecc_cap > 0
-                ? params.ecc_cap
-                : std::max(2, static_cast<int>(std::ceil(4.0 / eps)));
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
@@ -197,7 +210,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   std::vector<int> dense_of(n, -1), cid(n), rep;
   std::vector<int> order, head, next_in;   // marked-tree children buckets
   std::vector<int> dist(n, -1);  // shared BFS scratch (clusters are disjoint)
-  detail::ContractScratch contract_scratch;
+  ContractScratch contract_scratch;
   while (cut > allowance && out.iterations < params.max_iterations) {
     rep.clear();
     for (int v = 0; v < n; ++v) {
@@ -211,10 +224,9 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     for (int r : rep) dense_of[r] = -1;
     const int k = static_cast<int>(rep.size());
     const WeightedGraph cg =
-        detail::contract_clusters(g, cid, k, pool, contract_scratch);
+        contract_clusters(g, cid, k, pool, contract_scratch);
     const HeavyStarsResult hs = heavy_stars(cg, pool);
     ++out.iterations;
-    out.cv_rounds_total += hs.cv_rounds;
     // All of this iteration's charges close into the ledger under one
     // "heavy-stars iter N: " prefix — the heavy-stars phases verbatim, then
     // the measured merge/re-measure sweep below.
@@ -300,20 +312,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
       });
       for (std::int64_t m2 : msgs) sweep_msgs += m2;
     }
-    cut = 0;
-    {
-      std::vector<std::int64_t> cuts(static_cast<std::size_t>(tasks), 0);
-      congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
-        std::int64_t local = 0;
-        for (int u = lo; u < hi; ++u) {
-          for (int v : g.neighbors(u)) {
-            if (u < v && label[u] != label[v]) ++local;
-          }
-        }
-        cuts[static_cast<std::size_t>(task)] = local;
-      });
-      for (std::int64_t c2 : cuts) cut += c2;
-    }
+    cut = count_cut_edges(g, label, pool);
     // One BFS per cluster from its designee. Clusters are vertex-disjoint,
     // so concurrent cluster BFSes share the dist array without racing: a
     // BFS only touches dist[w2] when label[w2] == its own cluster root, and
@@ -388,13 +387,12 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
                  sweep_msgs > 0 ? 1 : 0);
   }
 
-  out.ecc_cap_final = cap;
-  out.cut_edges = cut;
   out.clustering.cluster = std::move(label);
   out.clustering.k = n;
   out.clustering.compact();
   out.quality = evaluate_clustering(g, out.clustering, {}, pool);
-  return out;
 }
+
+}  // namespace detail
 
 }  // namespace mfd::decomp

@@ -31,7 +31,9 @@
 // evaluate_overlap audits all three guarantees on the finished object. Its
 // support conductances come from graph/metrics.hpp::phi_certificate: exact
 // supports (at most kExactPhiCap vertices) fold into min_support_phi_lower,
-// Cheeger estimates of larger ones into min_support_phi_estimate.
+// Cheeger estimates of larger ones into min_support_phi_estimate. Sound
+// bounds for the large supports come from certify_parts(g, result.oc.members)
+// (decomp/expander_decomp.hpp), which runs the cut-matching game on each.
 #pragma once
 
 #include <algorithm>
@@ -65,12 +67,6 @@ struct OverlapDecompParams {
   // appending the retry clusters; a level that still overshoots lands in
   // OverlapDecompResult::budget_violations.
   bool budgeted = false;
-  // Audit mode: after the ladder finishes, re-certify every cluster support
-  // in the family through certify_parts (three-tier certified_phi, with the
-  // cut-matching game above the exact cap) and fail loudly on an
-  // inconsistent certificate — see the matching flag on ExpanderDecompParams.
-  // This certifies the FINAL overlap object; it does not alter construction.
-  bool certify = false;
 };
 
 /// Surgical retries a budgeted level may run before it is recorded as a
@@ -93,14 +89,6 @@ struct OverlapDecompResult {
   // that met their budget first try).
   std::vector<int> level_retries;
   std::vector<int> budget_violations;
-  // Certified-vs-estimated split of the per-support conductance evidence,
-  // populated only under OverlapDecompParams::certify (same semantics as the
-  // ExpanderDecomp fields; certify_ok stays true when the audit did not run).
-  int clusters_certified = 0;
-  int clusters_estimated = 0;
-  double min_phi_lower = 1.0;
-  double min_phi_estimate = 1.0;
-  bool certify_ok = true;
 };
 
 inline OverlapDecompResult overlap_expander_decomposition(
@@ -212,16 +200,6 @@ inline OverlapDecompResult overlap_expander_decomposition(
     uncovered = std::move(still);
   }
   out.uncovered_edges = static_cast<std::int64_t>(uncovered.size());
-  if (params.certify) {
-    congest::ChargeScope scope(out.ledger, "certify");
-    const PartCertifyReport rep = certify_parts(g, out.oc.members);
-    out.clusters_certified = rep.clusters_certified;
-    out.clusters_estimated = rep.clusters_estimated;
-    out.min_phi_lower = rep.min_phi_lower;
-    out.min_phi_estimate = rep.min_phi_estimate;
-    out.certify_ok = rep.ok;
-    scope.absorb(rep.ledger);
-  }
   return out;
 }
 

@@ -56,14 +56,12 @@ struct LoadBalanceResult {
 inline LoadBalanceResult gather_load_balance(const ExpanderSplit& sp,
                                              int v_star, double f,
                                              LoadBalanceParams p = {}) {
-  // kPhiFloor clamps the certificate in the schedule formula; kRoundCap is
-  // the simulation's safety cap.
-  constexpr double kPhiFloor = 0.02;
+  // kRoundCap is the simulation's safety cap.
   constexpr std::int64_t kRoundCap = 200000;
   LoadBalanceResult out;
   const int pid = sp.part_of(v_star);
   const std::vector<int>& verts = sp.members[pid];
-  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], kPhiFloor));
+  const double phi = sp.routing_phi(pid);
   f = std::min(std::max(f, 1e-9), 1.0);
 
   // Local state: one slot per part vertex; v* mass counts as delivered.

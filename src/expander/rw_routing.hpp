@@ -40,11 +40,10 @@
 
 namespace mfd::expander {
 
-/// The walk's fixed constants: the stay-put probability per round, the
-/// clamp for the certificate in the length formula, and the published
-/// origin of the seed search.
+/// The walk's fixed constants: the stay-put probability per round and the
+/// published origin of the seed search. The certificate in the length
+/// formula is clamped by ExpanderSplit::routing_phi.
 inline constexpr double kRwLaziness = 0.5;
-inline constexpr double kRwPhiFloor = 0.02;
 inline constexpr std::uint64_t kRwBaseSeed = 0x243F6A8885A308D3ULL;
 
 struct RwParams {
@@ -363,8 +362,7 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
                                     double f, RwParams p = {}) {
   RwResult out;
   f = std::min(std::max(f, 1e-9), 1.0);
-  const int pid = sp.part_of(v_star);
-  const double phi = std::min(1.0, std::max(sp.phi_cert[pid], kRwPhiFloor));
+  const double phi = sp.routing_phi(sp.part_of(v_star));
   detail::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
@@ -427,9 +425,7 @@ inline std::vector<RwResult> gather_random_walks_shared(
   for (std::size_t i = 0; i < sps.size(); ++i) {
     arenas.emplace_back(*sps[i], stars[i]);
     arenas.back().spawn_walks(p.max_walks_total);
-    const int pid = sps[i]->part_of(stars[i]);
-    phis.push_back(
-        std::min(1.0, std::max(sps[i]->phi_cert[pid], kRwPhiFloor)));
+    phis.push_back(sps[i]->routing_phi(sps[i]->part_of(stars[i])));
     lengths.push_back(detail::walk_length(arenas.back(), phis.back(), f, p));
   }
 

@@ -14,6 +14,7 @@
 // routing domain and its expansion parameter.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -26,6 +27,11 @@
 #include "util/rng.hpp"
 
 namespace mfd::expander {
+
+/// Floor under a part's certificate wherever a routing schedule divides by
+/// it: a near-zero sweep sparsity would otherwise blow the walk length and
+/// the load-balancing schedule up without bound.
+inline constexpr double kRoutingPhiFloor = 0.02;
 
 struct SplitParams {
   double phi_target = 0.10;  // sweep-cut sparsity below which a part is split
@@ -44,6 +50,12 @@ struct ExpanderSplit {
   SplitParams params;
 
   int part_of(int v) const { return parts.cluster[v]; }
+
+  /// Part p's certificate clamped into [kRoutingPhiFloor, 1]: the φ both
+  /// gather engines size their schedules by.
+  double routing_phi(int p) const {
+    return std::min(1.0, std::max(phi_cert[p], kRoutingPhiFloor));
+  }
 
   double min_conductance() const {
     double phi = 1.0;

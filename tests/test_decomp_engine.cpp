@@ -87,14 +87,20 @@ TEST_CASE(expander_decomp_certified) {
     CHECK_MSG(q.clusters_connected, ctx);
     CHECK_MSG(q.eps_fraction <= eps + 1e-12, ctx + ": cut budget");
     CHECK_MSG(ed.phi_target > 0.0, ctx);
-    CHECK_MSG(ed.min_certified_phi > 0.0, ctx + ": certificate");
+    const PartCertifyReport rep =
+        certify_parts(g, cluster_members(ed.clustering));
+    CHECK_MSG(rep.ok, ctx + ": " + rep.violation);
+    CHECK_MSG(rep.min_phi_estimate > 0.0, ctx + ": certificate");
     CHECK_MSG(ed.ledger.total() > 0, ctx);
   }
   // Determinism: no Rng flows into the pipeline.
   const ExpanderDecomp a = expander_decomposition_minor_free(g, 0.5);
   const ExpanderDecomp b = expander_decomposition_minor_free(g, 0.5);
   CHECK(a.clustering.cluster == b.clustering.cluster);
-  CHECK(a.min_certified_phi == b.min_certified_phi);
+  const PartCertifyReport ra = certify_parts(g, cluster_members(a.clustering));
+  const PartCertifyReport rb = certify_parts(g, cluster_members(b.clustering));
+  CHECK(ra.min_phi_lower == rb.min_phi_lower);
+  CHECK(ra.min_phi_estimate == rb.min_phi_estimate);
 }
 
 TEST_CASE(overlap_decomp_bounds) {
@@ -253,21 +259,23 @@ TEST_CASE(golden_entry_point_outputs) {
   }
   {
     // The split stage cuts nothing here, so the clusters are EDT's at ε/2.
-    ExpanderDecompParams xp;
-    xp.certify = true;
-    const ExpanderDecomp ed = expander_decomposition_minor_free(grid, 0.5, xp);
+    // The pinned ledger is the construction's followed by certify_parts'.
+    const ExpanderDecomp ed = expander_decomposition_minor_free(grid, 0.5);
     CHECK(ed.clustering.cluster == edt_labels);
     CHECK(ed.clustering.k == 8);
     CHECK(ed.clusters_split == 0);
-    CHECK(ed.clusters_certified == 8);
-    CHECK(ed.clusters_estimated == 0);
-    CHECK(ed.certify_ok);
-    check_ledger(ed.ledger, {524, 28703, 6}, "expander decomp");
+    const PartCertifyReport rep =
+        certify_parts(grid, cluster_members(ed.clustering));
+    CHECK(rep.clusters_certified == 8);
+    CHECK(rep.clusters_estimated == 0);
+    CHECK(rep.ok);
+    congest::Runtime ledger = ed.ledger;
+    ledger.absorb(rep.ledger);
+    check_ledger(ledger, {524, 28703, 6}, "expander decomp");
   }
   {
     OverlapDecompParams op;
     op.budgeted = true;
-    op.certify = true;
     const OverlapDecompResult od =
         overlap_expander_decomposition(grid, 0.15, op);
     // Vertex v's first and second cluster (-1 when absent) at 2v, 2v + 1.
@@ -288,13 +296,16 @@ TEST_CASE(golden_entry_point_outputs) {
     CHECK(od.oc.k() == 28);
     CHECK(od.iterations == 2);
     CHECK(od.uncovered_edges == 7);
-    CHECK(od.clusters_certified == 28);
-    CHECK(od.clusters_estimated == 0);
+    const PartCertifyReport rep = certify_parts(grid, od.oc.members);
+    CHECK(rep.clusters_certified == 28);
+    CHECK(rep.clusters_estimated == 0);
     const OverlapQuality q = evaluate_overlap(grid, od);
     CHECK(q.overlap_c == 2);
     CHECK(q.base.cut_edges == 7);
     CHECK(q.base.max_diameter == 5);
-    check_ledger(od.ledger, {607, 32495, 6}, "overlap");
+    congest::Runtime ledger = od.ledger;
+    ledger.absorb(rep.ledger, "certify: ");
+    check_ledger(ledger, {607, 32495, 6}, "overlap");
   }
   {
     const expander::PhiReport r = expander::certified_phi(grid_graph(6, 6));

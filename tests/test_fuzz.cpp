@@ -12,9 +12,9 @@
 //     (cut-matching lower <= exact <= witnessed sweep upper), degenerate
 //     inputs resolve to their documented verdicts, and a tampered
 //     cut-matching certificate is rejected by the replay audit;
-//   * the engines' certify mode: every emitted cluster re-certifies, the
-//     certified/estimated split covers the cluster count, and the games'
-//     CONGEST charges keep the ledger auditable;
+//   * certify_parts on both engines' output: every emitted cluster
+//     certifies, the certified/estimated split covers the cluster count, and
+//     the games' CONGEST charges keep the ledger auditable;
 //   * the exact MIS and MDS searches: the incremental engines return the
 //     whole-array oracles' witnesses, node counts and exact() flags at every
 //     budget, on every family and on the wide 36x36 grid clusters.
@@ -469,28 +469,31 @@ TEST_CASE(fuzz_large_cluster_certify) {
 }
 
 TEST_CASE(fuzz_certify_audit) {
-  // The engines' certify mode on real decompositions: the audit passes, the
-  // certified/estimated split covers every cluster, and the game charges
-  // keep the full ledger auditable.
+  // certify_parts on both engines' real decompositions: the audit passes,
+  // the certified/estimated split covers every cluster, and the game
+  // charges keep the construction + certification ledger auditable.
   for (const std::string& family : {std::string("grid"), std::string("planar")}) {
     Rng rng(17);
     const Graph g = make_family(family, 256, rng);
-    ExpanderDecompParams xp;
-    xp.certify = true;
-    const ExpanderDecomp ed = expander_decomposition_minor_free(g, 0.5, xp);
+    const ExpanderDecomp ed = expander_decomposition_minor_free(g, 0.5);
+    const PartCertifyReport rep =
+        certify_parts(g, cluster_members(ed.clustering));
     const std::string ctx = family + ": expander";
-    CHECK_MSG(ed.certify_ok, ctx);
-    CHECK_MSG(ed.clusters_certified + ed.clusters_estimated == ed.clustering.k,
+    CHECK_MSG(rep.ok, ctx);
+    CHECK_MSG(rep.clusters_certified + rep.clusters_estimated ==
+                  ed.clustering.k,
               ctx + ": split covers clusters");
-    CHECK_MSG(ed.clusters_certified > 0, ctx);
-    if (ed.clusters_certified == ed.clustering.k) {
-      CHECK_MSG(ed.min_phi_lower > 0.0, ctx + ": positive certified bound");
+    CHECK_MSG(rep.clusters_certified > 0, ctx);
+    if (rep.clusters_certified == ed.clustering.k) {
+      CHECK_MSG(rep.min_phi_lower > 0.0, ctx + ": positive certified bound");
     }
-    CHECK_MSG(ed.min_phi_lower <= 1.0 && ed.min_phi_estimate <= 1.0, ctx);
-    congest::AuditResult audit = ed.ledger.audit(2 * g.m());
+    CHECK_MSG(rep.min_phi_lower <= 1.0 && rep.min_phi_estimate <= 1.0, ctx);
+    congest::Runtime ledger = ed.ledger;
+    ledger.absorb(rep.ledger);
+    congest::AuditResult audit = ledger.audit(2 * g.m());
     CHECK_MSG(audit.ok, ctx + ": " + audit.violation);
     bool saw_game_phase = false;
-    for (const congest::RoundCharge& e : ed.ledger.entries()) {
+    for (const congest::RoundCharge& e : ledger.entries()) {
       saw_game_phase = saw_game_phase ||
                        e.phase.find("certify: cut-matching games") !=
                            std::string::npos;
@@ -499,20 +502,25 @@ TEST_CASE(fuzz_certify_audit) {
 
     OverlapDecompParams op;
     op.budgeted = true;
-    op.certify = true;
     const OverlapDecompResult od = overlap_expander_decomposition(g, 0.4, op);
+    const PartCertifyReport orep = certify_parts(g, od.oc.members);
     const std::string octx = family + ": overlap";
-    CHECK_MSG(od.certify_ok, octx);
-    CHECK_MSG(od.clusters_certified + od.clusters_estimated == od.oc.k(),
+    CHECK_MSG(orep.ok, octx);
+    CHECK_MSG(orep.clusters_certified + orep.clusters_estimated == od.oc.k(),
               octx + ": split covers clusters");
-    CHECK_MSG(od.clusters_certified > 0, octx);
-    audit = od.ledger.audit(2 * g.m());
+    CHECK_MSG(orep.clusters_certified > 0, octx);
+    congest::Runtime oledger = od.ledger;
+    oledger.absorb(orep.ledger, "certify: ");
+    audit = oledger.audit(2 * g.m());
     CHECK_MSG(audit.ok, octx + ": " + audit.violation);
 
-    // Determinism: certify mode is still a pure function of (g, eps).
-    const ExpanderDecomp again = expander_decomposition_minor_free(g, 0.5, xp);
-    CHECK_MSG(again.min_phi_lower == ed.min_phi_lower, ctx + ": deterministic");
-    CHECK_MSG(again.clusters_certified == ed.clusters_certified, ctx);
+    // Determinism: certification is still a pure function of (g, eps).
+    const ExpanderDecomp again = expander_decomposition_minor_free(g, 0.5);
+    const PartCertifyReport again_rep =
+        certify_parts(g, cluster_members(again.clustering));
+    CHECK_MSG(again_rep.min_phi_lower == rep.min_phi_lower,
+              ctx + ": deterministic");
+    CHECK_MSG(again_rep.clusters_certified == rep.clusters_certified, ctx);
   }
 }
 

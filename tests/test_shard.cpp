@@ -28,6 +28,7 @@
 #include "apps/domination.hpp"
 #include "apps/maxcut.hpp"
 #include "congest/shard.hpp"
+#include "decomp/edt.hpp"
 #include "decomp/expander_decomp.hpp"
 #include "decomp/heavy_stars.hpp"
 #include "decomp/ldd_local.hpp"
@@ -228,8 +229,7 @@ TEST_CASE(heavy_stars_sharded_bit_identical) {
     CHECK_MSG(serial.stars == sharded.stars, ctx);
     CHECK_MSG(serial.captured_weight == sharded.captured_weight, ctx);
     CHECK_MSG(serial.max_marked_depth == sharded.max_marked_depth, ctx);
-    CHECK_MSG(serial.rounds == sharded.rounds, ctx);
-    CHECK_MSG(serial.messages == sharded.messages, ctx);
+    CHECK_MSG(serial.cv_rounds == sharded.cv_rounds, ctx);
     same_charges(serial.ledger, sharded.ledger, ctx);
   }
 }
@@ -242,17 +242,18 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
   const Family families[] = {{"grid", grid_graph(64, 64)},
                              {"torus", torus_graph(40, 40)}};
   for (const Family& fam : families) {
-    const decomp::LocalLdd serial = decomp::ldd_minor_free_local(fam.g, 0.25);
+    const decomp::EdtDecomposition serial =
+        decomp::build_edt_decomposition(fam.g, 0.25);
     for (int threads : kThreadSweep) {
       ShardPool pool(threads);
-      decomp::LocalLddParams p;
+      decomp::EdtParams p;
       p.pool = &pool;
-      const decomp::LocalLdd sharded =
-          decomp::ldd_minor_free_local(fam.g, 0.25, p);
+      const decomp::EdtDecomposition sharded =
+          decomp::build_edt_decomposition(fam.g, 0.25, p);
       const std::string ctx = std::string(fam.name) +
                               " threads=" + std::to_string(pool.threads());
       CHECK_MSG(serial.clustering.cluster == sharded.clustering.cluster, ctx);
-      CHECK_MSG(serial.cut_edges == sharded.cut_edges, ctx);
+      CHECK_MSG(serial.T_measured == sharded.T_measured, ctx);
       CHECK_MSG(serial.iterations == sharded.iterations, ctx);
       CHECK_MSG(serial.merges == sharded.merges, ctx);
       same_quality(serial.quality, sharded.quality, ctx);
@@ -298,9 +299,10 @@ TEST_CASE(contract_clusters_matches_sort_oracle) {
     std::reverse(ids.begin(), ids.end());
     labellings.emplace_back(ids, n);
     for (int it = 1;; ++it) {
-      decomp::LocalLddParams p;
+      decomp::EdtParams p;
       p.max_iterations = it;
-      const decomp::LocalLdd ldd = decomp::ldd_minor_free_local(fam.g, 0.25, p);
+      const decomp::EdtDecomposition ldd =
+          decomp::build_edt_decomposition(fam.g, 0.25, p);
       if (ldd.iterations < it) break;
       labellings.emplace_back(ldd.clustering.cluster, ldd.clustering.k);
     }
@@ -345,7 +347,7 @@ TEST_CASE(evaluate_clustering_pooled_matches_inline) {
   rows.k = side;
   for (int v = 0; v < side * side; ++v) rows.cluster.push_back(v / side);
   const decomp::Clustering ldd =
-      decomp::ldd_minor_free_local(g, 0.25).clustering;
+      decomp::build_edt_decomposition(g, 0.25).clustering;
   struct Case {
     const char* name;
     const decomp::Clustering* c;
@@ -450,11 +452,9 @@ TEST_CASE(certify_parts_pooled_bit_identical) {
        {std::pair<std::string, Graph>{"grid", grid_graph(16, 16)},
         {"torus", torus_graph(12, 14)}}) {
     const decomp::ExpanderDecomp ed =
-        decomp::expander_decomposition_minor_free(g, 0.5, {});
-    std::vector<std::vector<int>> members(ed.clustering.k);
-    for (int v = 0; v < g.n(); ++v) {
-      members[ed.clustering.cluster[v]].push_back(v);
-    }
+        decomp::expander_decomposition_minor_free(g, 0.5);
+    const std::vector<std::vector<int>> members =
+        decomp::cluster_members(ed.clustering);
     expander::PhiCertParams pc;
     const decomp::PartCertifyReport serial =
         decomp::certify_parts(g, members, pc);
