@@ -12,8 +12,7 @@
 // next to the paper's formula value for the same ε. The bandwidth audit
 // section prints the per-phase rounds x messages x peak-congestion breakdown
 // and fails the run on a Runtime::audit() violation; the overlap table also
-// exercises the budgeted per-level cut (enforced halving) and its
-// evaluate_overlap audit.
+// exercises the enforced per-level halving and its evaluate_overlap audit.
 #include <chrono>
 #include <cmath>
 
@@ -43,6 +42,10 @@ int main(int argc, char** argv) {
   Rng rng(cli.get_int("seed", 4));
   const std::string family = cli.get("family", "grid");
   const Graph g = make_family(family, n, rng);
+  // The certify-scaling section's flags, read before the unknown-flag check.
+  const int n_scale =
+      static_cast<int>(cli.get_int("certify_n", cli.has("smoke") ? 512 : 2048));
+  const int threads = static_cast<int>(cli.get_int("threads", 0));  // 0 = hw
   BenchJson json(cli, "expander_decomp");
   cli.warn_unrecognized(std::cerr);
   json.param("n", static_cast<std::int64_t>(g.n()));
@@ -115,10 +118,8 @@ int main(int argc, char** argv) {
              "phi lower (certified)", "certified", "estimated", "iterations",
              "budget"});
     for (double eps : {0.5, 0.35, 0.25, 0.15}) {
-      decomp::OverlapDecompParams op;
-      op.budgeted = true;  // enforce the per-level halving, don't just measure
       const decomp::OverlapDecompResult od =
-          decomp::overlap_expander_decomposition(g, eps, op);
+          decomp::overlap_expander_decomposition(g, eps);
       const decomp::OverlapQuality q = decomp::evaluate_overlap(g, od);
       // Re-certify every support in the final family.
       const decomp::PartCertifyReport rep =
@@ -145,7 +146,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << "\n-- (eps, phi, c) overlap decomposition (Lemma 4.1, "
-                 "budgeted per-level halving)\n";
+                 "enforced per-level halving)\n";
     t.print(std::cout);
   }
   {
@@ -158,9 +159,6 @@ int main(int argc, char** argv) {
     // serial reference vs fanned over a ShardPool — and the two reports must
     // agree bit-for-bit (the pooled fold runs in cluster order, so any
     // disagreement is a bug).
-    const int n_scale =
-        static_cast<int>(cli.get_int("certify_n", cli.has("smoke") ? 512 : 2048));
-    const int threads = static_cast<int>(cli.get_int("threads", 0));  // 0 = hw
     Rng rng_scale(cli.get_int("seed", 4) + 1);
     const Graph big = make_family("planar", n_scale, rng_scale);
     const decomp::ExpanderDecomp ed =

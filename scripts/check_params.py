@@ -7,7 +7,7 @@ Lists every field of every struct named *Params or *Config declared under
 src/, then searches the C++ sources under src/, bench/, tests/ and
 pipebench/ for an assignment to it outside the header that declares it:
 `var.field = ...` (also `->`, compound assignment and nested chains such
-as `pc.game.pool = ...`, resolved through the declared types of `var` and
+as `pc.game.phi_target = ...`, resolved through the declared types of `var` and
 of each member on the way) or a designated initializer
 `Struct{.field = ...}`. A field no caller ever assigns is a constant in
 disguise: make it an `inline constexpr` next to its one use instead.
@@ -169,7 +169,7 @@ def main():
             for m in ASSIGN.finditer(text):
                 chain = re.split(r"\s*(?:\.|->)\s*", m.group(2).strip())[1:]
                 for s in types.get(m.group(1), ()):
-                    # Writing pc.game.pool sets pool and, through it, game.
+                    # Writing pc.game.phi_target sets phi_target and, through it, game.
                     for member in chain:
                         if s is None:
                             break

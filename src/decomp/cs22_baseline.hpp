@@ -45,11 +45,11 @@ inline Cs22Result cs22_decompose_and_route(const Graph& g, double eps,
   // Slow-mixing graphs (grids) need deep power iteration before the sweep
   // vector resolves their sparse cuts; several probes hedge the start
   // vector. Recursion is capped at kDepthSlack * ceil(log2 n) levels, and
-  // kPhiFloor clamps the certificate in the routing-time estimate.
+  // the routing-time estimate divides by the certificate clamped like every
+  // routing schedule's (clamp_routing_phi, graph/metrics.hpp).
   constexpr int kPowerIters = 256;
   constexpr int kProbes = 3;
   constexpr int kDepthSlack = 2;
-  constexpr double kPhiFloor = 0.01;
   Cs22Result out;
   const int n = g.n();
   const double logm =
@@ -77,7 +77,7 @@ inline Cs22Result cs22_decompose_and_route(const Graph& g, double eps,
     const double cert = partition.parts[p].cert;
     out.phi_certified = std::min(out.phi_certified, cert);
     // Finalized expander cluster: routing costs the mixing-time factor.
-    const double phi_route = std::max(cert, kPhiFloor);
+    const double phi_route = clamp_routing_phi(cert);
     worst_route = std::max(
         worst_route,
         std::ceil(std::log2(static_cast<double>(vol) + 2.0) / phi_route));

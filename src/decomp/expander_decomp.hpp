@@ -66,11 +66,10 @@ struct PartCertifyReport {
   congest::Runtime ledger;
 };
 
-/// The pool, when given, is written into pc.game.pool unless the caller
-/// already lent one there.
 inline PartCertifyReport certify_parts(
     const Graph& g, const std::vector<std::vector<int>>& parts,
-    expander::PhiCertParams pc = {}, congest::ShardPool* pool = nullptr) {
+    const expander::PhiCertParams& pc = {},
+    congest::ShardPool* pool = nullptr) {
   PartCertifyReport rep;
   // Per-cluster games are independent pure functions of their induced
   // subgraph, so results land in a cluster-indexed vector and the fold
@@ -82,14 +81,13 @@ inline PartCertifyReport certify_parts(
   // a fair share of the fan-out on its own. Such clusters run one at a
   // time, largest first, with the pool lent to their replays; the rest fan
   // out as whole-cluster tasks, where a nested replay runs inline.
-  if (pc.game.pool == nullptr) pc.game.pool = pool;
   const int nparts = static_cast<int>(parts.size());
   std::vector<expander::PhiReport> reports(nparts);
   std::vector<int> sizes(nparts, 0);
   const auto certify = [&](int c) {
     const InducedSubgraph sub = induced_subgraph(g, parts[c]);
     sizes[c] = sub.graph.n();
-    reports[c] = expander::certified_phi(sub.graph, pc);
+    reports[c] = expander::certified_phi(sub.graph, pc, pool);
   };
   const std::int64_t threads = pool != nullptr ? pool->threads() : 1;
   const auto weight = [&parts](int c) {

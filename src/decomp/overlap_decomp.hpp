@@ -12,28 +12,24 @@
 // one cluster per level — stays O(log 1/ε), the paper's bound.
 //
 // The level count stays O(log 1/ε) only if every level actually halves its
-// uncovered-edge set. By default that halving is *measured* (the paper's
-// bound holds empirically); with OverlapDecompParams::budgeted it is
-// *enforced*: a level that leaves more than half of its edges uncovered is
-// repaired SURGICALLY — the still-uncovered edge subgraph (not the whole
-// level) is re-partitioned at half the level ε, its clusters appended to
-// the family (overlap is exactly what the object licenses), and the ladder
-// repeats on the geometrically smaller remainder up to kBudgetRetries
-// times. Coverage is monotone across retries — an edge covered by an
-// earlier pass stays covered — so retries only shrink the uncovered set. A
-// level that still misses its budget is recorded in
-// OverlapDecompResult::budget_violations so the evaluate_overlap audit
-// fails loudly instead of silently recursing past the level cap. Each
-// retry can add one more cluster membership to a vertex, so on budgeted
-// runs the overlap c is bounded by levels + total retries (retries are
-// rare: the trail in level_retries records them).
+// uncovered-edge set, so the halving is *enforced*: a level that leaves
+// more than half of its edges uncovered is repaired SURGICALLY — the
+// still-uncovered edge subgraph (not the whole level) is re-partitioned at
+// half the level ε, its clusters appended to the family (overlap is exactly
+// what the object licenses), and the ladder repeats on the geometrically
+// smaller remainder up to kBudgetRetries times. Coverage is monotone across
+// retries — an edge covered by an earlier pass stays covered — so retries
+// only shrink the uncovered set. A level that still misses its budget is
+// recorded in OverlapDecompResult::budget_violations so the
+// evaluate_overlap audit fails loudly instead of silently recursing past
+// the level cap. Each retry can add one more cluster membership to a
+// vertex, so the overlap c is bounded by levels + total retries (retries
+// are rare: the trail in level_retries records them).
 //
-// evaluate_overlap audits all three guarantees on the finished object. Its
-// support conductances come from graph/metrics.hpp::phi_certificate: exact
-// supports (at most kExactPhiCap vertices) fold into min_support_phi_lower,
-// Cheeger estimates of larger ones into min_support_phi_estimate. Sound
-// bounds for the large supports come from certify_parts(g, result.oc.members)
-// (decomp/expander_decomp.hpp), which runs the cut-matching game on each.
+// evaluate_overlap audits the overlap c, the uncovered fraction and the
+// level budget on the finished object. The conductance guarantee (i) is
+// certify_parts(g, result.oc.members)'s (decomp/expander_decomp.hpp), the
+// one certification path of both decomposition engines.
 #pragma once
 
 #include <algorithm>
@@ -61,16 +57,10 @@ struct OverlapClustering {
 
 struct OverlapDecompParams {
   double level_eps = 0.5;  // per-level cut target handed to the partition
-  // Enforce the per-level halving instead of measuring it: a level leaving
-  // more than half of its edges uncovered re-partitions just that uncovered
-  // remainder at level_eps/2 (then /4, ...) up to kBudgetRetries times,
-  // appending the retry clusters; a level that still overshoots lands in
-  // OverlapDecompResult::budget_violations.
-  bool budgeted = false;
 };
 
-/// Surgical retries a budgeted level may run before it is recorded as a
-/// budget violation.
+/// Surgical retries a level may run before it is recorded as a budget
+/// violation.
 inline constexpr int kBudgetRetries = 3;
 
 struct OverlapDecompResult {
@@ -81,12 +71,12 @@ struct OverlapDecompResult {
   std::int64_t uncovered_edges = 0;
   // Per-level audit trail: edges entering each level and edges its partition
   // left uncovered. budget_violations lists levels that kept > 1/2 of their
-  // edges uncovered even after the budgeted retries (always empty unless the
+  // edges uncovered even after the surgical retries (always empty unless the
   // instance defeats the retry ladder).
   std::vector<std::int64_t> level_edges;
   std::vector<std::int64_t> level_uncovered;
-  // Surgical retries run per level (0 on non-budgeted runs and on levels
-  // that met their budget first try).
+  // Surgical retries run per level (0 on levels that met their budget first
+  // try).
   std::vector<int> level_retries;
   std::vector<int> budget_violations;
 };
@@ -106,7 +96,7 @@ inline OverlapDecompResult overlap_expander_decomposition(
         static_cast<std::int64_t>(uncovered.size()) <= allowance) {
       break;
     }
-    // The level's charges (partition pipeline + any budgeted retries) close
+    // The level's charges (partition pipeline + any surgical retries) close
     // into the ledger under one "level L: " prefix, full phase breakdown
     // preserved — the bench per-phase table shows "level 0: edt: ...".
     congest::ChargeScope scope(out.ledger, "level " + std::to_string(level));
@@ -166,33 +156,27 @@ inline OverlapDecompResult overlap_expander_decomposition(
     if (level == 0) out.phi_target = ed.phi_target;
     adopt_clusters(ed);
     std::vector<std::pair<int, int>> still = separated(ed, uncovered);
+    // Enforced halving, surgically: instead of throwing away the whole
+    // level and re-running it at halved ε (every retry would repay the full
+    // level cost and discard clusters that were already fine), re-partition
+    // ONLY the still-uncovered remainder. Coverage is monotone — an edge
+    // covered by an earlier pass stays covered — so each rung works on a
+    // smaller instance and `still` only shrinks.
     int retries = 0;
-    if (params.budgeted) {
-      // Enforced halving, surgically: instead of throwing away the whole
-      // level and re-running it at halved ε (the old ladder — every retry
-      // repaid the full level cost and discarded clusters that were already
-      // fine), re-partition ONLY the still-uncovered remainder. Coverage is
-      // monotone — an edge covered by an earlier pass stays covered — so
-      // each rung works on a smaller instance and `still` only shrinks.
-      for (int retry = 1;
-           retry <= kBudgetRetries &&
-           2 * static_cast<std::int64_t>(still.size()) >
-               static_cast<std::int64_t>(uncovered.size());
-           ++retry) {
-        ++retries;
-        lvl_eps /= 2.0;
-        const Graph rh = build_graph(still);
-        const ExpanderDecomp red =
-            expander_decomposition_minor_free(rh, lvl_eps);
-        scope.absorb(red.ledger, "retry " + std::to_string(retry) + ": ");
-        adopt_clusters(red);
-        still = separated(red, still);
-      }
-      if (2 * static_cast<std::int64_t>(still.size()) >
-          static_cast<std::int64_t>(uncovered.size())) {
-        out.budget_violations.push_back(level);
-      }
+    const auto over_budget = [&] {
+      return 2 * static_cast<std::int64_t>(still.size()) >
+             static_cast<std::int64_t>(uncovered.size());
+    };
+    while (retries < kBudgetRetries && over_budget()) {
+      ++retries;
+      lvl_eps /= 2.0;
+      const Graph rh = build_graph(still);
+      const ExpanderDecomp red = expander_decomposition_minor_free(rh, lvl_eps);
+      scope.absorb(red.ledger, "retry " + std::to_string(retries) + ": ");
+      adopt_clusters(red);
+      still = separated(red, still);
     }
+    if (over_budget()) out.budget_violations.push_back(level);
     ++out.iterations;
     out.level_edges.push_back(static_cast<std::int64_t>(uncovered.size()));
     out.level_uncovered.push_back(static_cast<std::int64_t>(still.size()));
@@ -209,18 +193,12 @@ inline OverlapDecompResult overlap_expander_decomposition(
 /// level_budget_ok is only meaningful when the audit is given the
 /// construction result (the overload below): it verifies every level left
 /// at most half of its edges uncovered — the budget that caps the level
-/// count (and hence the overlap c) at O(log 1/ε).
-/// min_support_phi_lower folds only supports whose phi_certificate is a
-/// sound lower bound (PhiCertificate::certified_lower: exact enumeration or
-/// a degenerate verdict) and stays 1.0 when none is; the Cheeger estimates
-/// of the larger supports, which bound nothing, fold into
-/// min_support_phi_estimate instead (1.0 when every support certified).
+/// count (and hence the overlap c) at O(log 1/ε). Support conductance is
+/// certify_parts' job, not this audit's.
 struct OverlapQuality {
   ClusterQuality base;
-  int overlap_c = 0;                     // max clusters sharing one vertex
-  double min_support_phi_lower = 1.0;    // min certified support conductance
-  double min_support_phi_estimate = 1.0; // min estimate over the rest
-  bool level_budget_ok = true;           // per-level halving held (see above)
+  int overlap_c = 0;            // max clusters sharing one vertex
+  bool level_budget_ok = true;  // per-level halving held (see above)
 };
 
 inline OverlapQuality evaluate_overlap(const Graph& g,
@@ -254,10 +232,6 @@ inline OverlapQuality evaluate_overlap(const Graph& g,
         std::max(q.base.max_cluster_size, static_cast<int>(mem.size()));
     const InducedSubgraph sub = induced_subgraph(g, mem);
     if (!is_connected(sub.graph)) q.base.clusters_connected = false;
-    const PhiCertificate cert = phi_certificate(sub.graph);
-    double& fold = cert.certified_lower() ? q.min_support_phi_lower
-                                          : q.min_support_phi_estimate;
-    fold = std::min(fold, cert.phi);
     // Support diameter via double sweep (lower bound, exact on trees).
     int src = 0, diam = 0;
     for (int sweep = 0; sweep < 2 && sub.graph.n() > 0; ++sweep) {
@@ -295,7 +269,7 @@ inline OverlapQuality evaluate_overlap(const Graph& g,
   for (int level : result.budget_violations) {
     q.level_budget_ok = false;
     std::fprintf(stderr,
-                 "evaluate_overlap: budgeted construction exhausted retries "
+                 "evaluate_overlap: construction exhausted its retries "
                  "at level %d\n",
                  level);
   }

@@ -35,7 +35,8 @@
 //     that only ever averaged zeros. So only the last checkpoints, whose
 //     columns are fully mixed, pay the double replay, against identity
 //     column blocks of B <= 64 basis vectors: O(n * B) memory per pool
-//     thread, embarrassingly parallel over blocks via congest::ShardPool.
+//     thread, embarrassingly parallel over blocks of the congest::ShardPool
+//     every entry point takes as its last argument.
 //     Every matrix entry receives the identical sequence of 0.5*(a+b)
 //     averagings either way (pairs within a round are vertex-disjoint, the
 //     round order is fixed) and min over doubles is order-free, so the
@@ -75,7 +76,8 @@
 // <= exact_cap vertices, this game's certified bound above it, and the
 // Cheeger estimate when the game is inconclusive — with the verdict kind
 // surfaced (metrics.hpp::PhiVerdict) and the game's CONGEST cost charged
-// through the returned ledger.
+// through the returned ledger. One Fiedler pass per cluster feeds the
+// estimate, the sweep upper bound and the game's derived target.
 #pragma once
 
 #include <algorithm>
@@ -272,21 +274,28 @@ struct CutMatchingParams {
   double phi_target = 0.0;  // flow capacity = ceil(1/phi_target); 0 derives
                             // max(Cheeger estimate, 1/n) from the input
   int replay_block = 0;     // alpha replay column width B; 0 derives <= 64
-  // Replay blocks (of the game and of certified_phi's verification) fan
-  // out here; the one pool of a certification call chain.
-  congest::ShardPool* pool = nullptr;
 };
 
 /// The game's fixed constants, from the Chang–Saranurak construction rather
 /// than tuning: the cut player's published seed and probe-bank size k
 /// (round-robin), the early stop once n * min entry of F reaches
-/// kCutMatchingMixAlpha, and the Fiedler iterations of every Cheeger probe
-/// (the game's derived phi_target, certified_phi's estimate and sweep).
-/// The round cap is 2 * ceil_log2(n)^2.
+/// kCutMatchingMixAlpha, and the Fiedler iterations of the one Cheeger probe
+/// (certified_phi's estimate, sweep and derived phi_target; a direct game
+/// call derives its own). The round cap is 2 * ceil_log2(n)^2.
 inline constexpr std::uint64_t kCutMatchingSeed = 0x243f6a8885a308d3ULL;
 inline constexpr int kCutMatchingProbes = 8;
 inline constexpr double kCutMatchingMixAlpha = 0.5;
 inline constexpr int kCertPowerIters = 60;
+
+/// The matching player's target: a positive finite `requested` stands;
+/// otherwise the Cheeger estimate is the natural scale ("can the game
+/// certify what the spectral heuristic believes?"), floored at 1/n so
+/// capacities stay bounded. `cheeger` is only called when it is needed.
+template <class Cheeger>
+double game_phi_target(double requested, int n, Cheeger cheeger) {
+  if (requested > 0.0 && std::isfinite(requested)) return requested;
+  return std::max({cheeger(), 1.0 / n, 1e-6});
+}
 
 /// One embedded matching edge: `path` walks from u to v through adjacent
 /// vertices of the cluster (path.front() == u, path.back() == v).
@@ -450,18 +459,13 @@ struct EmbeddingAudit {
   double recomputed_phi_lower = 0.0;
 };
 
-/// Knobs for verify_cut_matching's alpha replay — same semantics as the
-/// game's, zero proof included: any block size / pool gives bit-identical
-/// results, the knobs only trade memory (one n * B buffer per pool thread)
-/// for parallelism.
-struct VerifyParams {
-  int replay_block = 0;                // column width B; 0 derives <= 64
-  congest::ShardPool* pool = nullptr;  // replay blocks fan out here
-};
-
+/// The alpha replay takes the game's `replay_block` and pool, zero proof
+/// included: any block size / pool gives bit-identical results, the two only
+/// trade memory (one n * B buffer per pool thread) for parallelism.
 inline EmbeddingAudit verify_cut_matching(const Graph& g,
                                           const CutMatchingCertificate& cert,
-                                          const VerifyParams& vp = {}) {
+                                          int replay_block = 0,
+                                          congest::ShardPool* pool = nullptr) {
   EmbeddingAudit audit;
   const auto fail = [&audit](const std::string& why) {
     audit.ok = false;
@@ -514,7 +518,7 @@ inline EmbeddingAudit verify_cut_matching(const Graph& g,
   audit.alpha =
       static_cast<double>(n) *
       detail_cm::replay_min_entry(n, cert.matchings, cert.matchings.size(),
-                                  vp.replay_block, vp.pool);
+                                  replay_block, pool);
   const int delta = g.max_degree();
   audit.recomputed_phi_lower =
       (audit.congestion > 0 && delta > 0)
@@ -541,22 +545,18 @@ inline EmbeddingAudit verify_cut_matching(const Graph& g,
 /// exchanges and the checkpoint alpha replays are envelope-billed, the
 /// matching embeddings are measured (one message per path edge, peak
 /// per-edge path count as congestion). The outcome — certificate, cut,
-/// ledger — is bit-identical across block sizes and thread counts.
+/// ledger — is bit-identical across block sizes and thread counts; `pool`
+/// only fans out the alpha replays.
 inline CutMatchingOutcome cut_matching_game(const Graph& g,
-                                            CutMatchingParams params = {}) {
+                                            CutMatchingParams params = {},
+                                            congest::ShardPool* pool = nullptr) {
   CutMatchingOutcome out;
   const int n = g.n();
   if (n < 2 || g.m() == 0) return out;
 
-  // Derive the flow target when the caller did not pin one: the Cheeger
-  // estimate is the natural scale ("can the game certify what the spectral
-  // heuristic believes?"), floored at 1/n so capacities stay bounded.
-  // A non-finite target derives too.
-  double target = params.phi_target;
-  if (!(target > 0.0) || !std::isfinite(target)) {
-    const PhiCertificate est = phi_certificate(g, 0, kCertPowerIters);
-    target = std::max({est.phi, 1.0 / n, 1e-6});
-  }
+  const double target = game_phi_target(params.phi_target, n, [&g] {
+    return phi_certificate(g, 0, kCertPowerIters).phi;
+  });
   out.phi_target = target;
   // Clamped in double first: ceil(1/target) may not fit an int64.
   const std::int64_t cap = static_cast<std::int64_t>(std::min(
@@ -624,7 +624,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
         static_cast<std::int64_t>(prefix) * (dilation_so_far + 1);
     return static_cast<double>(n) *
            detail_cm::replay_min_entry(n, out.cert.matchings, prefix, block,
-                                       params.pool);
+                                       pool);
   };
 
   for (int round = 0; round < max_rounds; ++round) {
@@ -816,7 +816,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
 struct PhiCertParams {
   int exact_cap = kExactPhiCap;  // brute force at or below this many vertices
-  CutMatchingParams game;        // the game above exact_cap (and its pool)
+  CutMatchingParams game;        // the game above exact_cap
 };
 
 /// certified_phi skips the game above this size. The game's state is
@@ -847,36 +847,38 @@ struct PhiReport {
 ///            certificate bound (verify_cut_matching runs internally; a
 ///            certificate that fails its own replay is discarded);
 ///   tier 3 — Cheeger estimate: verdict kCheeger, phi is NOT a bound.
-/// Degenerate inputs resolve in metrics.hpp::phi_certificate (kTrivial /
-/// kDisconnected) before any tier runs.
-inline PhiReport certified_phi(const Graph& g, PhiCertParams params = {}) {
+/// Degenerate inputs resolve in metrics.hpp::phi_probe (kTrivial /
+/// kDisconnected) before any tier runs. The probe's one Fiedler vector on
+/// the certification core (isolated vertices carry no volume, and the game
+/// needs connectivity) gives the estimate, the sweep upper bound and, when
+/// params.game.phi_target is unset, the game's target. `pool` fans out the
+/// game's and the verifier's alpha replays.
+inline PhiReport certified_phi(const Graph& g, PhiCertParams params = {},
+                               congest::ShardPool* pool = nullptr) {
   PhiReport report;
-  report.cert = phi_certificate(g, params.exact_cap, kCertPowerIters);
+  const PhiProbe probe = phi_probe(g, params.exact_cap, kCertPowerIters);
+  report.cert = probe.cert;
   report.estimate = report.cert.phi;
   if (report.cert.verdict != PhiVerdict::kCheeger) {
     report.upper = report.cert.phi;  // exact value, or the 1/0 conventions
     return report;
   }
-  // The certification core: isolated vertices carry no volume (see
-  // metrics.hpp) and the game needs connectivity.
-  const InducedSubgraph core = induced_subgraph(g, non_isolated_vertices(g));
-  const SweepCut sweep = sweep_min_cut(
-      core.graph,
-      approx_fiedler(core.graph, 0x517cc1b727220a95ULL, kCertPowerIters));
-  report.upper = std::min(1.0, sweep.conductance);
-  if (core.graph.n() > kCutMatchingCap) return report;
-  const CutMatchingParams& gp = params.game;
-  CutMatchingOutcome game = cut_matching_game(core.graph, gp);
+  const Graph& core = probe.core.graph;
+  report.upper =
+      std::min(1.0, sweep_min_cut(core, probe.fiedler).conductance);
+  if (core.n() > kCutMatchingCap) return report;
+  CutMatchingParams gp = params.game;
+  gp.phi_target = game_phi_target(gp.phi_target, core.n(),
+                                  [&report] { return report.estimate; });
+  CutMatchingOutcome game = cut_matching_game(core, gp, pool);
   report.game_verdict = game.verdict;
   report.game_state_bytes = game.state_bytes_peak;
   report.ledger.absorb(game.ledger, "cut-matching: ");
   if (game.verdict == CutMatchingVerdict::kSparseCut) {
     report.upper = std::min(report.upper, game.cut_phi);
   } else if (game.verdict == CutMatchingVerdict::kCertified) {
-    VerifyParams vp;
-    vp.replay_block = gp.replay_block;
-    vp.pool = gp.pool;
-    const EmbeddingAudit audit = verify_cut_matching(core.graph, game.cert, vp);
+    const EmbeddingAudit audit =
+        verify_cut_matching(core, game.cert, gp.replay_block, pool);
     if (audit.ok) {
       report.cert.phi = game.cert.phi_lower;
       report.cert.exact = false;

@@ -11,7 +11,8 @@
 // failures), then publish it. RwSchedule records the accepted seed, how many
 // seeds were tried, and the schedule size in bits (shared seed + one walk
 // descriptor each). Lemma 2.6 is gather_random_walks_shared: one seed must
-// work for every disjoint subgraph simultaneously.
+// work for every disjoint subgraph simultaneously. Both run one search
+// (detail::seed_search); the single gather is its one-domain case.
 //
 // Round accounting (units: simulated CONGEST rounds) is *measured*, not a
 // formula: every walk round costs the worst per-edge congestion of that round
@@ -356,120 +357,101 @@ inline int walk_length(const Arena& a, double phi, double f,
   return static_cast<int>(std::max(1.0, T));
 }
 
-}  // namespace detail
-
-inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
-                                    double f, RwParams p = {}) {
-  RwResult out;
-  f = std::min(std::max(f, 1e-9), 1.0);
-  const double phi = sp.routing_phi(sp.part_of(v_star));
-  detail::Arena arena(sp, v_star);
-  arena.spawn_walks(p.max_walks_total);
-  out.schedule.walks = static_cast<int>(arena.start.size());
-  out.schedule.domain_bits = congest::ceil_log2(sp.g.n());
-  if (arena.population == 0 || arena.start.empty()) {
-    out.delivered_fraction = 1.0;
-    return out;
-  }
-
-  int T = detail::walk_length(arena, phi, f, p);
-  std::int64_t steps_spent = 0;
-  detail::SimOutcome best;
-  std::uint64_t best_seed = 0;
-  int best_T = T;
-  for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
-    const std::uint64_t seed = detail::rw_mix(kRwBaseSeed, attempt, 0);
-    const detail::SimOutcome sim =
-        detail::simulate(arena, seed, T, kRwLaziness, 1.0 - f, p.pool);
-    steps_spent += sim.steps;
-    out.schedule.seed_tries = attempt;
-    if (sim.delivered_fraction > best.delivered_fraction ||
-        attempt == 1) {
-      best = sim;
-      best_seed = seed;
-      best_T = T;
-    }
-    if (best.delivered_fraction >= 1.0 - f) break;
-    if (steps_spent >= p.search_budget) break;
-    if (attempt % 2 == 0) {
-      const std::int64_t cap = std::max<std::int64_t>(
-          1, p.step_budget / static_cast<std::int64_t>(arena.start.size()));
-      T = static_cast<int>(std::min<std::int64_t>(2LL * T, cap));
-    }
-  }
-
-  out.delivered_fraction = best.delivered_fraction;
-  out.rounds = best.rounds;
-  out.schedule.seed = best_seed;
-  out.route = std::move(best.route);
-  for (int& r : out.route) r = arena.parent[r];  // local ids -> vertex ids
-  out.walk_length = best_T;
-  out.shard_messages = std::move(best.shard_messages);
-  out.ledger.charge("walk rounds", best.walk_rounds, best.moves, best.peak_load);
-  out.ledger.charge("congestion surplus", best.rounds - best.walk_rounds);
-  return out;
-}
-
-/// Lemma 2.6: one published seed must serve several disjoint routing domains
-/// at once. Tries common seeds until every subgraph reaches its 1 - f target
-/// (or budgets run out) and returns the per-subgraph results, all carrying
-/// the same accepted seed.
-inline std::vector<RwResult> gather_random_walks_shared(
+/// The derandomized seed search behind both gathers: try the published seed
+/// sequence until ONE seed delivers the 1 - f target in every routing domain
+/// (sps[i], sink stars[i]), or a budget runs out, doubling every domain's
+/// walk length (capped by its step budget) after each second failed seed.
+/// The kept seed is the one whose worst domain delivered the most. Domains
+/// without walks are delivered as they stand; when no domain has any, no
+/// seed is tried.
+inline std::vector<RwResult> seed_search(
     const std::vector<const ExpanderSplit*>& sps, const std::vector<int>& stars,
-    double f, RwParams p = {}) {
+    double f, const RwParams& p) {
   f = std::min(std::max(f, 1e-9), 1.0);
-  std::vector<detail::Arena> arenas;
-  std::vector<double> phis;
-  std::vector<int> lengths;
-  arenas.reserve(sps.size());
-  for (std::size_t i = 0; i < sps.size(); ++i) {
+  const std::size_t k = sps.size();
+  std::vector<RwResult> results(k);
+  std::vector<Arena> arenas;
+  arenas.reserve(k);
+  std::vector<std::size_t> walking;  // domains with walks to simulate
+  std::vector<int> T(k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
     arenas.emplace_back(*sps[i], stars[i]);
-    arenas.back().spawn_walks(p.max_walks_total);
-    phis.push_back(sps[i]->routing_phi(sps[i]->part_of(stars[i])));
-    lengths.push_back(detail::walk_length(arenas.back(), phis.back(), f, p));
+    Arena& a = arenas.back();
+    a.spawn_walks(p.max_walks_total);
+    results[i].schedule.walks = static_cast<int>(a.start.size());
+    results[i].schedule.domain_bits = congest::ceil_log2(sps[i]->g.n());
+    results[i].delivered_fraction = 1.0;
+    if (a.population == 0 || a.start.empty()) continue;
+    walking.push_back(i);
+    T[i] = walk_length(a, sps[i]->routing_phi(sps[i]->part_of(stars[i])), f, p);
   }
+  if (walking.empty()) return results;
 
-  std::vector<RwResult> results(sps.size());
-  std::vector<detail::SimOutcome> best(sps.size());
+  std::vector<SimOutcome> best(k), sims(k);
+  std::vector<int> best_T = T;
   std::uint64_t best_seed = 0;
   std::int64_t tries = 0, steps_spent = 0;
   double best_min_fraction = -1.0;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
-    const std::uint64_t seed = detail::rw_mix(kRwBaseSeed, attempt, 1);
-    std::vector<detail::SimOutcome> sims(sps.size());
+    const std::uint64_t seed = rw_mix(kRwBaseSeed, attempt, 0);
     double min_fraction = 1.0;
-    for (std::size_t i = 0; i < sps.size(); ++i) {
-      sims[i] = detail::simulate(arenas[i], seed, lengths[i], kRwLaziness,
-                                 1.0 - f, p.pool);
+    for (std::size_t i : walking) {
+      sims[i] = simulate(arenas[i], seed, T[i], kRwLaziness, 1.0 - f, p.pool);
       steps_spent += sims[i].steps;
       min_fraction = std::min(min_fraction, sims[i].delivered_fraction);
     }
     tries = attempt;
     if (min_fraction > best_min_fraction) {
       best_min_fraction = min_fraction;
-      best = std::move(sims);
+      best.swap(sims);
       best_seed = seed;
+      best_T = T;
     }
     if (best_min_fraction >= 1.0 - f || steps_spent >= p.search_budget) break;
+    if (attempt % 2 == 0) {
+      for (std::size_t i : walking) {
+        const std::int64_t cap = std::max<std::int64_t>(
+            1, p.step_budget /
+                   static_cast<std::int64_t>(arenas[i].start.size()));
+        T[i] = static_cast<int>(std::min<std::int64_t>(2LL * T[i], cap));
+      }
+    }
   }
 
-  for (std::size_t i = 0; i < sps.size(); ++i) {
-    RwResult& r = results[i];
-    r.delivered_fraction = best[i].delivered_fraction;
-    r.rounds = best[i].rounds;
-    r.route = std::move(best[i].route);
-    for (int& v : r.route) v = arenas[i].parent[v];  // local -> vertex ids
-    r.walk_length = lengths[i];
+  for (RwResult& r : results) {
     r.schedule.seed = best_seed;
     r.schedule.seed_tries = tries;
-    r.schedule.walks = static_cast<int>(arenas[i].start.size());
-    r.schedule.domain_bits = congest::ceil_log2(sps[i]->g.n());
-    r.shard_messages = std::move(best[i].shard_messages);
-    r.ledger.charge("walk rounds", best[i].walk_rounds, best[i].moves,
-                    best[i].peak_load);
-    r.ledger.charge("congestion surplus", best[i].rounds - best[i].walk_rounds);
+  }
+  for (std::size_t i : walking) {
+    RwResult& r = results[i];
+    SimOutcome& b = best[i];
+    r.delivered_fraction = b.delivered_fraction;
+    r.rounds = b.rounds;
+    r.route = std::move(b.route);
+    for (int& v : r.route) v = arenas[i].parent[v];  // local -> vertex ids
+    r.walk_length = best_T[i];
+    r.shard_messages = std::move(b.shard_messages);
+    r.ledger.charge("walk rounds", b.walk_rounds, b.moves, b.peak_load);
+    r.ledger.charge("congestion surplus", b.rounds - b.walk_rounds);
   }
   return results;
+}
+
+}  // namespace detail
+
+/// Lemma 2.5: gather toward v_star inside its part under one published seed.
+inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
+                                    double f, RwParams p = {}) {
+  return detail::seed_search({&sp}, {v_star}, f, p).front();
+}
+
+/// Lemma 2.6: one published seed must serve several disjoint routing domains
+/// at once. Returns the per-subgraph results, all carrying the same accepted
+/// seed.
+inline std::vector<RwResult> gather_random_walks_shared(
+    const std::vector<const ExpanderSplit*>& sps, const std::vector<int>& stars,
+    double f, RwParams p = {}) {
+  return detail::seed_search(sps, stars, f, p);
 }
 
 }  // namespace mfd::expander

@@ -28,11 +28,6 @@
 
 namespace mfd::expander {
 
-/// Floor under a part's certificate wherever a routing schedule divides by
-/// it: a near-zero sweep sparsity would otherwise blow the walk length and
-/// the load-balancing schedule up without bound.
-inline constexpr double kRoutingPhiFloor = 0.02;
-
 struct SplitParams {
   double phi_target = 0.10;  // sweep-cut sparsity below which a part is split
 };
@@ -51,11 +46,9 @@ struct ExpanderSplit {
 
   int part_of(int v) const { return parts.cluster[v]; }
 
-  /// Part p's certificate clamped into [kRoutingPhiFloor, 1]: the φ both
-  /// gather engines size their schedules by.
-  double routing_phi(int p) const {
-    return std::min(1.0, std::max(phi_cert[p], kRoutingPhiFloor));
-  }
+  /// Part p's certificate clamped into [kRoutingPhiFloor, 1]
+  /// (graph/metrics.hpp): the φ both gather engines size their schedules by.
+  double routing_phi(int p) const { return clamp_routing_phi(phi_cert[p]); }
 
   double min_conductance() const {
     double phi = 1.0;

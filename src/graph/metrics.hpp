@@ -24,6 +24,18 @@ namespace mfd {
 
 inline std::int64_t graph_volume(const Graph& g) { return 2 * g.m(); }
 
+/// Floor under a conductance certificate wherever a routing schedule divides
+/// by it: a near-zero sweep sparsity would otherwise blow a walk length, a
+/// load-balancing schedule or the CS22 baseline's routing time up without
+/// bound.
+inline constexpr double kRoutingPhiFloor = 0.02;
+
+/// A certificate clamped into [kRoutingPhiFloor, 1]: the φ every routing
+/// schedule (both gather engines and the CS22 baseline) is sized by.
+inline double clamp_routing_phi(double cert) {
+  return std::min(1.0, std::max(cert, kRoutingPhiFloor));
+}
+
 /// phi(S) for the vertex set flagged by `in_side` (1 = in S). Returns 2.0 for
 /// trivial sides (S empty or S = V) so callers can minimize safely.
 inline double cut_conductance(const Graph& g, const std::vector<char>& in_side) {
@@ -199,10 +211,20 @@ inline std::vector<int> non_isolated_vertices(const Graph& g) {
 }
 
 /// The largest cluster whose conductance is enumerated exactly by default:
-/// 2^11 cuts, cheap enough to run on every tiny cluster. phi_certificate,
-/// certified_phi (PhiCertParams::exact_cap), the (ε, φ) split stage and
-/// evaluate_overlap all share it.
+/// 2^11 cuts, cheap enough to run on every tiny cluster. phi_certificate and
+/// certified_phi (PhiCertParams::exact_cap) share it.
 inline constexpr int kExactPhiCap = 12;
+
+/// What phi_probe looked at on its way to the certificate: the
+/// positive-degree core and, under kCheeger only, the approx_fiedler vector
+/// the estimate was read from. certified_phi sweeps that same vector and
+/// derives its game's target from the estimate, so one Fiedler pass serves
+/// every tier.
+struct PhiProbe {
+  PhiCertificate cert;
+  InducedSubgraph core;         // empty under kTrivial
+  std::vector<double> fiedler;  // empty unless cert.verdict == kCheeger
+};
 
 /// Conductance certificate for a cluster. `exact_cap` selects the exact
 /// enumeration path for graphs of at most that many vertices — it DEFAULTS
@@ -216,56 +238,65 @@ inline constexpr int kExactPhiCap = 12;
 /// kCheeger, exact = false). Degenerate inputs (isolated vertices,
 /// disconnected clusters, edgeless graphs) get the explicit verdicts
 /// documented on PhiVerdict instead of the historical implicit behavior.
-inline PhiCertificate phi_certificate(const Graph& g,
-                                      int exact_cap = kExactPhiCap,
-                                      int power_iters = 60) {
-  PhiCertificate out;
+/// phi_probe returns the certificate with the core and Fiedler vector it
+/// was computed from; phi_certificate is its certificate alone.
+inline PhiProbe phi_probe(const Graph& g, int exact_cap = kExactPhiCap,
+                          int power_iters = 60) {
+  PhiProbe out;
+  PhiCertificate& cert = out.cert;
   // Zero-volume sides cannot enter the conductance minimum, so isolated
   // vertices are invisible to it: certify the positive-degree core instead.
   const std::vector<int> support = non_isolated_vertices(g);
   if (support.size() <= 1) {
-    out.exact = true;
-    out.verdict = PhiVerdict::kTrivial;
+    cert.exact = true;
+    cert.verdict = PhiVerdict::kTrivial;
     return out;  // trivially well-connected (phi = 1 by convention)
   }
-  const InducedSubgraph core = induced_subgraph(g, support);
-  if (!is_connected(core.graph)) {
+  out.core = induced_subgraph(g, support);
+  const Graph& core = out.core.graph;
+  if (!is_connected(core)) {
     // Two edge-bearing components: the component cut is crossed by no edge
     // and both sides carry volume, so the minimum conductance is exactly 0.
-    out.phi = 0.0;
-    out.exact = true;
-    out.verdict = PhiVerdict::kDisconnected;
+    cert.phi = 0.0;
+    cert.exact = true;
+    cert.verdict = PhiVerdict::kDisconnected;
     return out;
   }
-  const int n = core.graph.n();
+  const int n = core.n();
   // The exact path enumerates 2^(n-1) subsets: clamp the caller's cap so a
   // generous knob can neither hang nor overflow the 32-bit mask below.
   exact_cap = std::min(exact_cap, 20);
   if (n <= exact_cap) {
-    out.exact = true;
-    out.verdict = PhiVerdict::kExact;
+    cert.exact = true;
+    cert.verdict = PhiVerdict::kExact;
     std::vector<char> side(n, 0);
     double best = 1.0;
     for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
       for (int v = 0; v < n - 1; ++v) side[v] = (mask >> v) & 1u;
-      best = std::min(best, cut_conductance(core.graph, side));
+      best = std::min(best, cut_conductance(core, side));
     }
-    out.phi = best;
+    cert.phi = best;
     return out;
   }
-  const std::vector<double> x = approx_fiedler(core.graph, 0x517cc1b727220a95ULL,
-                                               power_iters);
+  out.fiedler = approx_fiedler(core, 0x517cc1b727220a95ULL, power_iters);
+  const std::vector<double>& x = out.fiedler;
   double num = 0.0, den = 0.0;
   for (int u = 0; u < n; ++u) {
-    den += core.graph.degree(u) * x[u] * x[u];
-    for (int w : core.graph.neighbors(u)) {
+    den += core.degree(u) * x[u] * x[u];
+    for (int w : core.neighbors(u)) {
       if (u < w) num += (x[u] - x[w]) * (x[u] - x[w]);
     }
   }
   const double lambda2 = den <= 1e-300 ? 2.0 : num / den;
-  out.phi = std::min(1.0, lambda2 / 2.0);
-  out.verdict = PhiVerdict::kCheeger;
+  cert.phi = std::min(1.0, lambda2 / 2.0);
+  cert.verdict = PhiVerdict::kCheeger;
   return out;
+}
+
+inline PhiCertificate phi_certificate(const Graph& g,
+                                      int exact_cap = kExactPhiCap,
+                                      int power_iters = 60) {
+  return phi_probe(g, exact_cap, power_iters).cert;
 }
 
 inline SweepPartitionResult sweep_partition(const Graph& g, std::uint64_t seed,

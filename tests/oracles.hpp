@@ -116,7 +116,7 @@ inline expander::RwResult gather_random_walks_serial(
   f = std::min(std::max(f, 1e-9), 1.0);
   const int pid = sp.part_of(v_star);
   const double phi =
-      std::min(1.0, std::max(sp.phi_cert[pid], expander::kRoutingPhiFloor));
+      std::min(1.0, std::max(sp.phi_cert[pid], kRoutingPhiFloor));
   ed::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());

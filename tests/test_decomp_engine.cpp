@@ -9,10 +9,9 @@
 //   * evaluate_clustering: the sampled-eccentricity estimator is a lower
 //     bound of (and close to) the forced-exact diameter, and cut counts
 //     agree exactly,
-//   * evaluate_overlap: only sound support certificates reach
-//     min_support_phi_lower,
-//   * golden outputs: the integer outputs of every decomposition,
-//     certification and gather entry point on one fixed instance each.
+//   * golden outputs: the integer (and exact-quotient) outputs of every
+//     decomposition, certification and gather entry point on fixed
+//     instances.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -116,7 +115,9 @@ TEST_CASE(overlap_decomp_bounds) {
     CHECK_MSG(q.overlap_c >= 1 && q.overlap_c <= c_cap,
               ctx + ": c=" + std::to_string(q.overlap_c));
     CHECK_MSG(od.iterations >= 1 && od.iterations <= c_cap, ctx);
-    CHECK_MSG(q.min_support_phi_lower > 0.0, ctx);
+    const PartCertifyReport rep = certify_parts(g, od.oc.members);
+    CHECK_MSG(rep.ok, ctx + ": " + rep.violation);
+    CHECK_MSG(rep.min_phi_lower > 0.0, ctx);
     // Every cluster member id is a real vertex.
     for (const auto& mem : od.oc.members) {
       CHECK_MSG(!mem.empty(), ctx);
@@ -154,26 +155,6 @@ TEST_CASE(evaluate_clustering_sampled_vs_exact) {
   CHECK_MSG(2 * b.max_diameter >= a.max_diameter, "estimate below 2x bound");
 }
 
-TEST_CASE(overlap_support_phi_lower_is_certified_only) {
-  // A 16-cycle support is above the exact cap, so phi_certificate only
-  // estimates it (Cheeger); the estimate must not pose as a lower bound.
-  const Graph g = cycle_graph(16);
-  OverlapClustering oc;
-  oc.n = g.n();
-  oc.members.emplace_back();
-  for (int v = 0; v < g.n(); ++v) oc.members.back().push_back(v);
-  const OverlapQuality q = evaluate_overlap(g, oc);
-  CHECK(q.min_support_phi_lower == 1.0);
-  CHECK(q.min_support_phi_estimate < 1.0);
-  CHECK(q.min_support_phi_estimate > 0.0);
-
-  // Split into two 8-vertex paths: both supports are enumerated exactly.
-  oc.members = {{0, 1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14, 15}};
-  const OverlapQuality exact = evaluate_overlap(g, oc);
-  CHECK(exact.min_support_phi_lower < 1.0);
-  CHECK(exact.min_support_phi_estimate == 1.0);
-}
-
 namespace {
 
 struct LedgerPin {
@@ -202,9 +183,10 @@ std::vector<int> runs(const std::vector<std::pair<int, int>>& value_count) {
 }  // namespace
 
 TEST_CASE(golden_entry_point_outputs) {
-  // One fixed small instance per entry point, integer outputs only (so g++
-  // and clang++ agree): any change to a default, a constant or a fold shows
-  // up here as a diff.
+  // One fixed small instance per entry point, integer outputs and exact
+  // quotients only, so g++ and clang++ agree (the one rounded value, the
+  // Rayleigh estimate, gets a 1e-12 band): any change to a default, a
+  // constant or a fold shows up here as a diff.
   const Graph grid = grid_graph(8, 8);
   const std::vector<int> edt_labels = {
       0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1,
@@ -274,10 +256,7 @@ TEST_CASE(golden_entry_point_outputs) {
     check_ledger(ledger, {524, 28703, 6}, "expander decomp");
   }
   {
-    OverlapDecompParams op;
-    op.budgeted = true;
-    const OverlapDecompResult od =
-        overlap_expander_decomposition(grid, 0.15, op);
+    const OverlapDecompResult od = overlap_expander_decomposition(grid, 0.15);
     // Vertex v's first and second cluster (-1 when absent) at 2v, 2v + 1.
     std::vector<int> labels(2 * grid.n(), -1);
     for (int c = 0; c < od.oc.k(); ++c) {
@@ -308,11 +287,33 @@ TEST_CASE(golden_entry_point_outputs) {
     check_ledger(ledger, {607, 32495, 6}, "overlap");
   }
   {
+    // The certified bound alpha / (c * Delta) and the sweep cut 3/19 are
+    // exact quotients; the Rayleigh estimate is pinned to 1e-12.
     const expander::PhiReport r = expander::certified_phi(grid_graph(6, 6));
     CHECK(r.cert.verdict == PhiVerdict::kCutMatching);
     CHECK(r.game_verdict == expander::CutMatchingVerdict::kCertified);
     CHECK(r.game_state_bytes == 4896);
+    CHECK(r.cert.phi == 0x1.497p-7);
+    CHECK(std::abs(r.estimate - 0x1.65703b7ba097p-5) <= 1e-12);
+    CHECK(r.upper == 3.0 / 19.0);
     check_ledger(r.ledger, {715, 58368, 4}, "certified_phi");
+  }
+  {
+    // Pipebench's path: the game's target pinned to 0.02. On this tree the
+    // matching player gets stuck, so the headline stays the Cheeger
+    // estimate and the upper bound is the game's witnessed cut, 1/187.
+    Rng rng(311);
+    const Graph tree = make_family("tree", 300, rng);
+    expander::PhiCertParams pc;
+    pc.game.phi_target = 0.02;
+    const expander::PhiReport r = expander::certified_phi(tree, pc);
+    CHECK(r.cert.verdict == PhiVerdict::kCheeger);
+    CHECK(r.game_verdict == expander::CutMatchingVerdict::kSparseCut);
+    CHECK(r.game_state_bytes == 172800);
+    CHECK(r.cert.phi == r.estimate);
+    CHECK(std::abs(r.estimate - 0x1.7e3ab513399b9p-8) <= 1e-12);
+    CHECK(r.upper == 1.0 / 187.0);
+    check_ledger(r.ledger, {844, 265840, 38}, "certified_phi target");
   }
   {
     Rng rng(7);
@@ -354,5 +355,16 @@ TEST_CASE(golden_entry_point_outputs) {
     CHECK(cs.quality.max_diameter == 6);
     CHECK(cs.T_measured == 36);
     check_ledger(cs.ledger, {37, 8288, 1}, "cs22");
+
+    // A certificate under the routing floor: T = log2(vol + 2) / floor =
+    // 11 / 0.02 on this 1024-vertex tree's one cluster.
+    Rng tree_rng(11);
+    const Graph tree = make_family("tree", 1024, tree_rng);
+    Rng cs_rng(7);
+    const Cs22Result floored = cs22_decompose_and_route(tree, 0.05, cs_rng);
+    CHECK(floored.clustering.k == 1);
+    CHECK(floored.phi_certified < kRoutingPhiFloor);
+    CHECK(floored.T_measured == 550);
+    check_ledger(floored.ledger, {551, 1127346, 1}, "cs22 floored");
   }
 }

@@ -6,7 +6,8 @@
 //   * EDT: valid connected partition, hard eps cut budget, O(1/eps) diameter,
 //     a clean Runtime::audit();
 //   * overlap decomposition: covered-edge budget, overlap cap, connected
-//     supports, the per-level halving audit of evaluate_overlap;
+//     supports, the per-level halving audit of evaluate_overlap, and a
+//     passing certify_parts report with a positive certified bound;
 //   * phi_certificate / certified_phi: the three tiers bracket the exact
 //     brute-force conductance on every connected graph with <= 12 vertices
 //     (cut-matching lower <= exact <= witnessed sweep upper), degenerate
@@ -156,15 +157,14 @@ TEST_CASE(fuzz_overlap_invariants) {
       for (double eps : {0.5, 0.2}) {
         const std::string ctx =
             family + " n=" + std::to_string(n) + " eps=" + Table::num(eps, 2);
-        OverlapDecompParams op;
-        op.budgeted = true;
-        const OverlapDecompResult od =
-            overlap_expander_decomposition(g, eps, op);
+        const OverlapDecompResult od = overlap_expander_decomposition(g, eps);
         const OverlapQuality q = evaluate_overlap(g, od);
         CHECK_MSG(q.base.clusters_connected, ctx + ": supports connected");
         CHECK_MSG(q.base.eps_fraction <= eps + 1e-12, ctx + ": uncovered");
         CHECK_MSG(q.level_budget_ok, ctx + ": level budget");
-        CHECK_MSG(q.min_support_phi_lower > 0.0, ctx);
+        const PartCertifyReport rep = certify_parts(g, od.oc.members);
+        CHECK_MSG(rep.ok, ctx + ": " + rep.violation);
+        CHECK_MSG(rep.min_phi_lower > 0.0, ctx);
         // One cluster membership per level plus one per surgical retry.
         int retries = 0;
         for (int r : od.level_retries) retries += r;
@@ -291,11 +291,10 @@ TEST_CASE(fuzz_certificate_replay_rejects_tampering) {
   CHECK(oracles::dense_mixing_alpha(g.n(), out.cert.matchings) ==
         out.cert.alpha);
   for (const bool pooled : {false, true}) {
-    expander::VerifyParams vp;
-    vp.replay_block = pooled ? 5 : 0;  // force multi-block on the pooled leg
-    vp.pool = pooled ? &pool : nullptr;
+    const int block = pooled ? 5 : 0;  // force multi-block on the pooled leg
     const auto verify = [&](const expander::CutMatchingCertificate& c) {
-      return expander::verify_cut_matching(g, c, vp);
+      return expander::verify_cut_matching(g, c, block,
+                                           pooled ? &pool : nullptr);
     };
     CHECK(verify(out.cert).ok);
 
@@ -376,18 +375,15 @@ TEST_CASE(fuzz_implicit_matches_dense_oracle) {
         for (int threads : {1, 2, 7, 0}) {
           congest::ShardPool pool(threads);
           gp.replay_block = 7;
-          gp.pool = &pool;
           const std::string tctx =
               ctx + " threads=" + std::to_string(pool.threads());
           const expander::CutMatchingOutcome blocked =
-              expander::cut_matching_game(g, gp);
+              expander::cut_matching_game(g, gp, &pool);
           same_outcome(serial, blocked, tctx + " [blocked+pooled]");
           if (serial.verdict == expander::CutMatchingVerdict::kCertified) {
-            expander::VerifyParams vp;
-            vp.replay_block = 11;
-            vp.pool = &pool;
-            CHECK_MSG(expander::verify_cut_matching(g, blocked.cert, vp).ok,
-                      tctx);
+            CHECK_MSG(
+                expander::verify_cut_matching(g, blocked.cert, 11, &pool).ok,
+                tctx);
           }
         }
       }
@@ -450,8 +446,7 @@ TEST_CASE(fuzz_large_cluster_certify) {
   congest::ShardPool pool(3);
   expander::PhiCertParams pc;
   pc.game.phi_target = 0.02;
-  pc.game.pool = &pool;
-  const expander::PhiReport rep = expander::certified_phi(g, pc);
+  const expander::PhiReport rep = expander::certified_phi(g, pc, &pool);
   CHECK_MSG(rep.cert.verdict == PhiVerdict::kCutMatching,
             "large cluster did not certify");
   CHECK(rep.cert.phi > 0.0);
@@ -462,7 +457,6 @@ TEST_CASE(fuzz_large_cluster_certify) {
                     8 * static_cast<std::int64_t>(g.n()) * g.n(),
             "state bytes not sub-quadratic");
   // Pure function of the input: the pooled run equals a serial re-run.
-  pc.game.pool = nullptr;
   const expander::PhiReport again = expander::certified_phi(g, pc);
   CHECK(again.cert.phi == rep.cert.phi);
   CHECK(again.game_state_bytes == rep.game_state_bytes);
@@ -500,9 +494,7 @@ TEST_CASE(fuzz_certify_audit) {
     }
     CHECK_MSG(saw_game_phase, ctx + ": game phase charged");
 
-    OverlapDecompParams op;
-    op.budgeted = true;
-    const OverlapDecompResult od = overlap_expander_decomposition(g, 0.4, op);
+    const OverlapDecompResult od = overlap_expander_decomposition(g, 0.4);
     const PartCertifyReport orep = certify_parts(g, od.oc.members);
     const std::string octx = family + ": overlap";
     CHECK_MSG(orep.ok, octx);

@@ -342,10 +342,8 @@ TEST_CASE(accounting_deterministic) {
 
 TEST_CASE(overlap_budgeted_levels_halve) {
   const Graph g = grid_graph(14, 14);
-  decomp::OverlapDecompParams p;
-  p.budgeted = true;
   const decomp::OverlapDecompResult od =
-      decomp::overlap_expander_decomposition(g, 0.25, p);
+      decomp::overlap_expander_decomposition(g, 0.25);
   CHECK(od.iterations >= 1);
   CHECK(od.budget_violations.empty());
   CHECK(od.level_edges.size() == static_cast<std::size_t>(od.iterations));
@@ -363,7 +361,7 @@ TEST_CASE(overlap_budgeted_levels_halve) {
 }
 
 TEST_CASE(overlap_surgical_retry_repairs_level) {
-  // Force the budgeted retry ladder: level_eps = 3.0 gives the base pass an
+  // Force the surgical retry ladder: level_eps = 3.0 gives the base pass an
   // allowance >= m, so the EDT inside it never merges anything — every edge
   // stays uncovered and the level is maximally over budget. The surgical
   // ladder must then re-partition ONLY the uncovered remainder at halved
@@ -372,7 +370,6 @@ TEST_CASE(overlap_surgical_retry_repairs_level) {
   // every evaluate_overlap guarantee intact.
   const Graph g = grid_graph(14, 14);
   decomp::OverlapDecompParams p;
-  p.budgeted = true;
   p.level_eps = 3.0;
   const decomp::OverlapDecompResult od =
       decomp::overlap_expander_decomposition(g, 0.25, p);
