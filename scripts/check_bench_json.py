@@ -331,6 +331,15 @@ def check_ladder(path, doc):
     # mds gates its dedicated showcase below instead.
     if bench != "mds" and tw_cap > 0 and tiers["tier_tw_dp"] < 1:
         return fail(path, f"{bench}: treewidth-DP tier never fired ({tiers})")
+    if bench == "matching_vc":
+        # The grid VC row: grid clusters are bipartite, so the König rung
+        # must take every one — no budgeted search, no greedy fallback.
+        for key in ("grid_tier_greedy", "grid_bb_runs"):
+            val = metrics.get(key)
+            if not isinstance(val, INT) or isinstance(val, bool) or val != 0:
+                return fail(path, f"matching_vc: metrics.{key} is {val!r}, "
+                                  f"want 0 (bipartite grid clusters left "
+                                  f"the König rung)")
     if bench == "mds":
         for key, lo, hi in (("tw_showcase_via_dp", 1, 1),
                             ("tw_showcase_valid", 1, 1),

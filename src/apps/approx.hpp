@@ -4,14 +4,17 @@
 // applications share: build a Theorem 1.1 (ε*, D, T)-decomposition whose cut
 // budget ε* is scaled down so the additive ε*·m combination loss becomes a
 // multiplicative (1 ± ε), then solve every cluster *exactly* with the
-// centralized baselines (branch-and-bound MIS, blossom matching) — the
-// simulation stand-in for the paper's free local computation inside
-// O(1/ε)-diameter clusters — and repair the seams along cut edges.
-// detail::solve_clusters is the one per-cluster driver all five Section-6
-// solvers (here, maxcut.hpp and domination.hpp) share: it fans the cluster
-// solves over a lent congest::ShardPool and folds their ladder reports in
-// cluster order. The ladders themselves are apps/treewidth.hpp's run_ladder
-// with per-problem tier bodies; the seam sweeps are serial O(m) passes.
+// centralized baselines (König matching / branch-and-bound MIS, blossom
+// matching) — the simulation stand-in for the paper's free local
+// computation inside O(1/ε)-diameter clusters — and repair the seams along
+// cut edges. detail::solve_clusters is the one per-cluster driver all five
+// Section-6 solvers (here, maxcut.hpp and domination.hpp) share: it fans
+// the cluster solves over a lent congest::ShardPool and folds their ladder
+// reports in cluster order. The ladders themselves are apps/treewidth.hpp's
+// run_ladder with per-problem tier bodies; the MIS / VC ladder runs forest
+// reductions -> König matching on the other bipartite clusters -> treewidth
+// DP -> budgeted B&B -> greedy completion. The seam sweeps are serial O(m)
+// passes.
 //
 // Guarantee bookkeeping (alpha = the minor-free density bound the caller
 // asserts for its family: m <= alpha * n; trees 1, outerplanar 2, planar 3):
@@ -128,20 +131,17 @@ auto solve_clusters(const Graph& g, const AppDecomposition& dec,
   return local;
 }
 
-/// The vertex-set solvers' use of the driver: `ladder` is a cluster_*
-/// entry (cluster_mis, cluster_vc, cluster_mds); returns the union of the
-/// cluster witnesses as 0/1 marks over parent vertex ids.
-using SetLadder = std::vector<int> (*)(const Graph&, const LadderConfig&,
-                                       TierReport&);
-inline std::vector<char> cluster_union(const Graph& g,
-                                       const AppDecomposition& dec,
-                                       congest::ShardPool* pool,
-                                       const LadderConfig& cfg,
-                                       SetLadder ladder,
-                                       congest::SolverStats& stats) {
+/// The vertex-set solvers' use of the driver: `ladder(sub, rep)` solves one
+/// cluster (a cluster_* entry: cluster_mis, cluster_vc, cluster_mds) and
+/// returns its witness in local ids; returns the union of the cluster
+/// witnesses as 0/1 marks over parent vertex ids.
+template <class Ladder>
+std::vector<char> cluster_union(const Graph& g, const AppDecomposition& dec,
+                                congest::ShardPool* pool,
+                                congest::SolverStats& stats, Ladder&& ladder) {
   const std::vector<std::vector<int>> local = solve_clusters(
       g, dec, pool, stats, [&](const InducedSubgraph& sub, TierReport& rep) {
-        std::vector<int> s = ladder(sub.graph, cfg, rep);
+        std::vector<int> s = ladder(sub, rep);
         for (int& v : s) v = sub.to_parent[v];
         return s;
       });
@@ -152,15 +152,49 @@ inline std::vector<char> cluster_union(const Graph& g,
   return in_set;
 }
 
-/// The cluster MIS ladder (run_ladder's tiers): forest clusters solve by
-/// reductions alone (every tree has a leaf, so MisSolver never branches
-/// there), then the treewidth DP, then the budgeted B&B (a blown budget
-/// keeps its greedy-completed incumbent), then the greedy completion (a
-/// budget-0 solve: reductions + min-degree greedy).
-inline std::vector<int> cluster_mis(const Graph& h, const LadderConfig& cfg,
-                                    TierReport& rep) {
+/// Marks the cluster-boundary vertices of `sub` (local ids): those with a
+/// g-edge leaving the cluster. The induced subgraph keeps every
+/// intra-cluster edge of the simple graph g, so they are exactly the
+/// vertices whose degree in g exceeds their degree in the cluster.
+inline std::vector<char> boundary_flags(const Graph& g,
+                                        const InducedSubgraph& sub) {
+  std::vector<char> out(sub.graph.n(), 0);
+  for (int v = 0; v < sub.graph.n(); ++v) {
+    out[v] = g.degree(sub.to_parent[v]) > sub.graph.degree(v) ? 1 : 0;
+  }
+  return out;
+}
+
+/// The MIS ladder cluster_mis and cluster_vc share (run_ladder's tiers):
+/// forest clusters solve by reductions alone (every tree has a leaf, so
+/// MisSolver never branches there); the other bipartite clusters take
+/// König's construction on a Hopcroft–Karp matching, the complement of the
+/// cover built from the side of local vertex 0 — or, with `boundary`, of
+/// whichever of the two covers holds more boundary vertices (ties to side
+/// 0); then the treewidth DP, then the budgeted B&B (a blown budget keeps
+/// its greedy-completed incumbent), then the greedy completion (a budget-0
+/// solve: reductions + min-degree greedy).
+inline std::vector<int> mis_ladder(const Graph& h,
+                                   const std::vector<char>* boundary,
+                                   const LadderConfig& cfg, TierReport& rep) {
   return run_ladder(
-      h, cfg, rep, [&h] { return max_independent_set(h).set; },
+      h, cfg, rep,
+      [&h](const TwoColoring& /*col*/) {
+        return max_independent_set(h).set;
+      },
+      [&](const TwoColoring& col) -> std::optional<std::vector<int>> {
+        const std::vector<int> mate = bipartite_matching(h, col.side);
+        std::vector<int> cover = konig_cover(h, col.side, mate, 0);
+        if (boundary != nullptr) {
+          const auto on_boundary = [boundary](const std::vector<int>& c) {
+            return std::count_if(c.begin(), c.end(),
+                                 [boundary](int v) { return (*boundary)[v]; });
+          };
+          std::vector<int> other = konig_cover(h, col.side, mate, 1);
+          if (on_boundary(other) > on_boundary(cover)) cover = std::move(other);
+        }
+        return vertex_complement(h, cover);
+      },
       [&h](const NiceTreeDecomposition& nd) {
         return tw_max_independent_set(h, nd);
       },
@@ -172,12 +206,21 @@ inline std::vector<int> cluster_mis(const Graph& h, const LadderConfig& cfg,
       [&h] { return max_independent_set(h, 0, nullptr).set; });
 }
 
-/// Cluster VC: the complement of the cluster MIS ladder's witness — a valid
-/// cover for every tier (the complement of ANY independent set covers all
-/// edges), minimum whenever the tier was exact. Same tier report.
-inline std::vector<int> cluster_vc(const Graph& h, const LadderConfig& cfg,
-                                   TierReport& rep) {
-  return vertex_complement(h, cluster_mis(h, cfg, rep));
+/// The cluster MIS ladder: mis_ladder with the plain König witness.
+inline std::vector<int> cluster_mis(const Graph& h, const LadderConfig& cfg,
+                                    TierReport& rep) {
+  return mis_ladder(h, nullptr, cfg, rep);
+}
+
+/// Cluster VC: the complement of the MIS ladder's witness — a valid cover
+/// for every tier (the complement of ANY independent set covers all edges),
+/// minimum whenever the tier was exact. On the König rung it is the
+/// minimum cover holding more of the boundary marked by `boundary` (local
+/// ids), so fewer cut edges need the seam patch. Same tier report.
+inline std::vector<int> cluster_vc(const Graph& h,
+                                   const std::vector<char>& boundary,
+                                   const LadderConfig& cfg, TierReport& rep) {
+  return vertex_complement(h, mis_ladder(h, &boundary, cfg, rep));
 }
 
 }  // namespace detail
@@ -199,7 +242,10 @@ inline SetSolution approx_max_independent_set(const Graph& g, double eps,
       detail::decompose_for_app(g, eps_star, out.stats);
 
   std::vector<char> in_set = detail::cluster_union(
-      g, dec, pool, ladder, detail::cluster_mis, out.stats);
+      g, dec, pool, out.stats,
+      [&ladder](const InducedSubgraph& sub, TierReport& rep) {
+        return detail::cluster_mis(sub.graph, ladder, rep);
+      });
   // Seam repair: a cut edge with both endpoints chosen drops its larger
   // endpoint — at most one loss per cut edge, which eps* budgeted for.
   const std::vector<int>& cl = dec.edt.clustering.cluster;
@@ -271,7 +317,11 @@ inline SetSolution approx_min_vertex_cover(const Graph& g, double eps,
       detail::decompose_for_app(g, eps_star, out.stats);
 
   std::vector<char> in_cover = detail::cluster_union(
-      g, dec, pool, ladder, detail::cluster_vc, out.stats);
+      g, dec, pool, out.stats,
+      [&](const InducedSubgraph& sub, TierReport& rep) {
+        return detail::cluster_vc(sub.graph, detail::boundary_flags(g, sub),
+                                  ladder, rep);
+      });
   // Every cut edge must be covered too: take its smaller endpoint unless one
   // endpoint is already in.
   const std::vector<int>& cl = dec.edt.clustering.cluster;

@@ -381,7 +381,8 @@ inline std::vector<int> cluster_mds(const Graph& h, const LadderConfig& cfg,
     return sol;
   };
   return run_ladder(
-      h, cfg, rep, [&h] { return tree_mds(h); },
+      h, cfg, rep, [&h](const TwoColoring& /*col*/) { return tree_mds(h); },
+      no_bipartite_rung<std::vector<int>>,
       [&h](const NiceTreeDecomposition& nd) {
         return tw_min_dominating_set(h, nd);
       },
@@ -445,7 +446,10 @@ inline MdsSolution approx_min_dominating_set(const Graph& g, double eps,
       detail::decompose_for_app(g, out.eps_star, out.stats);
 
   const std::vector<char> in_set = detail::cluster_union(
-      g, dec, pool, ladder, detail::cluster_mds, out.stats);
+      g, dec, pool, out.stats,
+      [&ladder](const InducedSubgraph& sub, TierReport& rep) {
+        return detail::cluster_mds(sub.graph, ladder, rep);
+      });
   for (int v = 0; v < g.n(); ++v) {
     if (in_set[v]) out.vertices.push_back(v);
   }

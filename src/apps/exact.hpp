@@ -26,10 +26,17 @@
 // a valid independent set) and the solver reports exact() == false.
 // tests/oracles.hpp keeps the whole-array-rescan search this one must match
 // set for set, node for node.
+// Bipartite graphs need no search: bipartite_matching (Hopcroft–Karp,
+// O(m sqrt(n)), iterative) and konig_cover (the alternating-path
+// construction) give a minimum vertex cover of size nu and, as its
+// complement, a maximum independent set (alpha = n - nu). The cluster
+// ladder runs them after its forest test and before its width probe, so
+// the branch and bound only sees non-bipartite clusters.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -396,6 +403,117 @@ inline std::vector<int> vertex_complement(const Graph& g,
 /// edges and |V| - alpha(G) is optimal).
 inline MisResult min_vertex_cover(const Graph& g) {
   return {vertex_complement(g, max_independent_set(g).set)};
+}
+
+/// Hopcroft–Karp maximum matching of a bipartite graph whose proper
+/// 2-coloring is `side` (two_coloring(g).side): mate[v] is v's partner, or
+/// -1. Each phase layers the side-0 vertices by BFS from the free ones up to
+/// the first layer that sees a free side-1 vertex, then augments along
+/// vertex-disjoint shortest paths with an iterative DFS (per-vertex edge
+/// cursors, so a phase is O(m) and no recursion depth grows with n):
+/// O(m sqrt(n)) in all. Deterministic: starts and edges in ascending order.
+inline std::vector<int> bipartite_matching(const Graph& g,
+                                           const std::vector<char>& side) {
+  const int n = g.n();
+  constexpr int kInf = std::numeric_limits<int>::max();
+  std::vector<int> mate(n, -1), dist(n, kInf), cursor(n), queue, stack;
+  for (;;) {
+    queue.clear();
+    for (int u = 0; u < n; ++u) {
+      dist[u] = kInf;
+      if (side[u] == 0 && mate[u] < 0) {
+        dist[u] = 0;
+        queue.push_back(u);
+      }
+    }
+    int limit = kInf;  // layer of the shortest augmenting paths
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      const int u = queue[h];
+      if (dist[u] >= limit) break;
+      for (int w : g.neighbors(u)) {
+        const int m = mate[w];
+        if (m < 0) {
+          limit = dist[u];
+        } else if (dist[m] == kInf) {
+          dist[m] = dist[u] + 1;
+          queue.push_back(m);
+        }
+      }
+    }
+    if (limit == kInf) return mate;
+    std::fill(cursor.begin(), cursor.end(), 0);
+    for (int s = 0; s < n; ++s) {
+      if (side[s] != 0 || mate[s] >= 0 || dist[s] != 0) continue;
+      stack.assign(1, s);
+      while (!stack.empty()) {
+        const int x = stack.back();
+        const auto nb = g.neighbors(x);
+        if (cursor[x] == nb.size()) {  // dead end for this phase
+          dist[x] = kInf;
+          stack.pop_back();
+          if (!stack.empty()) ++cursor[stack.back()];
+          continue;
+        }
+        const int w = nb.begin()[cursor[x]];
+        const int m = mate[w];
+        if (m < 0 && dist[x] == limit) {  // augment along the stack
+          for (int y : stack) {
+            const int partner = g.neighbors(y).begin()[cursor[y]];
+            mate[y] = partner;
+            mate[partner] = y;
+          }
+          break;
+        }
+        if (m >= 0 && dist[x] < limit && dist[m] == dist[x] + 1) {
+          stack.push_back(m);
+        } else {
+          ++cursor[x];
+        }
+      }
+    }
+  }
+}
+
+/// König's minimum vertex cover of a bipartite graph from a maximum
+/// matching: Z is every vertex an alternating path (non-matching edges out
+/// of side `from`, matching edges back) reaches from the unmatched vertices
+/// of side `from`, and the cover is (side from \ Z) + (other side ∩ Z), of
+/// size |matching| (sorted). Its complement is a maximum independent set
+/// (alpha = n - nu); the two choices of `from` give the two covers one
+/// matching yields.
+inline std::vector<int> konig_cover(const Graph& g,
+                                    const std::vector<char>& side,
+                                    const std::vector<int>& mate, int from) {
+  const int n = g.n();
+  std::vector<char> reached(n, 0);
+  std::vector<int> queue;
+  for (int v = 0; v < n; ++v) {
+    if (side[v] == from && mate[v] < 0) {
+      reached[v] = 1;
+      queue.push_back(v);
+    }
+  }
+  for (std::size_t h = 0; h < queue.size(); ++h) {
+    const int v = queue[h];
+    if (side[v] != from) {  // matched (maximality), so follow its mate
+      if (!reached[mate[v]]) {
+        reached[mate[v]] = 1;
+        queue.push_back(mate[v]);
+      }
+      continue;
+    }
+    for (int w : g.neighbors(v)) {
+      if (!reached[w]) {
+        reached[w] = 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  std::vector<int> cover;
+  for (int v = 0; v < n; ++v) {
+    if ((side[v] == from) != (reached[v] != 0)) cover.push_back(v);
+  }
+  return cover;
 }
 
 }  // namespace mfd::apps

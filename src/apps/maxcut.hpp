@@ -69,16 +69,6 @@ inline int local_flip_passes(const Graph& g, std::vector<char>& side,
   return passes;
 }
 
-/// BFS-parity side assignment from vertex 0: exact on bipartite graphs.
-inline std::vector<char> parity_sides(const Graph& g) {
-  std::vector<char> side(g.n(), 0);
-  const std::vector<int> dist = bfs_distances(g, 0);
-  for (int v = 0; v < g.n(); ++v) {
-    side[v] = static_cast<char>(dist[v] >= 0 ? dist[v] & 1 : 0);
-  }
-  return side;
-}
-
 inline std::int64_t cut_value(const Graph& g, const std::vector<char>& side) {
   std::int64_t cut = 0;
   for (int u = 0; u < g.n(); ++u) {
@@ -108,7 +98,7 @@ inline CutResult max_cut(const Graph& g, int exact_cap = 26) {
     return out;
   }
   if (n > exact_cap) {
-    out.side = detail::parity_sides(g);
+    out.side = two_coloring(g).side;  // BFS parity per component
     detail::local_flip_passes(g, out.side);
     out.cut_edges = detail::cut_value(g, out.side);
     return out;
@@ -146,8 +136,10 @@ inline CutResult max_cut(const Graph& g, int exact_cap = 26) {
 namespace detail {
 
 /// The per-cluster max-cut ladder (run_ladder's tiers): forest clusters
-/// take BFS-parity sides (exact — trees are bipartite, so the parity cut is
-/// all m edges); medium clusters the treewidth DP; clusters of at most
+/// take the ladder's BFS-parity sides (exact — forests are bipartite, so
+/// the parity cut is all m edges); there is no König rung, so the other
+/// bipartite clusters stay on the later tiers like every non-forest
+/// cluster; medium clusters the treewidth DP; clusters of at most
 /// exact_cap vertices the gray-code enumeration (the exact-search tier here
 /// — bb_nodes counts its 2^(n-1)-1 single-flip steps, always within
 /// "budget"; above the cap it does not apply); everything else BFS-parity
@@ -159,7 +151,8 @@ inline std::vector<char> cluster_cut(const Graph& h, int exact_cap,
   passes = 0;
   const int cap = std::min(exact_cap, 30);  // max_cut's own clamp
   return run_ladder(
-      h, cfg, rep, [&h] { return parity_sides(h); },
+      h, cfg, rep, [](const TwoColoring& col) { return col.side; },
+      no_bipartite_rung<std::vector<char>>,
       [&h](const NiceTreeDecomposition& nd) { return tw_max_cut(h, nd).side; },
       [&]() -> std::optional<LadderSearch<std::vector<char>>> {
         if (h.n() > cap) return std::nullopt;
@@ -167,7 +160,7 @@ inline std::vector<char> cluster_cut(const Graph& h, int exact_cap,
             max_cut(h, cap).side, true, (std::int64_t{1} << (h.n() - 1)) - 1};
       },
       [&] {
-        std::vector<char> side = parity_sides(h);
+        std::vector<char> side = two_coloring(h).side;
         passes = local_flip_passes(h, side);
         return side;
       });

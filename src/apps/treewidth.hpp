@@ -36,12 +36,14 @@
 // masks, so peak memory is O(3^w * w) per live table, not O(3^w * n).
 //
 // The ladder itself lives here too: run_ladder is the one width-gated
-// four-tier skeleton (forest tree-DP -> treewidth DP when the computed
-// width is <= tw_cap -> budgeted exact search -> greedy) with the shared
-// vocabulary (LadderConfig / SolveTier / TierReport / accumulate_tier).
-// approx.hpp (MIS, VC), domination.hpp (MDS) and maxcut.hpp supply only
-// their tier bodies, and report per-tier cluster counts plus B&B effort
-// into congest::SolverStats.
+// skeleton with the shared vocabulary (LadderConfig / SolveTier /
+// TierReport / accumulate_tier). One BFS 2-coloring per cluster gates its
+// structural rungs; the order is forest tree-DP (m == n - components) ->
+// König matching on the remaining bipartite clusters (MIS and VC only) ->
+// treewidth DP when the computed width is <= tw_cap -> budgeted exact
+// search -> greedy. approx.hpp (MIS, VC), domination.hpp (MDS) and
+// maxcut.hpp supply only their tier bodies, and report per-tier cluster
+// counts plus B&B effort into congest::SolverStats.
 #pragma once
 
 #include <algorithm>
@@ -89,7 +91,9 @@ struct NiceTreeDecomposition {
 
 /// Which rung of the cluster ladder solved a cluster.
 enum class SolveTier : int {
-  kForest = 0,       // exact forest/tree DP (or parity sides for max-cut)
+  kForest = 0,       // polynomial structural rung: forest tree-DP (parity
+                     // sides for max-cut), König matching on bipartite
+                     // clusters (MIS, VC)
   kTreewidthDp = 1,  // width-gated nice-tree-decomposition DP (exact)
   kBranchBound = 2,  // budgeted exact search that finished within budget
   kGreedy = 3,       // fallback (no exact tier applied or budget blown)
@@ -97,11 +101,11 @@ enum class SolveTier : int {
 
 /// The ladder's one knob, the benches' --tw_cap: the width gate. The DP
 /// runs only when the computed decomposition width is <= tw_cap, so
-/// tw_cap 0 is the no-DP ladder (forest -> exact search -> greedy). It is
-/// HARD-CLAMPED to 13 inside the ladder — the MDS kernel's tables are
-/// 3^(w+1) entries and its join enumerates 4^(w+1) white-splits, so a
-/// generous knob must not silently ask for gigabytes (same rationale as
-/// max_cut's exact_cap clamp).
+/// tw_cap 0 is the no-DP ladder (forest -> König -> exact search ->
+/// greedy). It is HARD-CLAMPED to 13 inside the ladder — the MDS kernel's
+/// tables are 3^(w+1) entries and its join enumerates 4^(w+1) white-splits,
+/// so a generous knob must not silently ask for gigabytes (same rationale
+/// as max_cut's exact_cap clamp).
 struct LadderConfig {
   int tw_cap = 10;
 };
@@ -565,8 +569,8 @@ inline NiceTreeDecomposition nice_tree_decomposition(
 /// kLadderTwMaxN) and the capped decomposition search certifies width <=
 /// the clamped tw_cap; fills `nd` with the nice decomposition the kernels
 /// consume (nd.width is the certified width). A cap below 1 declines
-/// without probing: a width-0 cluster is edgeless, and the later tiers
-/// solve edgeless clusters exactly.
+/// without probing: a width-0 cluster is edgeless, a forest the ladder's
+/// first tier already solved.
 /// The probe passes abort_width = cap + 2 — slack for greedy suboptimality —
 /// and re-checks the final width against the cap, so a wide cluster costs
 /// only the aborted greedy, never a full decomposition.
@@ -591,20 +595,35 @@ struct LadderSearch {
   std::int64_t nodes = 0;
 };
 
-/// The width-gated four-tier cluster ladder — the one place the tier policy
-/// lives. Each problem supplies only its tier bodies:
-///   forest()  the exact solve of a tree cluster (connected, m = n - 1);
-///   tw(nd)    the treewidth-DP kernel on the certified nice decomposition;
-///   search()  the exact search as std::optional<LadderSearch<Sol>>, nullopt
-///             when it does not apply to this cluster;
-///   greedy()  the fallback.
-/// Order: forest -> width probe -> exact search -> greedy. A search that
-/// blew its budget lands on the greedy tier with the witness it returned.
-/// Fills `rep` with the tier, the certified width when the DP ran, the
-/// search effort when that tier ran, and the wall time.
-template <class Forest, class Tw, class Search, class Greedy>
+/// run_ladder's bipartite body for the problems without a König rung: MDS,
+/// and max-cut, whose bipartite clusters stay on the width DP on purpose
+/// (the benches' DP-tier coverage gates read max-cut's grid trail).
+template <class Sol>
+std::optional<Sol> no_bipartite_rung(const TwoColoring& /*col*/) {
+  return std::nullopt;
+}
+
+/// The width-gated cluster ladder — the one place the tier policy lives.
+/// One BFS 2-coloring per cluster (two_coloring) gates the structural rungs;
+/// each problem supplies only its tier bodies:
+///   forest(col)     the exact solve of a forest cluster (m == n - components);
+///   bipartite(col)  the exact polynomial solve of a bipartite cluster that
+///                   is not a forest (König matching for MIS / VC), nullopt
+///                   when the problem has no such rung;
+///   tw(nd)          the treewidth-DP kernel on the certified nice
+///                   decomposition;
+///   search()        the exact search as std::optional<LadderSearch<Sol>>,
+///                   nullopt when it does not apply to this cluster;
+///   greedy()        the fallback.
+/// Order: forest -> bipartite -> width probe -> exact search -> greedy. Both
+/// structural rungs count as SolveTier::kForest. A search that blew its
+/// budget lands on the greedy tier with the witness it returned. Fills `rep`
+/// with the tier, the certified width when the DP ran, the search effort
+/// when that tier ran, and the wall time.
+template <class Forest, class Bipartite, class Tw, class Search, class Greedy>
 auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
-                Forest&& forest, Tw&& tw, Search&& search, Greedy&& greedy) {
+                Forest&& forest, Bipartite&& bipartite, Tw&& tw,
+                Search&& search, Greedy&& greedy) {
   using Sol = decltype(greedy());
   rep = TierReport{};
   if (h.n() == 0) return Sol{};
@@ -612,9 +631,14 @@ auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
   rep.solved = true;
   Sol sol;
   NiceTreeDecomposition nd;
+  std::optional<Sol> konig;
   std::optional<LadderSearch<Sol>> found;
-  if (h.m() == h.n() - 1) {  // connected cluster with tree edge count
-    sol = forest();
+  const TwoColoring col = two_coloring(h);
+  if (col.forest(h)) {
+    sol = forest(col);
+    rep.tier = SolveTier::kForest;
+  } else if (col.bipartite && (konig = bipartite(col))) {
+    sol = std::move(*konig);
     rep.tier = SolveTier::kForest;
   } else if (ladder_tw_probe(h, cfg, nd)) {
     sol = tw(nd);

@@ -171,6 +171,48 @@ inline std::pair<std::vector<int>, int> connected_components(const Graph& g) {
   return {std::move(comp), k};
 }
 
+/// BFS 2-coloring of every component: side[v] is the parity of v's BFS
+/// distance from its component's smallest vertex (which gets side 0).
+/// bipartite is false iff some edge joins two vertices of equal parity
+/// (an odd cycle); the sides are still the BFS parities then.
+struct TwoColoring {
+  std::vector<char> side;
+  int components = 0;
+  bool bipartite = true;
+
+  /// A graph with m edges is a forest iff m == n - components.
+  bool forest(const Graph& g) const {
+    return g.m() == static_cast<std::int64_t>(g.n()) - components;
+  }
+};
+
+inline TwoColoring two_coloring(const Graph& g) {
+  TwoColoring out;
+  out.side.assign(g.n(), 0);
+  std::vector<char> seen(g.n(), 0);
+  std::vector<int> queue;
+  queue.reserve(g.n());
+  for (int s = 0; s < g.n(); ++s) {
+    if (seen[s]) continue;
+    ++out.components;
+    seen[s] = 1;
+    queue.assign(1, s);
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      const int u = queue[h];
+      for (int w : g.neighbors(u)) {
+        if (!seen[w]) {
+          seen[w] = 1;
+          out.side[w] = static_cast<char>(out.side[u] ^ 1);
+          queue.push_back(w);
+        } else if (out.side[w] == out.side[u]) {
+          out.bipartite = false;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 inline bool is_connected(const Graph& g) {
   if (g.n() == 0) return true;
   const auto dist = bfs_distances(g, 0);

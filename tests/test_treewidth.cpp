@@ -6,7 +6,9 @@
 // the cover complementing the MIS witness) against bitmask brute force on
 // <= 20-vertex graphs and against the exact B&B / tree-DP baselines on
 // mid-size forests and grids, the ladder's tier accounting under its width
-// gate, and golden outputs of the laddered solvers and subset-DP kernels.
+// gate, the König rung on bipartite clusters (exact, skipped on odd cycles,
+// non-recursive at 10^6 vertices), the per-component forest gate, and
+// golden outputs of the laddered solvers and subset-DP kernels.
 // Every draw derives from a fixed seed, so failures reproduce from the
 // printed context string.
 #include <algorithm>
@@ -427,6 +429,138 @@ TEST_CASE(tw_ladder_tier_accounting) {
   CHECK(omds.stats.max_width_dp <= 2);
 }
 
+TEST_CASE(konig_rung_exact_on_bipartite) {
+  // Every bipartite cluster that is not a forest takes the König rung (tier
+  // kForest): the MIS is independent and as large as the unbounded B&B's,
+  // its complement is a cover of size n - alpha, both covers one matching
+  // yields are minimum, and cluster_vc's boundary-preferring pick is one of
+  // them.
+  std::vector<std::pair<std::string, Graph>> cases = {
+      {"C4", cycle_graph(4)},          {"C6", cycle_graph(6)},
+      {"C50", cycle_graph(50)},        {"grid 5x7", grid_graph(5, 7)},
+      {"grid 6x6", grid_graph(6, 6)},  {"grid 13x11", grid_graph(13, 11)},
+      {"K2,3", Graph::from_edges(5, {{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3},
+                                     {1, 4}})},
+      // A 4-cycle with a pendant path 3-4-5-6 hanging off vertex 3.
+      {"C4+pendant path", Graph::from_edges(7, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
+                                                {3, 4}, {4, 5}, {5, 6}})},
+      // Components whose sides disagree with a global parity: an isolated
+      // vertex, a path, a 6-cycle and a 3x4 grid.
+      {"disjoint union",
+       disjoint_union(disjoint_union(Graph::from_edges(1, {}), path_graph(5)),
+                      disjoint_union(cycle_graph(6), grid_graph(3, 4)))}};
+  Rng rng(0xB1DA);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Graph grid = grid_graph(12, 12);
+    std::vector<int> keep;
+    for (int v = 0; v < grid.n(); ++v) {
+      if (rng.next_below(10) < 7) keep.push_back(v);
+    }
+    cases.emplace_back("grid 12x12 induced trial=" + std::to_string(trial),
+                       induced_subgraph(grid, keep).graph);
+  }
+  LadderConfig cfg;
+  for (const auto& [name, g] : cases) {
+    const TwoColoring col = two_coloring(g);
+    CHECK_MSG(col.bipartite, name + ": bipartite");
+    const int alpha = static_cast<int>(max_independent_set(g).set.size());
+
+    TierReport rep;
+    const std::vector<int> mis = detail::cluster_mis(g, cfg, rep);
+    const bool forest = col.forest(g);
+    CHECK_MSG(rep.tier == SolveTier::kForest && !rep.bb_ran, name + ": tier");
+    CHECK_MSG(is_independent(g, mis), name + ": independent");
+    CHECK_MSG(static_cast<int>(mis.size()) == alpha, name + ": alpha");
+    const std::vector<int> cover = vertex_complement(g, mis);
+    CHECK_MSG(is_vertex_cover(g, cover), name + ": complement covers");
+    CHECK_MSG(static_cast<int>(cover.size()) == g.n() - alpha, name + ": tau");
+    if (forest) continue;  // the forest tier answered, not König
+
+    const std::vector<int> mate = bipartite_matching(g, col.side);
+    std::vector<std::vector<int>> konig;
+    for (int from = 0; from < 2; ++from) {
+      konig.push_back(konig_cover(g, col.side, mate, from));
+      CHECK_MSG(is_vertex_cover(g, konig.back()), name + ": konig cover");
+      CHECK_MSG(static_cast<int>(konig.back().size()) == g.n() - alpha,
+                name + ": konig cover size");
+    }
+    CHECK_MSG(cover == konig[0], name + ": MIS is the side-0 complement");
+    std::vector<char> boundary(g.n(), 0);
+    for (int v = 0; v < g.n(); ++v) boundary[v] = rng.next_below(3) == 0;
+    const std::vector<int> vc = detail::cluster_vc(g, boundary, cfg, rep);
+    CHECK_MSG(rep.tier == SolveTier::kForest, name + ": vc tier");
+    CHECK_MSG(vc == konig[0] || vc == konig[1], name + ": vc is a konig cover");
+    const auto on_boundary = [&boundary](const std::vector<int>& c) {
+      return std::count_if(c.begin(), c.end(),
+                           [&boundary](int v) { return boundary[v] != 0; });
+    };
+    CHECK_MSG(on_boundary(vc) ==
+                  std::max(on_boundary(konig[0]), on_boundary(konig[1])),
+              name + ": vc keeps the cover with more boundary vertices");
+  }
+}
+
+TEST_CASE(konig_rung_skips_non_bipartite) {
+  // An odd cycle (width 2) and a planar cluster with triangles are not
+  // bipartite, so they must pass the König rung and reach the width DP.
+  Rng rng(0x0DD);
+  for (const auto& [name, g] :
+       {std::pair<std::string, Graph>{"C7", cycle_graph(7)},
+        {"planar", random_maximal_planar(40, rng)}}) {
+    CHECK_MSG(!two_coloring(g).bipartite, name + ": odd cycle found");
+    TierReport rep;
+    const std::vector<int> mis = detail::cluster_mis(g, LadderConfig{}, rep);
+    CHECK_MSG(rep.tier == SolveTier::kTreewidthDp, name + ": tier");
+    CHECK_MSG(is_independent(g, mis), name);
+    CHECK_MSG(mis.size() == max_independent_set(g).set.size(), name + " alpha");
+  }
+}
+
+TEST_CASE(konig_rung_large_grid) {
+  // A 1000x1000 grid as one cluster: Hopcroft–Karp plus the alternating
+  // reach must finish fast and without recursion (a recursive augmenting
+  // search would overflow the stack on paths this long).
+  const Graph g = grid_graph(1000, 1000);
+  TierReport rep;
+  const std::vector<int> mis = detail::cluster_mis(g, LadderConfig{}, rep);
+  CHECK(rep.tier == SolveTier::kForest);
+  CHECK(mis.size() == 500000);
+  CHECK(is_independent(g, mis));
+}
+
+TEST_CASE(forest_gate_counts_components) {
+  // K4 minus an edge, plus a separate edge, plus an isolated vertex: n 7,
+  // m 6 == n - 1, but three components, so it is not a forest. A gate of
+  // m == n - 1 sent it to the forest tier, where parity sides from vertex 0
+  // cut 3 edges; the optimum is 5 (4 in K4 - e, plus the lone edge).
+  const Graph g = Graph::from_edges(
+      7, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {4, 5}});
+  const TwoColoring col = two_coloring(g);
+  CHECK(col.components == 3 && !col.forest(g) && !col.bipartite);
+  TierReport rep;
+  int passes = 0;
+  const std::vector<char> side =
+      detail::cluster_cut(g, 24, LadderConfig{}, rep, passes);
+  CHECK_MSG(rep.tier != SolveTier::kForest,
+            "tier " + std::to_string(static_cast<int>(rep.tier)));
+  CHECK_MSG(side_cut(g, side) == 5, "cut " + std::to_string(side_cut(g, side)));
+  const std::vector<int> mis = detail::cluster_mis(g, LadderConfig{}, rep);
+  CHECK(rep.tier != SolveTier::kForest);
+  CHECK(is_independent(g, mis) && mis.size() == 4);
+
+  // Parity sides cover every component, so a disconnected bipartite graph
+  // cuts all m edges (BFS from vertex 0 alone left the path uncut) — on the
+  // forest tier's sides and on max_cut's parity fallback above exact_cap.
+  const Graph bip = disjoint_union(cycle_graph(4), path_graph(5));
+  CHECK(side_cut(bip, two_coloring(bip).side) == bip.m());
+  CHECK(max_cut(bip, 2).cut_edges == bip.m());
+  // ... and a disconnected forest is a forest.
+  const Graph forest = disjoint_union(path_graph(4), star_graph(5));
+  CHECK(two_coloring(forest).forest(forest));
+  detail::cluster_mis(forest, LadderConfig{}, rep);
+  CHECK(rep.tier == SolveTier::kForest);
+}
+
 namespace {
 
 /// FNV-1a over a witness (vertex ids or side labels): one integer that pins
@@ -447,7 +581,10 @@ TEST_CASE(golden_ladder_outputs) {
   // Integer outputs only (so g++ and clang++ agree): any change to a tier
   // rule, a tie break, a budget or a DP kernel shows up here as a diff.
   // pipebench's apps-grid-36 instance (36x36 grid, eps 0.5, alpha 3,
-  // exact_cap 24) reaches all four tiers at the default ladder.
+  // exact_cap 24) at the default ladder. Its clusters are bipartite, so
+  // MIS and VC solve every cluster on the structural rung (forest or
+  // König); MDS still reaches the greedy tier through blown B&B budgets,
+  // and max-cut splits between the forest and DP tiers.
   const Graph grid = grid_graph(36, 36);
   struct LadderPin {
     std::int64_t value;  // set size, or cut value
@@ -485,14 +622,12 @@ TEST_CASE(golden_ladder_outputs) {
   const SetSolution mis = approx_max_independent_set(grid, 0.5, 3);
   check_pin(mis.stats, static_cast<std::int64_t>(mis.vertices.size()),
             witness_hash(mis.vertices),
-            {647, 6728079492165562438ULL, 1, 0, 1, 1, 2, 260582, 829,
-             2112411},
+            {647, 6728079492165562438ULL, 3, 0, 0, 0, 0, 0, 829, 2112411},
             "mis");
   const SetSolution vc = approx_min_vertex_cover(grid, 0.5, 3);
   check_pin(vc.stats, static_cast<std::int64_t>(vc.vertices.size()),
             witness_hash(vc.vertices),
-            {665, 10581222738619758585ULL, 3, 3, 1, 2, 3, 510563, 559,
-             1289604},
+            {661, 8455561345596370344ULL, 9, 0, 0, 0, 0, 0, 559, 1289600},
             "vc");
   const CutSolution cut = approx_max_cut(grid, 0.5, 24);
   check_pin(cut.stats, cut.value, witness_hash(cut.side),
