@@ -16,6 +16,9 @@
 //     is real only on multi-core hosts: with --threads above the machine's
 //     core count (or on a 1-core CI box) expect ~1x plus scheduling noise —
 //     the column reports what the host actually did, never a formula.
+//     The JSON publishes hardware_threads next to threads_actual, so
+//     scripts/check_bench_json.py can hold a full-size run on a host with
+//     at least 4 cores to a speedup floor.
 //
 // A second section drives the walk engine (Lemma 2.5) over the pool and
 // publishes its per-shard merged-meter trail: shard{i}_messages must sum to
@@ -107,6 +110,8 @@ int main(int argc, char** argv) {
   // across runs is exactly how the benches are meant to use the engine.
   congest::ShardPool pool(threads);
   json.metric("threads_actual", static_cast<std::int64_t>(pool.threads()));
+  json.metric("hardware_threads",
+              static_cast<std::int64_t>(std::thread::hardware_concurrency()));
 
   Table t({"family", "n", "m", "rounds", "rounds (sharded)", "serial ms",
            "sharded ms", "ms/round", "ms/round (sharded)", "speedup"});

@@ -63,26 +63,17 @@ inline std::vector<std::vector<int>> cluster_members(const Clustering& c) {
 ///
 /// Units: eps_fraction is dimensionless (cut edges / m); max_diameter is in
 /// BFS hops of the *induced* (strong) cluster subgraph — never simulated
-/// rounds; max_cluster_size is in vertices. For clusters above the caller's
-/// exact cap the diameter is a sampled-eccentricity estimate (iterated
-/// double sweep plus spread sources — a lower bound within 2x, exact on
-/// trees), so max_diameter is exact on small-cluster decompositions and
-/// conservative on large ones; EvalParams::force_exact disables sampling.
+/// rounds; max_cluster_size is in vertices. For clusters above
+/// kEvalExactCap vertices the diameter is a sampled-eccentricity estimate
+/// (iterated double sweep plus spread sources — a lower bound within 2x,
+/// exact on trees), so max_diameter is exact on small-cluster
+/// decompositions and conservative on large ones.
 struct ClusterQuality {
   double eps_fraction = 0.0;  // cut edges / m
   int max_diameter = 0;       // max induced diameter over clusters (BFS hops)
   std::int64_t cut_edges = 0;
   bool clusters_connected = true;
   int max_cluster_size = 0;
-};
-
-/// Knobs of evaluate_clustering. Clusters of at most exact_cap vertices get
-/// the exact all-pairs-BFS diameter; larger ones are estimated (see
-/// evaluate_clustering). force_exact disables the sampling path entirely
-/// (tests use it to pin the estimator against ground truth).
-struct EvalParams {
-  int exact_cap = 64;
-  bool force_exact = false;
 };
 
 namespace detail {
@@ -120,18 +111,44 @@ inline std::pair<int, int> cluster_ecc(const Graph& g,
 }
 
 /// Counting sort of the vertices by cluster id (ids in [0, k)): cluster
-/// id's vertices, ascending, land in members[off[id], off[id + 1]).
+/// id's vertices, ascending, land in members[off[id], off[id + 1]). A lent
+/// pool splits the vertices into contiguous slices, each counted into its
+/// own row of k slots (at most n / k slices, so the rows fit in n slots);
+/// a slice's members of id go after those of the slices before it, so
+/// the result is the same at every thread count.
 inline void group_members(const std::vector<int>& cluster, int k,
-                          std::vector<int>& off, std::vector<int>& members) {
+                          std::vector<int>& off, std::vector<int>& members,
+                          congest::ShardPool* pool = nullptr) {
   const int n = static_cast<int>(cluster.size());
+  const int threads = pool != nullptr ? pool->threads() : 1;
+  const int slices = std::max(1, std::min(threads, k > 0 ? n / k : 1));
+  // at[s * k + id]: slice s's count of id, then its first write slot.
+  std::vector<int> at(static_cast<std::size_t>(slices) * k, 0);
+  congest::parallel_ranges(pool, n, slices, [&](int lo, int hi, int s) {
+    int* row = at.data() + static_cast<std::size_t>(s) * k;
+    for (int v = lo; v < hi; ++v) ++row[cluster[v]];
+  });
   off.assign(static_cast<std::size_t>(k) + 1, 0);
-  for (int v = 0; v < n; ++v) ++off[cluster[v] + 1];
+  congest::parallel_ranges(pool, k, threads, [&](int lo, int hi, int) {
+    for (int id = lo; id < hi; ++id) {
+      int size = 0;
+      for (int s = 0; s < slices; ++s) {
+        int& slot = at[static_cast<std::size_t>(s) * k + id];
+        const int count = slot;
+        slot = size;
+        size += count;
+      }
+      off[id + 1] = size;
+    }
+  });
   for (int id = 0; id < k; ++id) off[id + 1] += off[id];
   members.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) members[off[cluster[v]]++] = v;
-  // Each off[id] now ends its slice; shift back to slice starts.
-  for (int id = k; id > 0; --id) off[id] = off[id - 1];
-  off[0] = 0;
+  congest::parallel_ranges(pool, n, slices, [&](int lo, int hi, int s) {
+    int* row = at.data() + static_cast<std::size_t>(s) * k;
+    for (int v = lo; v < hi; ++v) {
+      members[off[cluster[v]] + row[cluster[v]]++] = v;
+    }
+  });
 }
 
 /// Edges of g whose endpoints carry different labels. A lent pool shards
@@ -158,26 +175,82 @@ inline std::int64_t count_cut_edges(const Graph& g,
 
 }  // namespace detail
 
+/// Clusters of at most this many vertices get their exact diameter from
+/// one 64-bit reachability mask per vertex; larger ones are estimated.
+inline constexpr int kEvalExactCap = 64;
 /// The sampled-eccentricity estimator's probes per large cluster.
 inline constexpr int kEvalSweeps = 4;
 inline constexpr int kEvalSampleSources = 8;
 
+namespace detail {
+
+static_assert(kEvalExactCap <= 64, "one cluster's vertices fit one word");
+
+/// Per-worker buffers of the word-parallel exact diameter.
+struct MaskScratch {
+  std::uint64_t adj[kEvalExactCap], reach[kEvalExactCap], next[kEvalExactCap];
+};
+
+/// Exact induced diameter of one cluster of size <= kEvalExactCap (the
+/// largest component diameter when the cluster is disconnected) and
+/// whether it is connected. Local id i is verts[i]; dist serves as the
+/// vertex -> local id map and is reset to -1 before returning. Each round
+/// grows every vertex's mask by its neighbours' masks of the last round,
+/// so after t rounds reach[i] is the radius-t ball around i: the number of
+/// rounds in which some mask grows is the largest eccentricity.
+inline std::pair<int, bool> mask_diameter(const Graph& g,
+                                          const std::vector<int>& cluster,
+                                          const int* verts, int size,
+                                          std::vector<int>& dist,
+                                          MaskScratch& ms) {
+  const int id = cluster[verts[0]];
+  for (int i = 0; i < size; ++i) dist[verts[i]] = i;
+  for (int i = 0; i < size; ++i) {
+    std::uint64_t adj = 0;
+    for (int w : g.neighbors(verts[i])) {
+      if (cluster[w] == id) adj |= std::uint64_t{1} << dist[w];
+    }
+    ms.adj[i] = adj;
+    ms.reach[i] = std::uint64_t{1} << i;
+  }
+  for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
+  int rounds = 0;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (int i = 0; i < size; ++i) {
+      std::uint64_t r = ms.reach[i];
+      for (std::uint64_t a = ms.adj[i]; a != 0; a &= a - 1) {
+        r |= ms.reach[__builtin_ctzll(a)];
+      }
+      ms.next[i] = r;
+      grew = grew || r != ms.reach[i];
+    }
+    std::copy(ms.next, ms.next + size, ms.reach);
+    rounds += grew ? 1 : 0;
+  }
+  const std::uint64_t full =
+      size == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << size) - 1;
+  bool connected = true;
+  for (int i = 0; i < size; ++i) connected = connected && ms.reach[i] == full;
+  return {rounds, connected};
+}
+
+}  // namespace detail
+
 /// Measure cut fraction and per-cluster strong diameter.
 ///
-/// Diameter is exact (all-pairs BFS inside the cluster) for clusters up to
-/// EvalParams::exact_cap vertices; larger clusters use sampled eccentricity
-/// — kEvalSweeps alternating double-sweep BFSes plus kEvalSampleSources
-/// evenly spread extra sources (a lower bound within 2x, exact on trees) —
-/// so the measurement stays near-linear even when clusters are large.
-/// force_exact runs all-pairs BFS everywhere.
+/// Diameter is exact for clusters up to kEvalExactCap vertices
+/// (detail::mask_diameter: word-parallel reachability masks, no BFS);
+/// larger clusters use sampled eccentricity — kEvalSweeps alternating
+/// double-sweep BFSes plus kEvalSampleSources evenly spread extra sources
+/// (a lower bound within 2x, exact on trees) — so the measurement stays
+/// near-linear even when clusters are large.
 ///
 /// An optional lent pool shards the cut count by vertex and the clusters in
-/// contiguous chunks. Clusters are disjoint, so their BFSes share one dist
-/// array (a BFS reads and resets only its own cluster's entries); the
-/// results fold by sum, max and AND, so the quality is the same at every
-/// thread count.
+/// contiguous chunks. Clusters are disjoint, so they share one dist array
+/// (a cluster reads and resets only its own entries); the results fold by
+/// sum, max and AND, so the quality is the same at every thread count.
 inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
-                                          const EvalParams& params = {},
                                           congest::ShardPool* pool = nullptr) {
   ClusterQuality q;
   const int n = g.n();
@@ -188,13 +261,14 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
                                     static_cast<double>(g.m());
 
   std::vector<int> off, members;
-  detail::group_members(c.cluster, c.k, off, members);
+  detail::group_members(c.cluster, c.k, off, members, pool);
 
   struct alignas(64) Fold {
     int max_diameter = 0;
     int max_cluster_size = 0;
     bool connected = true;
     std::vector<int> frontier, next;  // the worker's BFS scratch
+    detail::MaskScratch masks;
   };
   std::vector<Fold> folds(static_cast<std::size_t>(threads));
   std::vector<int> dist(static_cast<std::size_t>(n), -1);
@@ -205,6 +279,13 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
       const int size = off[id + 1] - off[id];
       if (size == 0) continue;
       f.max_cluster_size = std::max(f.max_cluster_size, size);
+      if (size <= kEvalExactCap) {
+        const auto [diam, connected] =
+            detail::mask_diameter(g, c.cluster, verts, size, dist, f.masks);
+        f.max_diameter = std::max(f.max_diameter, diam);
+        f.connected = f.connected && connected;
+        continue;
+      }
       int diam = 0;
       const auto probe = [&](int src, int* far) {
         const auto [ecc, reached] = detail::cluster_ecc(
@@ -213,20 +294,16 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
         if (reached != size) f.connected = false;
         for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
       };
-      if (params.force_exact || size <= params.exact_cap) {
-        for (int i = 0; i < size; ++i) probe(verts[i], nullptr);
-      } else {
-        // Alternating double sweep: hop to the farthest vertex found so far.
-        int src = verts[0];
-        for (int sweep = 0; sweep < kEvalSweeps; ++sweep) {
-          int far = src;
-          probe(src, &far);
-          src = far;
-        }
-        // Evenly spread extra sources guard against sweeps stuck on a limb.
-        const int stride = std::max(1, size / kEvalSampleSources);
-        for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
+      // Alternating double sweep: hop to the farthest vertex found so far.
+      int src = verts[0];
+      for (int sweep = 0; sweep < kEvalSweeps; ++sweep) {
+        int far = src;
+        probe(src, &far);
+        src = far;
       }
+      // Evenly spread extra sources guard against sweeps stuck on a limb.
+      const int stride = std::max(1, size / kEvalSampleSources);
+      for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
       f.max_diameter = std::max(f.max_diameter, diam);
     }
   });

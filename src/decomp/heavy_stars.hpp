@@ -44,11 +44,14 @@ struct HeavyStarsResult {
   // singletons. Consumers (ldd_local) walk this to merge under diameter
   // guards.
   std::vector<int> kept_parent;
+  // depth[v] = kept_parent hops from v up to its star's root (0 for roots
+  // and singletons). ldd_local merges the trees one depth level at a time.
+  std::vector<int> depth;
   int stars = 0;                     // number of distinct stars (incl. singletons)
   std::int64_t captured_weight = 0;  // weight of marked-tree edges
   std::int64_t total_weight = 0;     // weight of all edges
   int cv_rounds = 0;                 // Cole–Vishkin rounds (O(log* n))
-  int max_marked_depth = 0;          // deepest marked tree (Lemma 4.3: <= 4)
+  int max_marked_depth = 0;          // deepest marked tree (<= 2; Lemma 4.3: <= 4)
   // Measured bandwidth per phase (ledger.total() == 3 + cv_rounds):
   //   pointing          1 round, 1 pointer id per directed edge;
   //   cole-vishkin      cv rounds, 1 color per pointer-forest edge per round;
@@ -58,9 +61,9 @@ struct HeavyStarsResult {
 };
 
 /// Sharded when given a pool: the per-vertex phases (pointing, rooting,
-/// class sums, star formation, labeling) partition vertices across the pool
-/// with a barrier between phases — exactly the synchronous-round structure a
-/// CONGEST implementation has anyway. All reductions are integer sums/maxes,
+/// the Cole–Vishkin rounds, class sums, star formation, labeling) partition
+/// vertices across the pool with a barrier between phases — exactly the
+/// synchronous-round structure a CONGEST implementation has anyway. All reductions are integer sums/maxes,
 /// so the result is bit-identical to the serial run for every thread count
 /// (tests/test_shard.cpp sweeps {1, 2, 7, hardware}).
 inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
@@ -70,6 +73,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   out.total_weight = g.total_weight();
   out.star.assign(n, 0);
   out.kept_parent.assign(n, -1);
+  out.depth.resize(static_cast<std::size_t>(n));
   // Each phase below runs over an even contiguous vertex partition, one
   // slice per pool thread — inline without a pool.
   const int tasks = pool != nullptr ? pool->threads() : 1;
@@ -105,22 +109,25 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
 
   // 3. Cole–Vishkin 3-coloring of the pointer forest.
   const congest::ColeVishkinResult cv =
-      congest::cole_vishkin_3color_forest(n, parent);
+      congest::cole_vishkin_3color_forest(n, parent, pool);
   out.cv_rounds = cv.rounds;
 
   // Weight of each (child color, parent color) class, 2-cycle edges apart.
   // A vertex's parent edge IS its pick, so its weight is pick_w[v].
-  // Sharded: per-task 3x3 partials folded in task order (integer sums, so
-  // the fold equals the serial accumulation exactly).
+  // Sharded: per-task 3x3 partials (slot 9 counts the forest edges for the
+  // ledger) folded in task order (integer sums, so the fold equals the
+  // serial accumulation exactly).
   std::int64_t class_w[3][3] = {};
+  std::int64_t forest_edges = 0;
   {
-    std::vector<std::array<std::int64_t, 9>> partial(
-        static_cast<std::size_t>(tasks), std::array<std::int64_t, 9>{});
+    std::vector<std::array<std::int64_t, 10>> partial(
+        static_cast<std::size_t>(tasks), std::array<std::int64_t, 10>{});
     congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
       auto& acc = partial[static_cast<std::size_t>(task)];
       for (int v = lo; v < hi; ++v) {
         const int p = parent[v];
         if (p < 0) continue;
+        ++acc[9];
         if (pick[p] == v && parent[p] < 0) continue;  // 2-cycle edge, kept
         acc[static_cast<std::size_t>(3 * cv.color[v] + cv.color[p])] +=
             pick_w[v];
@@ -132,6 +139,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
           class_w[a][b] += acc[static_cast<std::size_t>(3 * a + b)];
         }
       }
+      forest_edges += acc[9];
     }
   }
   // Best of the six leaf/center bipartitions of {0, 1, 2}: captured classes
@@ -153,10 +161,12 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
 
   // Keep: 2-cycle edges + parent edges with leaf-colored child and
   // center-colored parent. kept_parent records the marked-tree structure.
+  std::int64_t kept_edges = 0;
   {
-    std::vector<std::int64_t> captured(static_cast<std::size_t>(tasks), 0);
+    std::vector<std::array<std::int64_t, 2>> kept(
+        static_cast<std::size_t>(tasks), std::array<std::int64_t, 2>{});
     congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
-      std::int64_t cap = 0;
+      std::int64_t cap = 0, edges = 0;
       for (int v = lo; v < hi; ++v) {
         const int p = parent[v];
         if (p < 0) continue;
@@ -166,11 +176,15 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
         if (two_cycle || leaf_center) {
           out.kept_parent[v] = p;
           cap += pick_w[v];
+          ++edges;
         }
       }
-      captured[static_cast<std::size_t>(task)] = cap;
+      kept[static_cast<std::size_t>(task)] = {cap, edges};
     });
-    for (std::int64_t cap : captured) out.captured_weight += cap;
+    for (const auto& [cap, edges] : kept) {
+      out.captured_weight += cap;
+      kept_edges += edges;
+    }
   }
 
   // Stars = components of the kept forest; label by the top vertex and
@@ -191,6 +205,7 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
       for (int v = lo; v < hi; ++v) {
         const auto [top, depth] = top_of(v);
         out.star[v] = top;
+        out.depth[v] = depth;
         if (depth == 0) ++local_tops;
         if (depth > local_depth) local_depth = depth;
       }
@@ -211,10 +226,6 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   // pointer-forest edge; the vote converges the six candidate class sums
   // over the forest (six O(log n)-bit values per forest edge in one round);
   // star formation sends one keep/drop decision per kept edge.
-  std::int64_t forest_edges = 0;
-  for (int v = 0; v < n; ++v) forest_edges += parent[v] >= 0 ? 1 : 0;
-  std::int64_t kept_edges = 0;
-  for (int v = 0; v < n; ++v) kept_edges += out.kept_parent[v] >= 0 ? 1 : 0;
   const std::int64_t directed = 2 * g.m();
   out.ledger.charge("pointing", 1, directed, directed > 0 ? 1 : 0);
   out.ledger.charge("cole-vishkin", cv.rounds, cv.messages, cv.max_congestion);

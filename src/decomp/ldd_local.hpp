@@ -17,9 +17,10 @@
 //      iteration) the cluster graph is G itself with unit weights,
 //   2. marks heavy stars on it (Lemma 4.2, >= 1/(8α) of the remaining cut
 //      weight, O(log* n) Cole–Vishkin rounds),
-//   3. merges each marked tree top-down under an eccentricity guard that
-//      keeps every cluster's certified radius <= ecc_cap, so the final
-//      strong diameter is <= 2*ecc_cap = O(1/ε) by construction.
+//   3. merges each marked tree top-down, one depth level per pass, under
+//      an eccentricity guard that keeps every cluster's certified radius
+//      <= ecc_cap, so the final strong diameter is <= 2*ecc_cap = O(1/ε)
+//      by construction.
 // Each accepted merge moves its captured edges from the cut into a cluster,
 // so the cut weight shrinks geometrically; the loop stops once at most ε·m
 // edges remain cut (a hard budget, like the chop's). If the guard ever
@@ -46,6 +47,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,8 +70,9 @@ enum class EdtVariant { kPolylogRouting, kOverlapRouting };
 struct EdtParams {
   EdtVariant variant = EdtVariant::kPolylogRouting;
   // Optional lent pool: partitions the per-iteration work (cluster-graph
-  // rows, heavy-stars phases, relabel sweep, cut recount, per-cluster
-  // designee BFS) and the final evaluate_clustering across its threads.
+  // rows, heavy-stars phases and Cole–Vishkin rounds, merge-walk levels,
+  // relabel sweep, cut recount, per-cluster designee BFS) and the final
+  // evaluate_clustering across its threads.
   // Results are bit-identical to the inline run (nullptr) for every thread
   // count (gated by tests/test_shard.cpp); only wall time changes.
   congest::ShardPool* pool = nullptr;
@@ -139,7 +142,7 @@ inline WeightedGraph contract_clusters(const Graph& g,
     return WeightedGraph(k, std::move(offsets), std::move(arcs));
   }
 
-  group_members(cid, k, sc.member_off, sc.members);
+  group_members(cid, k, sc.member_off, sc.members, pool);
   const std::vector<int>& off = sc.member_off;
   sc.row_len.resize(static_cast<std::size_t>(k));
   sc.tasks.resize(static_cast<std::size_t>(tasks));
@@ -198,30 +201,27 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
   congest::ShardPool* pool = params.pool;
   const int tasks = pool != nullptr ? pool->threads() : 1;
 
-  // Per cluster (indexed by its label): a designated center vertex and that
-  // center's exact eccentricity inside the cluster. The guard reasons about
-  // distances from the center, so diameter <= 2 * ecc_est always holds.
-  std::vector<int> label(n), designee(n), ecc_est(n, 0);
-  for (int v = 0; v < n; ++v) label[v] = designee[v] = v;
+  // Per cluster (indexed by its label, one of its vertices): a designated
+  // center vertex and that center's exact eccentricity inside the cluster.
+  // The guard reasons about distances from the center, so diameter <=
+  // 2 * ecc_est always holds.
+  std::vector<int> designee(n), ecc_est(n, 0);
+  std::iota(designee.begin(), designee.end(), 0);
   std::int64_t cut = g.m();
 
-  // Dense cluster ids of this iteration: cid[v] in [0, k), numbered in
-  // order of each cluster's first vertex; rep[c] is cluster c's label.
-  std::vector<int> dense_of(n, -1), cid(n), rep;
-  std::vector<int> order, head, next_in;   // marked-tree children buckets
+  // Dense cluster ids: cid[v] in [0, k), numbered in order of each
+  // cluster's first vertex; rep[c] is cluster c's label. Every vertex
+  // starts as its own cluster, labelled by itself.
+  std::vector<int> cid(n), rep(n);
+  std::iota(cid.begin(), cid.end(), 0);
+  std::iota(rep.begin(), rep.end(), 0);
+  // Per dense cluster: the merge walk's guard bound, verdict and new root,
+  // and the renumbering of the merged clusters.
+  std::vector<int> bound, new_root, next_id, next_rep;
+  std::vector<char> accepted;
   std::vector<int> dist(n, -1);  // shared BFS scratch (clusters are disjoint)
   ContractScratch contract_scratch;
   while (cut > allowance && out.iterations < params.max_iterations) {
-    rep.clear();
-    for (int v = 0; v < n; ++v) {
-      int& c = dense_of[label[v]];
-      if (c < 0) {
-        c = static_cast<int>(rep.size());
-        rep.push_back(label[v]);
-      }
-      cid[v] = c;
-    }
-    for (int r : rep) dense_of[r] = -1;
     const int k = static_cast<int>(rep.size());
     const WeightedGraph cg =
         contract_clusters(g, cid, k, pool, contract_scratch);
@@ -238,39 +238,34 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
     // a certified upper bound on the distance from the tree root's cluster
     // center to any vertex of cluster c after the merge: entering c costs
     // the parent's bound, one crossing edge, and a detour through c's own
-    // center (<= 2*ecc of the center).
-    head.assign(k, -1);
-    next_in.assign(k, -1);
-    order.clear();
-    for (int c = 0; c < k; ++c) {
-      const int p = hs.kept_parent[c];
-      if (p < 0) {
-        order.push_back(c);  // tree roots first: BFS order below
-      } else {
-        next_in[c] = head[p];
-        head[p] = c;
-      }
-    }
-    std::vector<int> bound(k, 0);
-    std::vector<char> accepted(k, 0);
-    int accepted_any = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const int c = order[i];
-      if (hs.kept_parent[c] < 0) {
-        accepted[c] = 1;
-        bound[c] = ecc_est[rep[c]];
-      }
-      for (int child = head[c]; child >= 0; child = next_in[child]) {
-        const int b = bound[c] + 1 + 2 * ecc_est[rep[child]];
-        if (accepted[c] && b <= cap) {
-          accepted[child] = 1;
-          bound[child] = b;
-          ++out.merges;
-          ++accepted_any;
+    // center (<= 2*ecc of the center). A cluster's accept, bound and new
+    // root read only its parent's, so the trees go one depth level per
+    // pooled pass (hs.max_marked_depth + 1 passes); a rejected cluster
+    // stays its own root, and so do its children. Merge counts fold in task
+    // order.
+    bound.resize(static_cast<std::size_t>(k));
+    accepted.resize(static_cast<std::size_t>(k));
+    new_root.resize(static_cast<std::size_t>(k));
+    std::vector<int> merged(static_cast<std::size_t>(tasks), 0);
+    for (int level = 0; level <= hs.max_marked_depth; ++level) {
+      congest::parallel_ranges(pool, k, tasks, [&](int lo, int hi, int task) {
+        int local = 0;
+        for (int c = lo; c < hi; ++c) {
+          if (hs.depth[c] != level) continue;
+          const int p = hs.kept_parent[c];
+          const bool root = p < 0;
+          bound[c] = root ? ecc_est[rep[c]] : bound[p] + 1 + 2 * ecc_est[rep[c]];
+          const bool merge = !root && accepted[p] && bound[c] <= cap;
+          accepted[c] = root || merge ? 1 : 0;
+          new_root[c] = merge ? new_root[p] : c;
+          local += merge ? 1 : 0;
         }
-        order.push_back(child);  // children still relabel their own subtrees
-      }
+        merged[static_cast<std::size_t>(task)] += local;
+      });
     }
+    int accepted_any = 0;
+    for (int m2 : merged) accepted_any += m2;
+    out.merges += accepted_any;
     if (accepted_any == 0) {
       // Guard blocked everything: relax and retry. The iteration still ran
       // its pointing + Cole–Vishkin + (empty) formation phases — already
@@ -286,46 +281,53 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
     // eccentricity with one intra-cluster BFS — the 2*max_ecc charge above
     // pays for this sweep, and the exact value keeps the guard from
     // compounding the additive overestimates across iterations.
-    std::vector<int> new_root(k);
-    for (int c : order) {
-      const int p = hs.kept_parent[c];
-      new_root[c] = (p >= 0 && accepted[c]) ? new_root[p] : c;
+    //
+    // A merged cluster's first vertex is that of its smallest old id (old
+    // ids follow first vertices), so numbering the trees in order of their
+    // smallest member keeps the dense ids in first-vertex order.
+    next_id.assign(static_cast<std::size_t>(k), -1);
+    next_rep.clear();
+    for (int c = 0; c < k; ++c) {
+      const int r = new_root[c];
+      if (next_id[r] < 0) {
+        next_id[r] = static_cast<int>(next_rep.size());
+        next_rep.push_back(rep[r]);
+      }
     }
-    // Measured sweep traffic: every relabeled vertex announces its new label
-    // to all neighbors (one O(log n)-bit message per incident directed
-    // edge), then the designee BFS wave crosses each intra-cluster directed
-    // edge once and the eccentricity converges back along the BFS tree.
-    // Relabel + cut recount shard by vertex (label[v] reads/writes are
-    // per-vertex; the recount runs after the relabel barrier); sums fold in
-    // task order — integer addition, so totals are sharding-invariant.
+    // Measured sweep traffic: every relabeled vertex (its cluster merged
+    // into another root) announces its new label to all neighbors (one
+    // O(log n)-bit message per incident directed edge), then the designee
+    // BFS wave crosses each intra-cluster directed edge once and the
+    // eccentricity converges back along the BFS tree. Relabel + cut
+    // recount shard by vertex (cid[v] reads/writes are per-vertex; the
+    // recount runs after the relabel barrier); sums fold in task order —
+    // integer addition, so totals are sharding-invariant.
     std::int64_t sweep_msgs = 0;
     {
       std::vector<std::int64_t> msgs(static_cast<std::size_t>(tasks), 0);
       congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int task) {
         std::int64_t local = 0;
         for (int v = lo; v < hi; ++v) {
-          const int nl = rep[new_root[cid[v]]];
-          if (nl != label[v]) local += g.degree(v);
-          label[v] = nl;
+          const int r = new_root[cid[v]];
+          if (r != cid[v]) local += g.degree(v);
+          cid[v] = next_id[r];
         }
         msgs[static_cast<std::size_t>(task)] = local;
       });
       for (std::int64_t m2 : msgs) sweep_msgs += m2;
     }
-    cut = count_cut_edges(g, label, pool);
+    rep.swap(next_rep);
+    cut = count_cut_edges(g, cid, pool);
     // One BFS per cluster from its designee. Clusters are vertex-disjoint,
     // so concurrent cluster BFSes share the dist array without racing: a
-    // BFS only touches dist[w2] when label[w2] == its own cluster root, and
-    // resets its touched entries to -1 before finishing. Clusters go out in
+    // BFS only touches dist[w2] when cid[w2] is its own cluster, and resets
+    // its touched entries to -1 before finishing. Clusters go out in
     // contiguous chunks (dynamic claiming balances the skewed late-iteration
-    // cluster sizes); per-cluster message counts and eccentricities fold in
-    // root order, identical to the serial sweep.
+    // cluster sizes); per-cluster message counts and eccentricities fold by
+    // sum and max, identical to the serial sweep.
     int max_ecc = 1;
     {
-      std::vector<int> roots;
-      for (int v = 0; v < n; ++v) {
-        if (label[v] == v) roots.push_back(v);
-      }
+      const std::vector<int>& roots = rep;  // the surviving labels
       const int workers = pool != nullptr ? pool->threads() : 1;
       struct alignas(64) Scratch {
         std::vector<int> frontier, nxt, touched;
@@ -346,7 +348,7 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
           sc.nxt.clear();
           for (int u : sc.frontier) {
             for (int w2 : g.neighbors(u)) {
-              if (label[w2] != v) continue;
+              if (cid[w2] != static_cast<int>(idx)) continue;
               ++msgs;  // the BFS wave crosses directed edge (u, w2) once
               if (dist_arr[w2] < 0) {
                 dist_arr[w2] = dist_arr[u] + 1;
@@ -387,10 +389,13 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
                  sweep_msgs > 0 ? 1 : 0);
   }
 
-  out.clustering.cluster = std::move(label);
+  out.clustering.cluster.resize(static_cast<std::size_t>(n));
+  congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
+    for (int v = lo; v < hi; ++v) out.clustering.cluster[v] = rep[cid[v]];
+  });
   out.clustering.k = n;
   out.clustering.compact();
-  out.quality = evaluate_clustering(g, out.clustering, {}, pool);
+  out.quality = evaluate_clustering(g, out.clustering, pool);
 }
 
 }  // namespace detail

@@ -33,6 +33,9 @@ inline Graph cycle_graph(int n) {
 /// rows x cols 4-neighbor grid; vertex (r, c) has index r*cols + c.
 inline Graph grid_graph(int rows, int cols) {
   std::vector<std::pair<int, int>> edges;
+  if (rows > 0 && cols > 0) {
+    edges.reserve(2 * static_cast<std::size_t>(rows) * cols - rows - cols);
+  }
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int v = r * cols + c;
@@ -51,6 +54,7 @@ inline Graph grid_graph(int rows, int cols) {
 inline Graph torus_graph(int rows, int cols) {
   assert(rows >= 3 && cols >= 3);
   std::vector<std::pair<int, int>> edges;
+  edges.reserve(2 * static_cast<std::size_t>(rows) * cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int v = r * cols + c;

@@ -21,39 +21,52 @@ class Graph {
 
   /// Build from an undirected edge list. Self-loops and out-of-range
   /// endpoints are dropped, duplicate edges (in either orientation) are
-  /// merged; negative n is treated as the empty graph.
+  /// merged; negative n is treated as the empty graph. O(n + m) apart from
+  /// the per-row sorts: the kept arcs are counted per endpoint, scattered
+  /// into their rows, and each row is sorted and deduplicated in place
+  /// while the offsets are compacted.
   static Graph from_edges(int n, std::vector<std::pair<int, int>> edges) {
     n = std::max(n, 0);
-    for (auto& [u, v] : edges) {
-      if (u > v) std::swap(u, v);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [n](const auto& e) {
-                                 return e.first == e.second || e.first < 0 ||
-                                        e.second >= n;
-                               }),
-                edges.end());
-
+    const auto kept = [n](int u, int v) {
+      return u != v && u >= 0 && v >= 0 && u < n && v < n;
+    };
     Graph g;
     g.n_ = n;
-    g.m_ = static_cast<std::int64_t>(edges.size());
-    g.offset_.assign(n + 1, 0);
+    std::vector<std::int64_t>& off = g.offset_;
+    off.assign(static_cast<std::size_t>(n) + 1, 0);
     for (const auto& [u, v] : edges) {
-      ++g.offset_[u + 1];
-      ++g.offset_[v + 1];
+      if (!kept(u, v)) continue;
+      ++off[u + 1];
+      ++off[v + 1];
     }
-    for (int i = 0; i < n; ++i) g.offset_[i + 1] += g.offset_[i];
-    g.adj_.resize(2 * edges.size());
-    std::vector<std::int64_t> cursor(g.offset_.begin(), g.offset_.end() - 1);
+    for (int i = 0; i < n; ++i) off[i + 1] += off[i];
+    g.adj_.resize(static_cast<std::size_t>(off[n]));
+    // Scatter with off[v] as v's write cursor; afterwards off[v] is the
+    // end of v's row, i.e. the start of row v + 1.
     for (const auto& [u, v] : edges) {
-      g.adj_[cursor[u]++] = v;
-      g.adj_[cursor[v]++] = u;
+      if (!kept(u, v)) continue;
+      g.adj_[off[u]++] = v;
+      g.adj_[off[v]++] = u;
     }
+    edges = {};
+    std::int64_t row = 0, out = 0;  // row v's scattered start, compacted end
     for (int v = 0; v < n; ++v) {
-      std::sort(g.adj_.begin() + g.offset_[v], g.adj_.begin() + g.offset_[v + 1]);
+      const std::int64_t row_end = off[v];
+      const auto first = g.adj_.begin() + row;
+      const auto last = g.adj_.begin() + row_end;
+      std::sort(first, last);
+      const auto uniq = std::unique(first, last);
+      if (out != row) std::copy(first, uniq, g.adj_.begin() + out);
+      off[v] = out;
+      out += uniq - first;
+      row = row_end;
     }
+    off[n] = out;
+    if (static_cast<std::size_t>(out) != g.adj_.size()) {
+      g.adj_.resize(static_cast<std::size_t>(out));
+      g.adj_.shrink_to_fit();
+    }
+    g.m_ = out / 2;
     return g;
   }
 

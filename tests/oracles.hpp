@@ -30,6 +30,15 @@
 //     decomp::detail::contract_clusters builds the CSR straight from the
 //     vertex CSR; every offset, arc, m() and total_weight() must equal this
 //     at every thread count.
+//   * graph_by_sort — Graph::from_edges as a global pair sort: orient,
+//     sort, deduplicate, filter, scatter. from_edges counts and scatters
+//     arcs per endpoint and deduplicates row by row; its offsets and
+//     adjacency must equal this CSR on every input.
+//   * cluster_diameters_by_bfs — evaluate_clustering's quality with one
+//     BFS per source in every cluster, whatever its size.
+//     evaluate_clustering's word-parallel masks must match all five fields
+//     on clusters of at most kEvalExactCap vertices, and its sampled
+//     estimate must stay within 2x below this on larger ones.
 #pragma once
 
 #include <algorithm>
@@ -193,6 +202,86 @@ inline WeightedGraph cluster_graph_by_sort(const Graph& g,
     }
   }
   return WeightedGraph(k, std::move(edges));
+}
+
+/// The CSR of the simple graph an edge list describes, built by one global
+/// sort of the oriented pairs.
+struct SortedCsr {
+  int n = 0;
+  std::int64_t m = 0;
+  std::vector<std::int64_t> offset;
+  std::vector<int> adj;
+};
+
+/// Self-loops and out-of-range endpoints dropped, duplicates in either
+/// orientation merged, negative n treated as 0 — Graph::from_edges' contract.
+inline SortedCsr graph_by_sort(int n, std::vector<std::pair<int, int>> edges) {
+  n = std::max(n, 0);
+  for (auto& [u, v] : edges) {
+    if (u > v) std::swap(u, v);
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  edges.erase(std::remove_if(edges.begin(), edges.end(),
+                             [n](const auto& e) {
+                               return e.first == e.second || e.first < 0 ||
+                                      e.second >= n;
+                             }),
+              edges.end());
+  SortedCsr out;
+  out.n = n;
+  out.m = static_cast<std::int64_t>(edges.size());
+  out.offset.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++out.offset[u + 1];
+    ++out.offset[v + 1];
+  }
+  for (int i = 0; i < n; ++i) out.offset[i + 1] += out.offset[i];
+  out.adj.resize(2 * edges.size());
+  std::vector<std::int64_t> cursor(out.offset.begin(), out.offset.end() - 1);
+  for (const auto& [u, v] : edges) {
+    out.adj[cursor[u]++] = v;
+    out.adj[cursor[v]++] = u;
+  }
+  for (int v = 0; v < n; ++v) {
+    std::sort(out.adj.begin() + out.offset[v], out.adj.begin() + out.offset[v + 1]);
+  }
+  return out;
+}
+
+/// The quality of c on g with exact diameters everywhere: one BFS from
+/// every vertex, restricted to its cluster.
+inline decomp::ClusterQuality cluster_diameters_by_bfs(
+    const Graph& g, const decomp::Clustering& c) {
+  decomp::ClusterQuality q;
+  q.cut_edges = decomp::detail::count_cut_edges(g, c.cluster, nullptr);
+  q.eps_fraction = g.m() == 0 ? 0.0
+                              : static_cast<double>(q.cut_edges) /
+                                    static_cast<double>(g.m());
+  std::vector<int> size(static_cast<std::size_t>(c.k), 0);
+  for (int id : c.cluster) ++size[static_cast<std::size_t>(id)];
+  for (int s : size) q.max_cluster_size = std::max(q.max_cluster_size, s);
+  std::vector<int> dist(static_cast<std::size_t>(g.n()), -1), queue;
+  for (int src = 0; src < g.n(); ++src) {
+    queue.assign(1, src);
+    dist[src] = 0;
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      const int u = queue[h];
+      for (int w : g.neighbors(u)) {
+        if (c.cluster[w] == c.cluster[src] && dist[w] < 0) {
+          dist[w] = dist[u] + 1;
+          q.max_diameter = std::max(q.max_diameter, dist[w]);
+          queue.push_back(w);
+        }
+      }
+    }
+    if (static_cast<int>(queue.size()) !=
+        size[static_cast<std::size_t>(c.cluster[src])]) {
+      q.clusters_connected = false;
+    }
+    for (int u : queue) dist[u] = -1;
+  }
+  return q;
 }
 
 /// The exact MIS branch and bound with full O(n) rescans: every branch node

@@ -7,8 +7,8 @@
 //   * (ε, φ, c) overlap decomposition: supports connected, overlap c
 //     bounded by the level cap, uncovered fraction <= ε,
 //   * evaluate_clustering: the sampled-eccentricity estimator is a lower
-//     bound of (and close to) the forced-exact diameter, and cut counts
-//     agree exactly,
+//     bound of (and close to) the exact diameter of
+//     oracles::cluster_diameters_by_bfs, and cut counts agree exactly,
 //   * golden outputs: the integer (and exact-quotient) outputs of every
 //     decomposition, certification and gather entry point on fixed
 //     instances.
@@ -29,6 +29,7 @@
 #include "expander/rw_routing.hpp"
 #include "expander/split.hpp"
 #include "graph/ops.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 
 using namespace mfd;
@@ -134,25 +135,40 @@ TEST_CASE(evaluate_clustering_sampled_vs_exact) {
   Clustering one;
   one.k = 1;
   one.cluster.assign(500, 0);
-  EvalParams exact;
-  exact.force_exact = true;
-  const ClusterQuality qe = evaluate_clustering(path, one, exact);
-  EvalParams sampled;
-  sampled.exact_cap = 8;  // force the sampling path
-  const ClusterQuality qs = evaluate_clustering(path, one, sampled);
+  const ClusterQuality qe = oracles::cluster_diameters_by_bfs(path, one);
+  const ClusterQuality qs = evaluate_clustering(path, one);  // 500 > cap
   CHECK(qe.max_diameter == 499);
   CHECK(qs.max_diameter == 499);
   CHECK(qe.cut_edges == qs.cut_edges);
 
+  // An LDD's clusters all fit the exact masks: every field matches.
   Rng rng(8);
   const Graph g = make_family("grid", 2048, rng);
   const EdtDecomposition d = build_edt_decomposition(g, 0.3);
-  const ClusterQuality a = evaluate_clustering(g, d.clustering, exact);
-  const ClusterQuality b = evaluate_clustering(g, d.clustering, sampled);
+  const ClusterQuality a = oracles::cluster_diameters_by_bfs(g, d.clustering);
+  const ClusterQuality b = evaluate_clustering(g, d.clustering);
+  CHECK(a.max_cluster_size <= kEvalExactCap);
+  CHECK(a.max_diameter == b.max_diameter);
   CHECK(a.cut_edges == b.cut_edges);
   CHECK(a.clusters_connected == b.clusters_connected);
-  CHECK_MSG(b.max_diameter <= a.max_diameter, "estimate exceeded exact");
-  CHECK_MSG(2 * b.max_diameter >= a.max_diameter, "estimate below 2x bound");
+
+  // 8x16 blocks of the same 46x46 grid: every cluster (84..128 vertices)
+  // is above the exact cap, so every diameter is sampled.
+  const int side = 46;
+  Clustering blocks;
+  blocks.k = (side / 8 + 1) * (side / 16 + 1);
+  for (int v = 0; v < side * side; ++v) {
+    blocks.cluster.push_back((v / side / 8) * (side / 16 + 1) +
+                             (v % side) / 16);
+  }
+  const ClusterQuality be = oracles::cluster_diameters_by_bfs(g, blocks);
+  const ClusterQuality bs = evaluate_clustering(g, blocks);
+  CHECK(g.n() == side * side);
+  CHECK(be.max_cluster_size == 128 && bs.max_cluster_size == 128);
+  CHECK(be.cut_edges == bs.cut_edges);
+  CHECK(be.clusters_connected && bs.clusters_connected);
+  CHECK_MSG(bs.max_diameter <= be.max_diameter, "estimate exceeded exact");
+  CHECK_MSG(2 * bs.max_diameter >= be.max_diameter, "estimate below 2x bound");
 }
 
 namespace {

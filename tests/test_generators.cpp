@@ -1,13 +1,16 @@
 // Generator invariants: every family is simple, connected, respects its edge
 // bound, and is deterministic under a fixed seed. Structural checks for the
 // cactus (every edge on <= 1 cycle) and series-parallel (reducible to an
-// edge) families.
+// edge) families. Graph::from_edges' count-and-scatter CSR is pinned to the
+// global pair sort of oracles::graph_by_sort.
 #include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "graph/generators.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 
 using namespace mfd;
@@ -28,6 +31,24 @@ bool is_simple(const Graph& g) {
     }
   }
   return true;
+}
+
+// Every offset and adjacency entry of g against the sorted-pair CSR.
+void same_csr(const Graph& g, const oracles::SortedCsr& o,
+              const std::string& ctx) {
+  CHECK_MSG(g.n() == o.n, ctx + ": n");
+  CHECK_MSG(g.m() == o.m, ctx + ": m");
+  if (g.n() != o.n) return;
+  for (int v = 0; v < g.n(); ++v) {
+    const auto nb = g.neighbors(v);
+    const std::vector<int> row(nb.begin(), nb.end());
+    const std::vector<int> want(o.adj.begin() + o.offset[v],
+                                o.adj.begin() + o.offset[v + 1]);
+    if (row != want) {
+      CHECK_MSG(false, ctx + ": row " + std::to_string(v));
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -156,5 +177,48 @@ TEST_CASE(generators_deterministic_under_seed) {
     const Graph b = make_family(fam, 256, r2);
     CHECK_MSG(a.n() == b.n(), fam);
     CHECK_MSG(a.edges() == b.edges(), fam);
+  }
+}
+
+TEST_CASE(from_edges_matches_sort_oracle) {
+  using Edges = std::vector<std::pair<int, int>>;
+  struct Input {
+    std::string name;
+    int n;
+    Edges edges;
+  };
+  std::vector<Input> inputs = {
+      {"self-loops", 4, {{0, 0}, {0, 1}, {2, 2}, {3, 2}, {3, 3}}},
+      {"duplicates both ways", 5, {{0, 1}, {1, 0}, {0, 1}, {4, 2}, {2, 4}, {2, 4}}},
+      {"bad endpoints", 4, {{-1, 2}, {2, -3}, {0, 4}, {7, 1}, {1, 3}, {-2, -2}}},
+      {"negative n", -3, {{0, 1}, {1, 2}}},
+      {"n=0", 0, {{0, 1}}},
+      {"n=1", 1, {{0, 0}, {0, 1}}},
+      {"isolated", 6, {{5, 1}}}};
+  // Every generator family (and the torus): its own edge list round trips,
+  // and a noisy copy — shuffled, every edge also reversed, self-loops and
+  // out-of-range endpoints sprinkled in — builds the same graph both ways.
+  Rng rng(23);
+  for (const auto& fam : kFamilies) {
+    const Graph g = make_family(fam, 300, rng);
+    same_csr(g, oracles::graph_by_sort(g.n(), g.edges()), fam);
+    Edges noisy;
+    for (const auto& [u, v] : g.edges()) {
+      noisy.emplace_back(u, v);
+      noisy.emplace_back(v, u);
+      if (rng.next_below(7) == 0) noisy.emplace_back(u, u);
+      if (rng.next_below(11) == 0) noisy.emplace_back(u, g.n() + v);
+      if (rng.next_below(13) == 0) noisy.emplace_back(-1 - v, u);
+    }
+    for (int i = static_cast<int>(noisy.size()) - 1; i > 0; --i) {
+      std::swap(noisy[i], noisy[rng.uniform_int(0, i)]);
+    }
+    inputs.push_back({fam + " noisy", g.n(), noisy});
+  }
+  const Graph torus = torus_graph(7, 9);
+  same_csr(torus, oracles::graph_by_sort(torus.n(), torus.edges()), "torus");
+  for (const Input& in : inputs) {
+    same_csr(Graph::from_edges(in.n, in.edges),
+             oracles::graph_by_sort(in.n, in.edges), in.name);
   }
 }

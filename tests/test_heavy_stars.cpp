@@ -38,14 +38,19 @@ WeightedGraph weighted_copy(const Graph& g, Rng* rng) {
 
 void check_star_consistency(const WeightedGraph& g, const HeavyStarsResult& hs,
                             const std::string& ctx) {
-  CHECK_MSG(hs.max_marked_depth <= 4, ctx + ": Lemma 4.3 depth");
-  // Every vertex's star is the top of its kept_parent chain, and the
-  // captured weight equals the sum over marked edges.
+  // The construction's depth (2-cycle partner plus one leaf layer), inside
+  // Lemma 4.3's budget of 4; ldd_local's merge walk runs one pass per level.
+  CHECK_MSG(hs.max_marked_depth <= 2, ctx + ": marked depth");
+  // Every vertex's star is the top of its kept_parent chain, depth counts
+  // the chain's hops, and the captured weight equals the sum over marked
+  // edges.
   std::int64_t marked = 0;
   for (int v = 0; v < g.n(); ++v) {
     const int p = hs.kept_parent[v];
+    CHECK_MSG(hs.depth[v] <= hs.max_marked_depth, ctx + ": depth above max");
     if (p >= 0) {
       CHECK_MSG(hs.star[v] == hs.star[p], ctx + ": star label mismatch");
+      CHECK_MSG(hs.depth[v] == hs.depth[p] + 1, ctx + ": depth of child");
       std::int64_t w = 0;
       for (const auto& a : g.arcs(v)) {
         if (a.to == p) w = a.w;
@@ -54,6 +59,7 @@ void check_star_consistency(const WeightedGraph& g, const HeavyStarsResult& hs,
       marked += w;
     } else {
       CHECK_MSG(hs.star[v] == v, ctx + ": root labels itself");
+      CHECK_MSG(hs.depth[v] == 0, ctx + ": root depth");
     }
   }
   CHECK_MSG(marked == hs.captured_weight, ctx + ": captured accounting");

@@ -4,13 +4,15 @@
 // {1, 2, 7, hardware_concurrency} over
 //   * the primitives (ShardPlan coverage, ShardPool task completion,
 //     ShardedMeter merge vs a serial MessageMeter fed the same traffic),
+//   * the pooled Cole–Vishkin rounds vs their inline run,
 //   * heavy-stars contraction on a weighted cluster graph,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
 //     cut edges, per-phase ledger entries, Runtime::audit totals, and the
 //     pooled evaluate_clustering's quality),
 //   * the contraction's direct CSR build (decomp::detail::contract_clusters)
 //     vs the edge-list oracle of tests/oracles.hpp, arc for arc, and the
-//     pooled evaluate_clustering vs its inline run,
+//     pooled evaluate_clustering vs its inline run and, where its masks are
+//     exact, vs the per-source BFS oracle,
 //   * the pooled walk engine vs the token-serial oracle of tests/oracles.hpp
 //     (routes, rounds, accepted seed, and the merged-meter congestion gate),
 //   * certify_parts' cluster schedule, including the heavy-first pass that
@@ -27,6 +29,7 @@
 #include "apps/approx.hpp"
 #include "apps/domination.hpp"
 #include "apps/maxcut.hpp"
+#include "congest/cole_vishkin.hpp"
 #include "congest/shard.hpp"
 #include "decomp/edt.hpp"
 #include "decomp/expander_decomp.hpp"
@@ -226,11 +229,78 @@ TEST_CASE(heavy_stars_sharded_bit_identical) {
     const std::string ctx = "threads=" + std::to_string(pool.threads());
     CHECK_MSG(serial.star == sharded.star, ctx);
     CHECK_MSG(serial.kept_parent == sharded.kept_parent, ctx);
+    CHECK_MSG(serial.depth == sharded.depth, ctx);
     CHECK_MSG(serial.stars == sharded.stars, ctx);
     CHECK_MSG(serial.captured_weight == sharded.captured_weight, ctx);
     CHECK_MSG(serial.max_marked_depth == sharded.max_marked_depth, ctx);
     CHECK_MSG(serial.cv_rounds == sharded.cv_rounds, ctx);
     same_charges(serial.ledger, sharded.ledger, ctx);
+  }
+}
+
+TEST_CASE(cole_vishkin_pooled_matches_inline) {
+  // Rooted forests in both root encodings (parent < 0 and parent == v): a
+  // 10^5-vertex path, a star, a random forest whose parents are random
+  // vertices under a shuffled order (so parents sit on both sides of their
+  // children in every slice), and the tiny cases below the 6-color palette.
+  struct Forest {
+    std::string name;
+    std::vector<int> parent;
+  };
+  std::vector<Forest> forests;
+  {
+    const int n = 100000;
+    std::vector<int> path(n);
+    for (int v = 0; v < n; ++v) path[v] = v - 1;
+    forests.push_back({"path", path});
+    std::vector<int> star(n, 0);
+    star[0] = -1;
+    forests.push_back({"star", star});
+    Rng rng(29);
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    for (int i = n - 1; i > 0; --i) std::swap(order[i], order[rng.uniform_int(0, i)]);
+    std::vector<int> forest(n, -1);
+    for (int i = 1; i < n; ++i) {
+      if (rng.next_below(50) != 0) forest[order[i]] = order[rng.uniform_int(0, i - 1)];
+    }
+    forests.push_back({"random forest", forest});
+  }
+  forests.push_back({"n=0", {}});
+  forests.push_back({"n=1", {-1}});
+  forests.push_back({"n=5 path", {-1, 0, 1, 2, 3}});
+  forests.push_back({"n=9 two paths", {-1, 0, 1, 2, -1, 4, 5, 6, 7}});
+  const std::size_t encodings = forests.size();
+  for (std::size_t i = 0; i < encodings; ++i) {
+    Forest self = forests[i];
+    self.name += " (roots parent == v)";
+    for (int v = 0; v < static_cast<int>(self.parent.size()); ++v) {
+      if (self.parent[v] < 0) self.parent[v] = v;
+    }
+    forests.push_back(self);
+  }
+  for (const Forest& f : forests) {
+    const int n = static_cast<int>(f.parent.size());
+    const ColeVishkinResult inline_cv = cole_vishkin_3color_forest(n, f.parent);
+    for (int v = 0; v < n; ++v) {
+      const int p = f.parent[v];
+      if (inline_cv.color[v] < 0 || inline_cv.color[v] > 2 ||
+          (p >= 0 && p != v && inline_cv.color[v] == inline_cv.color[p])) {
+        CHECK_MSG(false, f.name + ": improper at " + std::to_string(v));
+        break;
+      }
+    }
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      const ColeVishkinResult pooled =
+          cole_vishkin_3color_forest(n, f.parent, &pool);
+      const std::string ctx = f.name + " threads=" + std::to_string(pool.threads());
+      CHECK_MSG(pooled.color == inline_cv.color, ctx + ": colors");
+      CHECK_MSG(pooled.rounds == inline_cv.rounds, ctx + ": rounds");
+      CHECK_MSG(pooled.messages == inline_cv.messages, ctx + ": messages");
+      CHECK_MSG(pooled.max_congestion == inline_cv.max_congestion,
+                ctx + ": max_congestion");
+    }
   }
 }
 
@@ -328,7 +398,9 @@ TEST_CASE(evaluate_clustering_pooled_matches_inline) {
   // 4x4 blocks of a 48x48 grid: 144 clusters, more than the chunks of any
   // swept pool. Variants: the blocks as they are; block 0 and the far
   // corner block sharing id 0 (a disconnected cluster, id 143 unused);
-  // every id tripled (gaps); whole rows (48-vertex clusters).
+  // every id tripled (gaps); whole rows (48-vertex clusters); 8x12 blocks
+  // (96 vertices, above the exact cap, so the sampled path) with and
+  // without the corner blocks sharing id 0.
   const int side = 48;
   const Graph g = grid_graph(side, side);
   decomp::Clustering blocks;
@@ -346,36 +418,105 @@ TEST_CASE(evaluate_clustering_pooled_matches_inline) {
   decomp::Clustering rows;
   rows.k = side;
   for (int v = 0; v < side * side; ++v) rows.cluster.push_back(v / side);
+  decomp::Clustering big;
+  big.k = (side / 8) * (side / 12);
+  for (int v = 0; v < side * side; ++v) {
+    big.cluster.push_back((v / side / 8) * (side / 12) + (v % side) / 12);
+  }
+  decomp::Clustering big_split = big;
+  for (int& c : big_split.cluster) {
+    if (c == big.k - 1) c = 0;
+  }
   const decomp::Clustering ldd =
       decomp::build_edt_decomposition(g, 0.25).clustering;
   struct Case {
     const char* name;
     const decomp::Clustering* c;
+    bool connected;
   };
-  const Case cases[] = {{"blocks", &blocks},
-                        {"split", &split},
-                        {"gaps", &gaps},
-                        {"rows", &rows},
-                        {"ldd", &ldd}};
-  decomp::EvalParams exact, sampled, forced;
-  sampled.exact_cap = 8;  // every 16-vertex block takes the sampled path
-  forced.exact_cap = 8;
-  forced.force_exact = true;
-  const decomp::EvalParams* params[] = {&exact, &sampled, &forced};
-  const char* param_names[] = {"exact_cap=64", "exact_cap=8", "force_exact"};
+  const Case cases[] = {{"blocks", &blocks, true},  {"split", &split, false},
+                        {"gaps", &gaps, true},      {"rows", &rows, true},
+                        {"big", &big, true},        {"big split", &big_split, false},
+                        {"ldd", &ldd, true}};
   for (const Case& cs : cases) {
-    for (int pi = 0; pi < 3; ++pi) {
-      const decomp::ClusterQuality inline_q =
-          decomp::evaluate_clustering(g, *cs.c, *params[pi]);
-      const std::string base = std::string(cs.name) + " " + param_names[pi];
-      CHECK_MSG(inline_q.clusters_connected == (cs.c != &split), base);
-      for (int threads : kThreadSweep) {
-        ShardPool pool(threads);
-        same_quality(
-            inline_q,
-            decomp::evaluate_clustering(g, *cs.c, *params[pi], &pool),
-            base + " threads=" + std::to_string(pool.threads()));
-      }
+    const decomp::ClusterQuality inline_q = decomp::evaluate_clustering(g, *cs.c);
+    const decomp::ClusterQuality exact = oracles::cluster_diameters_by_bfs(g, *cs.c);
+    const std::string base = cs.name;
+    CHECK_MSG(inline_q.clusters_connected == cs.connected, base);
+    if (exact.max_cluster_size <= decomp::kEvalExactCap) {
+      same_quality(exact, inline_q, base + " vs BFS oracle");
+    } else {
+      CHECK_MSG(inline_q.max_diameter <= exact.max_diameter &&
+                    2 * inline_q.max_diameter >= exact.max_diameter,
+                base + ": sampled diameter outside [exact / 2, exact]");
+    }
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      same_quality(inline_q, decomp::evaluate_clustering(g, *cs.c, &pool),
+                   base + " threads=" + std::to_string(pool.threads()));
+    }
+  }
+}
+
+TEST_CASE(evaluate_word_parallel_matches_bfs_oracle) {
+  // One cluster of each size around the 64-bit mask width — a run of
+  // row-major cells of an 8-wide grid (connected, with cycles) and a path
+  // segment (diameter size - 1, the most growing rounds) — the rest of the
+  // vertices singletons; a cluster of two far-apart runs (disconnected:
+  // the largest component diameter counts); and LDD clusterings. Size 65
+  // takes the sampled path, so only its path segment (a tree, where the
+  // double sweep is exact) is here. All five quality fields must match the
+  // per-source BFS oracle, inline and pooled.
+  struct Case {
+    std::string name;
+    Graph g;
+    decomp::Clustering c;
+  };
+  std::vector<Case> cases;
+  const auto run_cluster = [](const Graph& g, int lo, int size) {
+    decomp::Clustering c;
+    c.k = g.n() - size + 1;
+    int next = 1;
+    for (int v = 0; v < g.n(); ++v) {
+      c.cluster.push_back(v >= lo && v < lo + size ? 0 : next++);
+    }
+    return c;
+  };
+  for (int size : {1, 2, 63, 64, 65}) {
+    const Graph grid = grid_graph(12, 8);
+    const Graph path = path_graph(80);
+    if (size <= decomp::kEvalExactCap) {
+      cases.push_back({"grid run " + std::to_string(size), grid,
+                       run_cluster(grid, 3, size)});
+    }
+    cases.push_back({"path run " + std::to_string(size), path,
+                     run_cluster(path, 7, size)});
+  }
+  {
+    const Graph grid = grid_graph(12, 8);
+    decomp::Clustering c = run_cluster(grid, 0, 20);
+    for (int v = 70; v < 90; ++v) c.cluster[v] = 0;  // ids 71..90 unused
+    cases.push_back({"disconnected", grid, c});
+  }
+  {
+    const Graph torus = torus_graph(36, 36);
+    const Graph grid = grid_graph(40, 40);
+    cases.push_back({"ldd torus", torus,
+                     decomp::build_edt_decomposition(torus, 0.3).clustering});
+    cases.push_back({"ldd grid", grid,
+                     decomp::build_edt_decomposition(grid, 0.3).clustering});
+  }
+  for (const Case& cs : cases) {
+    const decomp::ClusterQuality exact = oracles::cluster_diameters_by_bfs(cs.g, cs.c);
+    const decomp::ClusterQuality inline_q = decomp::evaluate_clustering(cs.g, cs.c);
+    CHECK_MSG(exact.max_cluster_size <= decomp::kEvalExactCap ||
+                  cs.name == "path run 65",
+              cs.name + ": cluster above the exact cap");
+    same_quality(exact, inline_q, cs.name);
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      same_quality(exact, decomp::evaluate_clustering(cs.g, cs.c, &pool),
+                   cs.name + " threads=" + std::to_string(pool.threads()));
     }
   }
 }
