@@ -12,18 +12,27 @@
 //     on the engine or the machine, so the serial and sharded columns agree
 //     exactly and stay near-flat in n (Theorem 1.1's diameter-free bound);
 //   * wall time per simulated round is the engine's own figure of merit, and
-//     the serial/sharded ratio is the headline speedup column. The speedup
-//     is real only on multi-core hosts: with --threads above the machine's
+//     the serial/sharded ratio is the headline speedup column. Each size
+//     runs kRepeats alternating serial/sharded pairs, each pair through the
+//     equivalence gate, and the times are the medians of each side, so one
+//     slow sample on a shared host cannot set the ratio. The speedup is
+//     real only on multi-core hosts: with --threads above the machine's
 //     core count (or on a 1-core CI box) expect ~1x plus scheduling noise —
 //     the column reports what the host actually did, never a formula.
 //     The JSON publishes hardware_threads next to threads_actual, so
 //     scripts/check_bench_json.py can hold a full-size run on a host with
-//     at least 4 cores to a speedup floor.
+//     at least 4 cores to a speedup floor;
+//   * minor page faults per sharded call (getrusage, median over the
+//     repeats), report-only: a contraction that allocates its large
+//     buffers anew every iteration shows here first.
 //
 // A second section drives the walk engine (Lemma 2.5) over the pool and
 // publishes its per-shard merged-meter trail: shard{i}_messages must sum to
 // the "walk rounds" phase messages, which scripts/check_bench_json.py
 // re-derives offline from the JSON.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -36,10 +45,26 @@
 
 namespace {
 
+// Alternating serial/sharded pairs per size; the published times are the
+// per-side medians.
+constexpr int kRepeats = 3;
+
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+template <class T>
+T median(std::vector<T> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 bool same_charges(const mfd::congest::Runtime& a,
@@ -98,6 +123,7 @@ int main(int argc, char** argv) {
   json.param("eps", eps);
   json.param("seed", seed);
   json.param("smoke", static_cast<std::int64_t>(smoke ? 1 : 0));
+  json.param("repeats", static_cast<std::int64_t>(kRepeats));
 
   print_header("E-SCALE: sharded round engine vs serial reference",
                "wall time per simulated round, serial vs sharded, at "
@@ -114,34 +140,45 @@ int main(int argc, char** argv) {
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
 
   Table t({"family", "n", "m", "rounds", "rounds (sharded)", "serial ms",
-           "sharded ms", "ms/round", "ms/round (sharded)", "speedup"});
+           "sharded ms", "ms/round", "ms/round (sharded)", "speedup",
+           "minflt (sharded)"});
   bool phases_recorded = false;
   for (const std::string& family : families) {
     for (std::int64_t size : sizes) {
       Rng rng(seed);
       const Graph g = make_family(family, static_cast<int>(size), rng);
-      const auto t_serial = std::chrono::steady_clock::now();
-      const decomp::EdtDecomposition serial =
-          decomp::build_edt_decomposition(g, eps);
-      const double serial_ms = wall_ms_since(t_serial);
-
+      const std::string ctx = family + " n=" + std::to_string(g.n());
       decomp::EdtParams sp;
       sp.pool = &pool;
-      const auto t_sharded = std::chrono::steady_clock::now();
-      const decomp::EdtDecomposition sharded =
-          decomp::build_edt_decomposition(g, eps, sp);
-      const double sharded_ms = wall_ms_since(t_sharded);
+      std::vector<double> serial_times, sharded_times;
+      std::vector<long> sharded_faults;
+      decomp::EdtDecomposition serial, sharded;
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        const auto t_serial = std::chrono::steady_clock::now();
+        serial = decomp::build_edt_decomposition(g, eps);
+        serial_times.push_back(wall_ms_since(t_serial));
 
-      const std::string ctx = family + " n=" + std::to_string(g.n());
-      // The equivalence gate: a sharded engine that diverges from the serial
-      // reference in ANY observable fails the bench before any timing ships.
-      if (serial.clustering.cluster != sharded.clustering.cluster ||
-          serial.T_measured != sharded.T_measured ||
-          !same_charges(serial.ledger, sharded.ledger) ||
-          !same_quality(serial.quality, sharded.quality)) {
-        std::cerr << "sharded/serial DIVERGENCE (" << ctx << ")\n";
-        return 1;
+        const long faults0 = minor_faults();
+        const auto t_sharded = std::chrono::steady_clock::now();
+        sharded = decomp::build_edt_decomposition(g, eps, sp);
+        sharded_times.push_back(wall_ms_since(t_sharded));
+        sharded_faults.push_back(minor_faults() - faults0);
+
+        // The equivalence gate, on every repeat: a sharded engine that
+        // diverges from the serial reference in ANY observable fails the
+        // bench before any timing ships.
+        if (serial.clustering.cluster != sharded.clustering.cluster ||
+            serial.T_measured != sharded.T_measured ||
+            !same_charges(serial.ledger, sharded.ledger) ||
+            !same_quality(serial.quality, sharded.quality)) {
+          std::cerr << "sharded/serial DIVERGENCE (" << ctx << ", repeat "
+                    << rep << ")\n";
+          return 1;
+        }
       }
+      const double serial_ms = median(serial_times);
+      const double sharded_ms = median(sharded_times);
+      const long faults = median(sharded_faults);
       check_runtime_audit(sharded.ledger, 2 * g.m(), ctx);
       const std::int64_t rounds = serial.ledger.total();
       const double per_round_serial =
@@ -153,9 +190,12 @@ int main(int argc, char** argv) {
                  Table::integer(rounds), Table::integer(sharded.ledger.total()),
                  Table::num(serial_ms, 1), Table::num(sharded_ms, 1),
                  Table::num(per_round_serial, 3),
-                 Table::num(per_round_sharded, 3), Table::num(speedup, 2)});
+                 Table::num(per_round_sharded, 3), Table::num(speedup, 2),
+                 Table::integer(faults)});
       if (size == sizes.back()) {
         json.metric("speedup_" + family, speedup);
+        json.metric("minflt_sharded_" + family,
+                    static_cast<std::int64_t>(faults));
         json.metric("rounds_" + family, rounds);
         json.metric("ms_per_round_serial_" + family, per_round_serial);
         json.metric("ms_per_round_sharded_" + family, per_round_sharded);

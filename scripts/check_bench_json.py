@@ -30,7 +30,10 @@ equal walk_messages_merged — the offline proof that the per-shard meters
 merged to the serial totals (docs/ARCHITECTURE.md, "The bandwidth model").
 A full-size grid run (params.smoke == 0) whose pool had at least 4 threads,
 none of them oversubscribed (4 <= threads_actual <= hardware_threads), must
-also reach speedup_grid >= SCALE_SPEEDUP_FLOOR; smoke runs are exempt.
+also reach speedup_grid >= SCALE_SPEEDUP_FLOOR; smoke runs are exempt. The
+speedup is a ratio of medians over params.repeats alternating serial/sharded
+pairs, so repeats must be a positive integer; the minflt_sharded_<family>
+page-fault counts are report-only and only need to be non-negative integers.
 
 bench_expander_decomp (bench == "expander_decomp") additionally publishes
 the certified-vs-estimated conductance split of its certify_parts reports
@@ -179,6 +182,9 @@ def check_scale(path, doc):
     hardware = metrics.get("hardware_threads")
     if not isinstance(hardware, INT) or hardware < 0:
         return fail(path, f"scale: metrics.hardware_threads invalid ({hardware!r})")
+    repeats = params.get("repeats")
+    if not isinstance(repeats, INT) or repeats < 1:
+        return fail(path, f"scale: params.repeats invalid ({repeats!r})")
     if params.get("smoke") == 0 and 4 <= actual <= hardware and \
             params.get("family") in ("grid", "all"):
         speedup = metrics.get("speedup_grid")
@@ -209,6 +215,9 @@ def check_scale(path, doc):
     # be positive for every family column that made it into metrics.
     for key, val in metrics.items():
         if key.startswith("rounds_") and (not isinstance(val, INT) or val < 1):
+            return fail(path, f"scale: metrics.{key} invalid ({val!r})")
+        if key.startswith("minflt_sharded_") and \
+                (not isinstance(val, INT) or val < 0):
             return fail(path, f"scale: metrics.{key} invalid ({val!r})")
     print(f"{path}: scale merge trail ok ({shards} lanes, {merged} messages)")
     return True

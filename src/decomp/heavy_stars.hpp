@@ -20,8 +20,18 @@
 // Marked trees therefore have depth <= 2 (root, its 2-cycle partner, and one
 // layer of leaf-colored children on each), well inside the Lemma 4.3 depth-4
 // budget, and the captured weight is >= W/(6α) >= W/(8α). Everything is
-// deterministic: rerunning on the same WeightedGraph reproduces the stars
-// bit for bit.
+// deterministic: rerunning on the same graph reproduces the stars bit for
+// bit.
+//
+// One engine (detail::heavy_stars_engine) runs steps 1-3 from a per-vertex
+// "heaviest arc" step, which is all that differs between the two inputs:
+//   * heavy_stars(const WeightedGraph&) scans each weighted row;
+//   * heavy_stars(const Graph&) is G itself with unit weights (the
+//     contraction's first iteration, when every cluster is a singleton).
+//     Graph rows are ascending, so the heaviest arc, ties toward the
+//     smaller id, is the first neighbour, and no weighted copy of G is
+//     built. The result equals heavy_stars on a unit-weight WeightedGraph
+//     copy of G, field for field (tests/test_shard.cpp).
 #pragma once
 
 #include <array>
@@ -32,6 +42,7 @@
 #include "congest/cole_vishkin.hpp"
 #include "congest/runtime.hpp"
 #include "congest/shard.hpp"
+#include "graph/graph.hpp"
 #include "graph/weighted.hpp"
 
 namespace mfd::decomp {
@@ -60,17 +71,32 @@ struct HeavyStarsResult {
   congest::Runtime ledger;
 };
 
+namespace detail {
+
+/// One vertex's pick: the neighbour across its heaviest incident arc (ties
+/// toward the smaller id) and that arc's weight; to = -1 when isolated.
+struct HeaviestArc {
+  int to = -1;
+  std::int32_t w = 0;
+};
+
+/// Steps 1-3 on a graph of n vertices, m edges and total weight
+/// total_weight, reading each vertex's pick from heaviest(v).
+///
 /// Sharded when given a pool: the per-vertex phases (pointing, rooting,
 /// the Cole–Vishkin rounds, class sums, star formation, labeling) partition
 /// vertices across the pool with a barrier between phases — exactly the
-/// synchronous-round structure a CONGEST implementation has anyway. All reductions are integer sums/maxes,
-/// so the result is bit-identical to the serial run for every thread count
-/// (tests/test_shard.cpp sweeps {1, 2, 7, hardware}).
-inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
-                                    congest::ShardPool* pool = nullptr) {
+/// synchronous-round structure a CONGEST implementation has anyway. All
+/// reductions are integer sums/maxes, so the result is bit-identical to the
+/// serial run for every thread count (tests/test_shard.cpp sweeps
+/// {1, 2, 7, hardware}).
+template <class Heaviest>
+HeavyStarsResult heavy_stars_engine(int n, std::int64_t m,
+                                    std::int64_t total_weight,
+                                    congest::ShardPool* pool,
+                                    const Heaviest& heaviest) {
   HeavyStarsResult out;
-  const int n = g.n();
-  out.total_weight = g.total_weight();
+  out.total_weight = total_weight;
   out.star.assign(n, 0);
   out.kept_parent.assign(n, -1);
   out.depth.resize(static_cast<std::size_t>(n));
@@ -80,19 +106,12 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
 
   // 1. Point across the heaviest incident edge (tie: smaller neighbor id).
   std::vector<int> pick(n, -1);
-  std::vector<std::int64_t> pick_w(n, 0);
+  std::vector<std::int32_t> pick_w(n, 0);
   congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
     for (int v = lo; v < hi; ++v) {
-      std::int64_t best_w = -1;
-      int best_to = -1;
-      for (const auto& a : g.arcs(v)) {
-        if (a.w > best_w || (a.w == best_w && a.to < best_to)) {
-          best_w = a.w;
-          best_to = a.to;
-        }
-      }
-      pick[v] = best_to;
-      if (best_to >= 0) pick_w[v] = best_w;
+      const HeaviestArc a = heaviest(v);
+      pick[v] = a.to;
+      if (a.to >= 0) pick_w[v] = a.w;
     }
   });
 
@@ -226,13 +245,42 @@ inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
   // pointer-forest edge; the vote converges the six candidate class sums
   // over the forest (six O(log n)-bit values per forest edge in one round);
   // star formation sends one keep/drop decision per kept edge.
-  const std::int64_t directed = 2 * g.m();
+  const std::int64_t directed = 2 * m;
   out.ledger.charge("pointing", 1, directed, directed > 0 ? 1 : 0);
   out.ledger.charge("cole-vishkin", cv.rounds, cv.messages, cv.max_congestion);
   out.ledger.charge("bipartition vote", 1, 6 * forest_edges,
                     forest_edges > 0 ? 6 : 0);
   out.ledger.charge("star formation", 1, kept_edges, kept_edges > 0 ? 1 : 0);
   return out;
+}
+
+}  // namespace detail
+
+/// Heavy stars on a weighted cluster graph; pool as in the engine.
+inline HeavyStarsResult heavy_stars(const WeightedGraph& g,
+                                    congest::ShardPool* pool = nullptr) {
+  return detail::heavy_stars_engine(
+      g.n(), g.m(), g.total_weight(), pool, [&g](int v) {
+        detail::HeaviestArc best{-1, -1};
+        for (const auto& a : g.arcs(v)) {
+          if (a.w > best.w || (a.w == best.w && a.to < best.to)) {
+            best = {a.to, a.w};
+          }
+        }
+        return best;
+      });
+}
+
+/// Heavy stars on G with unit weights: the heaviest arc is the first
+/// neighbour of each ascending row.
+inline HeavyStarsResult heavy_stars(const Graph& g,
+                                    congest::ShardPool* pool = nullptr) {
+  return detail::heavy_stars_engine(
+      g.n(), g.m(), g.m(), pool, [&g](int v) {
+        return g.degree(v) > 0
+                   ? detail::HeaviestArc{*g.neighbors(v).begin(), 1}
+                   : detail::HeaviestArc{};
+      });
 }
 
 }  // namespace mfd::decomp

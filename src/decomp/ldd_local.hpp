@@ -7,14 +7,18 @@
 // The global chop pays its BFS depth in simulated rounds every pass, which
 // on a √n-diameter grid makes construction cost Θ(√n). This pipeline never
 // runs a global BFS: it starts from singleton clusters and repeatedly
-//   1. builds the weighted cluster graph (edge weight = number of G-edges
-//      between two clusters) straight from G's CSR, with no edge list
-//      (detail::contract_clusters): the vertices are counting-sorted into
-//      per-cluster member slices, each cluster's row is aggregated with a
-//      stamp array and sorted by neighbour id, and the per-task rows are
-//      copied into one offsets/arcs pair, its buffers reused across
-//      iterations; while every cluster is a singleton (the first
-//      iteration) the cluster graph is G itself with unit weights,
+//   1. takes the weighted cluster graph (edge weight = number of G-edges
+//      between two clusters). While every cluster is a singleton (the
+//      first iteration, and any stalled ones right after it) that graph is
+//      G with unit weights, and heavy_stars reads G's rows directly; no
+//      copy is built. Afterwards detail::contract_clusters builds it
+//      straight from G's CSR, with no edge list: the vertices are
+//      counting-sorted into per-cluster member slices, each cluster's row
+//      is aggregated with a stamp array and sorted by neighbour id, and the
+//      per-task rows are copied into one offsets/arcs pair of 8-byte arcs
+//      (32-bit weights, which fit because a weight is at most m). That
+//      pair and every other contraction buffer live in a ContractScratch
+//      that is reused across iterations,
 //   2. marks heavy stars on it (Lemma 4.2, >= 1/(8α) of the remaining cut
 //      weight, O(log* n) Cole–Vishkin rounds),
 //   3. merges each marked tree top-down, one depth level per pass, under
@@ -47,7 +51,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,6 +116,10 @@ struct ContractScratch {
     std::vector<int> stamp, slot;
   };
   std::vector<Task> tasks;
+  // The cluster graph itself, rebuilt in place: its offsets and arcs keep
+  // their capacity, so only a graph larger than every earlier one maps and
+  // faults fresh pages.
+  WeightedGraph graph;
 };
 
 /// The weighted cluster graph of g under the dense labelling cid (cid[v] in
@@ -118,30 +128,13 @@ struct ContractScratch {
 /// WeightedGraph(k, edges) builds from one unit edge per cut G-edge, without
 /// the edge list. Clusters shard over the pool in contiguous ranges; the
 /// per-task runs land in the arc array in task order, so the graph is the
-/// same for every thread count.
-inline WeightedGraph contract_clusters(const Graph& g,
-                                       const std::vector<int>& cid, int k,
-                                       congest::ShardPool* pool,
-                                       ContractScratch& sc) {
-  const int n = g.n();
+/// same for every thread count. The result is sc.graph, valid until the
+/// next call with the same scratch.
+inline const WeightedGraph& contract_clusters(const Graph& g,
+                                              const std::vector<int>& cid,
+                                              int k, congest::ShardPool* pool,
+                                              ContractScratch& sc) {
   const int tasks = pool != nullptr ? pool->threads() : 1;
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(k) + 1, 0);
-  std::vector<WeightedGraph::Arc> arcs;
-  bool singletons = k == n;
-  for (int v = 0; singletons && v < n; ++v) singletons = cid[v] == v;
-  if (singletons) {
-    // Cluster v is vertex v: G's rows, already ascending, with unit weights.
-    for (int v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + g.degree(v);
-    arcs.resize(static_cast<std::size_t>(offsets[n]));
-    congest::parallel_ranges(pool, n, tasks, [&](int lo, int hi, int) {
-      for (int v = lo; v < hi; ++v) {
-        WeightedGraph::Arc* out = arcs.data() + offsets[v];
-        for (int w : g.neighbors(v)) *out++ = {w, 1};
-      }
-    });
-    return WeightedGraph(k, std::move(offsets), std::move(arcs));
-  }
-
   group_members(cid, k, sc.member_off, sc.members, pool);
   const std::vector<int>& off = sc.member_off;
   sc.row_len.resize(static_cast<std::size_t>(k));
@@ -175,14 +168,19 @@ inline WeightedGraph contract_clusters(const Graph& g,
           static_cast<std::int64_t>(tk.run.size() - row);
     }
   });
-  for (int c = 0; c < k; ++c) offsets[c + 1] = offsets[c] + sc.row_len[c];
-  arcs.resize(static_cast<std::size_t>(offsets[k]));
-  // Same (k, tasks) partition as above, so task t's run is rows [lo, hi).
-  congest::parallel_ranges(pool, k, tasks, [&](int lo, int, int t) {
-    const auto& run = sc.tasks[static_cast<std::size_t>(t)].run;
-    std::copy(run.begin(), run.end(), arcs.begin() + offsets[lo]);
+  sc.graph.rebuild(k, [&](std::vector<std::int64_t>& offsets,
+                          std::vector<WeightedGraph::Arc>& arcs) {
+    offsets.resize(static_cast<std::size_t>(k) + 1);
+    offsets[0] = 0;
+    for (int c = 0; c < k; ++c) offsets[c + 1] = offsets[c] + sc.row_len[c];
+    arcs.resize(static_cast<std::size_t>(offsets[k]));
+    // Same (k, tasks) partition as above, so task t's run is rows [lo, hi).
+    congest::parallel_ranges(pool, k, tasks, [&](int lo, int, int t) {
+      const auto& run = sc.tasks[static_cast<std::size_t>(t)].run;
+      std::copy(run.begin(), run.end(), arcs.begin() + offsets[lo]);
+    });
   });
-  return WeightedGraph(k, std::move(offsets), std::move(arcs));
+  return sc.graph;
 }
 
 /// The guarded heavy-stars contraction of g down to at most eps*m cut edges,
@@ -193,6 +191,13 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
                                  const EdtParams& params,
                                  EdtDecomposition& out) {
   const int n = g.n();
+  // Cluster-graph arc weights count G-edges, so they are <= m and fit the
+  // 32-bit WeightedGraph::Arc weight whenever m does.
+  if (g.m() > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument(
+        "build_edt_decomposition: m above INT32_MAX overflows the 32-bit "
+        "cluster-graph weights");
+  }
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
@@ -223,9 +228,14 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
   ContractScratch contract_scratch;
   while (cut > allowance && out.iterations < params.max_iterations) {
     const int k = static_cast<int>(rep.size());
-    const WeightedGraph cg =
-        contract_clusters(g, cid, k, pool, contract_scratch);
-    const HeavyStarsResult hs = heavy_stars(cg, pool);
+    // While every cluster is a singleton, dense ids follow first vertices,
+    // so cid[v] == v and the cluster graph is G itself with unit weights:
+    // heavy_stars reads G's rows, and no copy of G is built.
+    const HeavyStarsResult hs =
+        k == n ? heavy_stars(g, pool)
+               : heavy_stars(contract_clusters(g, cid, k, pool,
+                                               contract_scratch),
+                             pool);
     ++out.iterations;
     // All of this iteration's charges close into the ledger under one
     // "heavy-stars iter N: " prefix — the heavy-stars phases verbatim, then

@@ -5,12 +5,16 @@
 //   * marked trees never exceed depth 4 (the implementation stays <= 2),
 //   * star labels are consistent with kept_parent and captured_weight
 //     matches the marked edges,
+//   * WeightedGraph keeps 32-bit arc weights up to INT32_MAX and rejects a
+//     merged weight outside int32_t,
 //   * heavy_stars and build_edt_decomposition (the local pipeline at its
 //     production guard 2w) are deterministic,
 //   * the local pipeline meets its hard ε cut budget with strong diameter
 //     <= 4w per guard doubling and connected clusters, while charging rounds
 //     that do not scale with the graph diameter (sub-√n on grids).
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,6 +116,29 @@ TEST_CASE(heavy_stars_two_vertices) {
   CHECK(hs.star[0] == hs.star[1]);
   CHECK(hs.stars == 1);
   CHECK(hs.max_marked_depth == 1);
+}
+
+TEST_CASE(weighted_graph_int32_weights) {
+  // Arc weights are 32-bit: INT32_MAX itself is kept, a merged sum past it
+  // (or any weight outside int32_t) is rejected instead of wrapping.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  const WeightedGraph g(3, {{0, 1, kMax}, {1, 2, 1}});
+  CHECK(g.arcs(0).begin()->w == kMax);
+  CHECK(g.total_weight() == kMax + 1);
+  const HeavyStarsResult hs = heavy_stars(g);
+  CHECK(hs.captured_weight == kMax + 1);
+  const auto rejects = [](std::vector<WeightedEdge> edges) {
+    try {
+      const WeightedGraph bad(3, std::move(edges));
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK(rejects({{0, 1, kMax}, {1, 0, 1}}));  // duplicates merge past the cap
+  CHECK(rejects({{1, 2, kMax + 1}}));
+  CHECK(rejects({{1, 2, -kMax - 2}}));
+  CHECK(!rejects({{0, 1, kMax}, {1, 2, kMax}}));  // the cap is per edge
 }
 
 TEST_CASE(ldd_local_budget_and_diameter) {

@@ -5,7 +5,8 @@
 //   * the primitives (ShardPlan coverage, ShardPool task completion,
 //     ShardedMeter merge vs a serial MessageMeter fed the same traffic),
 //   * the pooled Cole–Vishkin rounds vs their inline run,
-//   * heavy-stars contraction on a weighted cluster graph,
+//   * heavy-stars contraction on a weighted cluster graph, and on G itself
+//     (the singleton iterations) vs a unit-weight WeightedGraph copy of G,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
 //     cut edges, per-phase ledger entries, Runtime::audit totals, and the
 //     pooled evaluate_clustering's quality),
@@ -118,6 +119,43 @@ void same_cluster_graph(const WeightedGraph& a, const WeightedGraph& b,
   }
 }
 
+// Every field of two heavy-stars results, ledger entries included.
+void same_heavy_stars(const decomp::HeavyStarsResult& a,
+                      const decomp::HeavyStarsResult& b,
+                      const std::string& ctx) {
+  CHECK_MSG(a.star == b.star, ctx + ": star");
+  CHECK_MSG(a.kept_parent == b.kept_parent, ctx + ": kept_parent");
+  CHECK_MSG(a.depth == b.depth, ctx + ": depth");
+  CHECK_MSG(a.stars == b.stars, ctx + ": stars");
+  CHECK_MSG(a.captured_weight == b.captured_weight, ctx + ": captured_weight");
+  CHECK_MSG(a.total_weight == b.total_weight, ctx + ": total_weight");
+  CHECK_MSG(a.cv_rounds == b.cv_rounds, ctx + ": cv_rounds");
+  CHECK_MSG(a.max_marked_depth == b.max_marked_depth,
+            ctx + ": max_marked_depth");
+  same_charges(a.ledger, b.ledger, ctx);
+}
+
+// The small graphs the contraction equivalence cases run on: grid, torus,
+// random planar, isolated vertices between short paths, n = 0 and n = 1.
+struct Family {
+  const char* name;
+  Graph g;
+};
+
+std::vector<Family> contraction_families() {
+  Rng rng(5);
+  std::vector<std::pair<int, int>> sparse;  // isolated vertices between
+  for (int v = 0; v + 3 < 60; v += 3) sparse.emplace_back(v, v + 3);
+  std::vector<Family> families;
+  families.push_back({"grid", grid_graph(30, 30)});
+  families.push_back({"torus", torus_graph(20, 20)});
+  families.push_back({"planar", random_planar(600, 1400, rng)});
+  families.push_back({"isolated", Graph::from_edges(60, sparse)});
+  families.push_back({"n=0", Graph::from_edges(0, {})});
+  families.push_back({"n=1", Graph::from_edges(1, {})});
+  return families;
+}
+
 // A deterministic weighted graph for the heavy-stars sweep: grid edges with
 // weights spread over [1, 9] so the pointing phase has real ties to break.
 WeightedGraph weighted_grid(int rows, int cols) {
@@ -225,16 +263,28 @@ TEST_CASE(heavy_stars_sharded_bit_identical) {
   const decomp::HeavyStarsResult serial = decomp::heavy_stars(wg);
   for (int threads : kThreadSweep) {
     ShardPool pool(threads);
-    const decomp::HeavyStarsResult sharded = decomp::heavy_stars(wg, &pool);
-    const std::string ctx = "threads=" + std::to_string(pool.threads());
-    CHECK_MSG(serial.star == sharded.star, ctx);
-    CHECK_MSG(serial.kept_parent == sharded.kept_parent, ctx);
-    CHECK_MSG(serial.depth == sharded.depth, ctx);
-    CHECK_MSG(serial.stars == sharded.stars, ctx);
-    CHECK_MSG(serial.captured_weight == sharded.captured_weight, ctx);
-    CHECK_MSG(serial.max_marked_depth == sharded.max_marked_depth, ctx);
-    CHECK_MSG(serial.cv_rounds == sharded.cv_rounds, ctx);
-    same_charges(serial.ledger, sharded.ledger, ctx);
+    same_heavy_stars(serial, decomp::heavy_stars(wg, &pool),
+                     "threads=" + std::to_string(pool.threads()));
+  }
+}
+
+TEST_CASE(heavy_stars_on_graph_matches_unit_copy) {
+  // heavy_stars(g) reads G's rows as unit-weight arcs (the contraction's
+  // singleton iterations); it must equal heavy_stars on a unit-weight
+  // WeightedGraph copy of g, inline and over the pool.
+  for (const Family& fam : contraction_families()) {
+    std::vector<WeightedEdge> edges;
+    for (const auto& [u, v] : fam.g.edges()) edges.push_back({u, v, 1});
+    const WeightedGraph unit(fam.g.n(), std::move(edges));
+    const decomp::HeavyStarsResult reference = decomp::heavy_stars(unit);
+    same_heavy_stars(reference, decomp::heavy_stars(fam.g),
+                     std::string(fam.name) + " inline");
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      same_heavy_stars(reference, decomp::heavy_stars(fam.g, &pool),
+                       std::string(fam.name) + " threads=" +
+                           std::to_string(pool.threads()));
+    }
   }
 }
 
@@ -305,10 +355,6 @@ TEST_CASE(cole_vishkin_pooled_matches_inline) {
 }
 
 TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
-  struct Family {
-    const char* name;
-    Graph g;
-  };
   const Family families[] = {{"grid", grid_graph(64, 64)},
                              {"torus", torus_graph(40, 40)}};
   for (const Family& fam : families) {
@@ -343,24 +389,14 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
 }
 
 TEST_CASE(contract_clusters_matches_sort_oracle) {
-  // Labellings: the singletons in vertex order (the CSR shortcut), the same
-  // singletons reversed (k == n, but aggregated), every contraction
-  // iteration's clustering, and the last one with two unused ids appended.
-  struct Family {
-    const char* name;
-    Graph g;
-  };
-  Rng rng(5);
-  std::vector<std::pair<int, int>> sparse;  // isolated vertices between
-  for (int v = 0; v + 3 < 60; v += 3) sparse.emplace_back(v, v + 3);
-  const Family families[] = {
-      {"grid", grid_graph(30, 30)},
-      {"torus", torus_graph(20, 20)},
-      {"planar", random_planar(600, 1400, rng)},
-      {"isolated", Graph::from_edges(60, sparse)},
-      {"n=0", Graph::from_edges(0, {})},
-      {"n=1", Graph::from_edges(1, {})}};
-  for (const Family& fam : families) {
+  // Labellings: the singletons in vertex order (k == n; the contraction
+  // hands those to heavy_stars(g) instead, but contract_clusters must still
+  // aggregate them correctly), the same singletons reversed, every
+  // contraction iteration's clustering, the last one with two unused ids
+  // appended, then the first iteration's clustering and the reversed
+  // singletons again: k grows after it shrank, so the reused scratch must
+  // carry no stale offsets or arcs into a larger graph.
+  for (const Family& fam : contraction_families()) {
     const int n = fam.g.n();
     std::vector<std::pair<std::vector<int>, int>> labellings;
     std::vector<int> ids(static_cast<std::size_t>(n));
@@ -378,6 +414,11 @@ TEST_CASE(contract_clusters_matches_sort_oracle) {
     }
     labellings.emplace_back(labellings.back().first,
                             labellings.back().second + 2);
+    // Entry 2 is the first iteration's clustering (or, with no iteration,
+    // the singletons with two unused ids).
+    const auto regrow = labellings[2];
+    labellings.push_back(regrow);
+    labellings.emplace_back(ids, n);
     for (int threads : kThreadSweep) {
       ShardPool pool(threads);
       decomp::detail::ContractScratch scratch;  // reused, as across iterations
