@@ -24,7 +24,15 @@
 //     at least 4 cores to a speedup floor;
 //   * minor page faults per sharded call (getrusage, median over the
 //     repeats), report-only: a contraction that allocates its large
-//     buffers anew every iteration shows here first.
+//     buffers anew every iteration shows here first;
+//   * CPU placement per sharded call, report-only: how many distinct CPUs
+//     the pool's threads claimed tasks on (ShardPool::trace_cpus), one
+//     count per repeat. A call whose pooled loops all ran on one CPU
+//     cannot speed up, whatever the engine does;
+//   * a fixed last row on the compact-routing instance (random planar,
+//     n = 262144, m = 2n, ε = 0.3; 16384 vertices under --smoke), whose
+//     large clusters sit at low ids — the case the size-weighted cluster
+//     sweeps exist for. Same gate; its speedup has no floor.
 //
 // A second section drives the walk engine (Lemma 2.5) over the pool and
 // publishes its per-shard merged-meter trail: shard{i}_messages must sum to
@@ -35,6 +43,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -48,6 +57,9 @@ namespace {
 // Alternating serial/sharded pairs per size; the published times are the
 // per-side medians.
 constexpr int kRepeats = 3;
+
+// ε of the compact-routing row (pipebench route-serve-planar's set-up).
+constexpr double kRouteEps = 0.3;
 
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -141,72 +153,97 @@ int main(int argc, char** argv) {
 
   Table t({"family", "n", "m", "rounds", "rounds (sharded)", "serial ms",
            "sharded ms", "ms/round", "ms/round (sharded)", "speedup",
-           "minflt (sharded)"});
+           "minflt (sharded)", "CPUs (sharded)"});
   bool phases_recorded = false;
+  // One row: kRepeats alternating serial/sharded pairs on g, each through
+  // the equivalence gate. The JSON keys of a published row end in `label`.
+  // Returns false on a divergence.
+  const auto run_row = [&](const std::string& label, const Graph& g,
+                           double row_eps, bool publish) {
+    const std::string ctx = label + " n=" + std::to_string(g.n());
+    decomp::EdtParams sp;
+    sp.pool = &pool;
+    std::vector<double> serial_times, sharded_times;
+    std::vector<long> sharded_faults;
+    std::vector<int> sharded_cpus;
+    decomp::EdtDecomposition serial, sharded;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const auto t_serial = std::chrono::steady_clock::now();
+      serial = decomp::build_edt_decomposition(g, row_eps);
+      serial_times.push_back(wall_ms_since(t_serial));
+
+      const long faults0 = minor_faults();
+      pool.trace_cpus(true);
+      const auto t_sharded = std::chrono::steady_clock::now();
+      sharded = decomp::build_edt_decomposition(g, row_eps, sp);
+      sharded_times.push_back(wall_ms_since(t_sharded));
+      pool.trace_cpus(false);
+      sharded_faults.push_back(minor_faults() - faults0);
+      sharded_cpus.push_back(pool.traced_cpus());
+
+      // The equivalence gate, on every repeat: a sharded engine that
+      // diverges from the serial reference in ANY observable fails the
+      // bench before any timing ships.
+      if (serial.clustering.cluster != sharded.clustering.cluster ||
+          serial.T_measured != sharded.T_measured ||
+          !same_charges(serial.ledger, sharded.ledger) ||
+          !same_quality(serial.quality, sharded.quality)) {
+        std::cerr << "sharded/serial DIVERGENCE (" << ctx << ", repeat "
+                  << rep << ")\n";
+        return false;
+      }
+    }
+    const double serial_ms = median(serial_times);
+    const double sharded_ms = median(sharded_times);
+    const long faults = median(sharded_faults);
+    check_runtime_audit(sharded.ledger, 2 * g.m(), ctx);
+    const std::int64_t rounds = serial.ledger.total();
+    const double per_round_serial =
+        rounds > 0 ? serial_ms / static_cast<double>(rounds) : 0.0;
+    const double per_round_sharded =
+        rounds > 0 ? sharded_ms / static_cast<double>(rounds) : 0.0;
+    const double speedup = sharded_ms > 0.0 ? serial_ms / sharded_ms : 0.0;
+    std::string cpus;
+    for (int c : sharded_cpus) {
+      cpus += (cpus.empty() ? "" : "/") + std::to_string(c);
+    }
+    t.add_row({label, Table::integer(g.n()), Table::integer(g.m()),
+               Table::integer(rounds), Table::integer(sharded.ledger.total()),
+               Table::num(serial_ms, 1), Table::num(sharded_ms, 1),
+               Table::num(per_round_serial, 3),
+               Table::num(per_round_sharded, 3), Table::num(speedup, 2),
+               Table::integer(faults), cpus});
+    if (!publish) return true;
+    json.metric("speedup_" + label, speedup);
+    json.metric("minflt_sharded_" + label, static_cast<std::int64_t>(faults));
+    json.metric("cpus_sharded_" + label,
+                static_cast<std::int64_t>(*std::min_element(
+                    sharded_cpus.begin(), sharded_cpus.end())));
+    json.metric("rounds_" + label, rounds);
+    json.metric("ms_per_round_serial_" + label, per_round_serial);
+    json.metric("ms_per_round_sharded_" + label, per_round_sharded);
+    if (!phases_recorded) {
+      // Representative phase breakdown: the sharded run on the largest
+      // instance of the first family (grid by default) — audit included.
+      json.phases(sharded.ledger, 2 * g.m());
+      phases_recorded = true;
+    }
+    return true;
+  };
   for (const std::string& family : families) {
     for (std::int64_t size : sizes) {
       Rng rng(seed);
       const Graph g = make_family(family, static_cast<int>(size), rng);
-      const std::string ctx = family + " n=" + std::to_string(g.n());
-      decomp::EdtParams sp;
-      sp.pool = &pool;
-      std::vector<double> serial_times, sharded_times;
-      std::vector<long> sharded_faults;
-      decomp::EdtDecomposition serial, sharded;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        const auto t_serial = std::chrono::steady_clock::now();
-        serial = decomp::build_edt_decomposition(g, eps);
-        serial_times.push_back(wall_ms_since(t_serial));
-
-        const long faults0 = minor_faults();
-        const auto t_sharded = std::chrono::steady_clock::now();
-        sharded = decomp::build_edt_decomposition(g, eps, sp);
-        sharded_times.push_back(wall_ms_since(t_sharded));
-        sharded_faults.push_back(minor_faults() - faults0);
-
-        // The equivalence gate, on every repeat: a sharded engine that
-        // diverges from the serial reference in ANY observable fails the
-        // bench before any timing ships.
-        if (serial.clustering.cluster != sharded.clustering.cluster ||
-            serial.T_measured != sharded.T_measured ||
-            !same_charges(serial.ledger, sharded.ledger) ||
-            !same_quality(serial.quality, sharded.quality)) {
-          std::cerr << "sharded/serial DIVERGENCE (" << ctx << ", repeat "
-                    << rep << ")\n";
-          return 1;
-        }
-      }
-      const double serial_ms = median(serial_times);
-      const double sharded_ms = median(sharded_times);
-      const long faults = median(sharded_faults);
-      check_runtime_audit(sharded.ledger, 2 * g.m(), ctx);
-      const std::int64_t rounds = serial.ledger.total();
-      const double per_round_serial =
-          rounds > 0 ? serial_ms / static_cast<double>(rounds) : 0.0;
-      const double per_round_sharded =
-          rounds > 0 ? sharded_ms / static_cast<double>(rounds) : 0.0;
-      const double speedup = sharded_ms > 0.0 ? serial_ms / sharded_ms : 0.0;
-      t.add_row({family, Table::integer(g.n()), Table::integer(g.m()),
-                 Table::integer(rounds), Table::integer(sharded.ledger.total()),
-                 Table::num(serial_ms, 1), Table::num(sharded_ms, 1),
-                 Table::num(per_round_serial, 3),
-                 Table::num(per_round_sharded, 3), Table::num(speedup, 2),
-                 Table::integer(faults)});
-      if (size == sizes.back()) {
-        json.metric("speedup_" + family, speedup);
-        json.metric("minflt_sharded_" + family,
-                    static_cast<std::int64_t>(faults));
-        json.metric("rounds_" + family, rounds);
-        json.metric("ms_per_round_serial_" + family, per_round_serial);
-        json.metric("ms_per_round_sharded_" + family, per_round_sharded);
-        if (!phases_recorded) {
-          // Representative phase breakdown: the sharded run on the largest
-          // instance of the first family (grid by default) — audit included.
-          json.phases(sharded.ledger, 2 * g.m());
-          phases_recorded = true;
-        }
-      }
+      if (!run_row(family, g, eps, size == sizes.back())) return 1;
     }
+  }
+  // The compact-routing instance: pipebench route-serve-planar's set-up
+  // EDT, whose big clusters crowd the low cluster ids. Its speedup is
+  // report-only.
+  {
+    Rng rng(seed);
+    const Graph g = make_family("planar-sparse", smoke ? 16384 : 262144, rng);
+    if (!run_row("route", g, kRouteEps, true)) return 1;
   }
   t.print(std::cout);
   std::cout << "\nShape checks: the two rounds columns agree exactly (the "

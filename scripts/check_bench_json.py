@@ -33,7 +33,8 @@ none of them oversubscribed (4 <= threads_actual <= hardware_threads), must
 also reach speedup_grid >= SCALE_SPEEDUP_FLOOR; smoke runs are exempt. The
 speedup is a ratio of medians over params.repeats alternating serial/sharded
 pairs, so repeats must be a positive integer; the minflt_sharded_<family>
-page-fault counts are report-only and only need to be non-negative integers.
+page-fault counts and the cpus_sharded_<family> CPU-placement counts are
+report-only and only need to be non-negative integers.
 
 bench_expander_decomp (bench == "expander_decomp") additionally publishes
 the certified-vs-estimated conductance split of its certify_parts reports
@@ -216,7 +217,7 @@ def check_scale(path, doc):
     for key, val in metrics.items():
         if key.startswith("rounds_") and (not isinstance(val, INT) or val < 1):
             return fail(path, f"scale: metrics.{key} invalid ({val!r})")
-        if key.startswith("minflt_sharded_") and \
+        if key.startswith(("minflt_sharded_", "cpus_sharded_")) and \
                 (not isinstance(val, INT) or val < 0):
             return fail(path, f"scale: metrics.{key} invalid ({val!r})")
     print(f"{path}: scale merge trail ok ({shards} lanes, {merged} messages)")

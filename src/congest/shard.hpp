@@ -14,14 +14,17 @@
 //     the serial iteration order exactly.
 //   * ShardPool — a persistent pool of worker threads. run(tasks, fn) calls
 //     fn(task, worker) for every task index, claims tasks dynamically (so
-//     skewed cluster sizes still balance), and barriers before returning.
+//     tasks of unequal cost even out), and barriers before returning.
 //     With one thread the loop runs inline on the caller, so pooled and
 //     unpooled runs share one code body.
 //   * for_each_task / parallel_ranges / for_each_chunk — the fan-out call
 //     of every pooled loop (whole tasks — clusters, query chunks —,
 //     contiguous vertex slices, or contiguous chunks of unequal clusters).
 //     A null pool, a one-thread pool or a single task runs inline, so no
-//     call site forks on the pool itself.
+//     call site forks on the pool itself. WeightedPlan cuts ranges of
+//     unequal clusters at equal shares of their members, not of their
+//     count: the Theorem 1.1 contraction numbers clusters by first vertex,
+//     so the large ones crowd the low ids.
 //   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
 //     Each lane owns a contiguous slot slice and is only ever written by its
 //     owning shard, so metering is race-free without atomics; merging the
@@ -50,6 +53,10 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "congest/runtime.hpp"
 
@@ -84,6 +91,7 @@ class ShardPool {
       threads = static_cast<int>(std::thread::hardware_concurrency());
     }
     threads_ = std::max(1, threads);
+    placements_.resize(static_cast<std::size_t>(threads_));
     workers_.reserve(static_cast<std::size_t>(threads_ - 1));
     for (int w = 1; w < threads_; ++w) {
       workers_.emplace_back([this, w] { worker_loop(w); });
@@ -103,6 +111,28 @@ class ShardPool {
   }
 
   int threads() const { return threads_; }
+
+  /// Placement trace: while on, each worker that claims a task in run()
+  /// records the CPU it claimed its first one on (sched_getcpu, Linux
+  /// only), in the worker's own set. Switch it on and read it between
+  /// run() calls, from the thread that calls run(); switching it on clears
+  /// the sets.
+  void trace_cpus(bool on) {
+    tracing_ = on;
+    if (!on) return;
+    for (Placement& p : placements_) p.cpus.clear();
+  }
+
+  /// Distinct CPUs the traced tasks ran on since trace_cpus(true); 0 where
+  /// the platform cannot tell.
+  int traced_cpus() const {
+    std::vector<int> all;
+    for (const Placement& p : placements_) {
+      all.insert(all.end(), p.cpus.begin(), p.cpus.end());
+    }
+    std::sort(all.begin(), all.end());
+    return static_cast<int>(std::unique(all.begin(), all.end()) - all.begin());
+  }
 
   /// Execute fn(task, worker) for every task in [0, tasks); blocks until all
   /// tasks are done. The calling thread participates as worker 0. A
@@ -140,11 +170,31 @@ class ShardPool {
 
  private:
   void drain(int worker) {
+    // The trace records the CPU of a worker's first task in this run; a
+    // drain rarely migrates, and one record per run keeps the shared flag
+    // out of the per-task loop.
+    bool record = tracing_;
     for (;;) {
       const int t = next_task_.fetch_add(1, std::memory_order_relaxed);
       if (t >= tasks_) break;
+      if (record) {
+        record_cpu(worker);
+        record = false;
+      }
       (*fn_)(t, worker);
     }
+  }
+
+  void record_cpu(int worker) {
+#if defined(__linux__)
+    const int cpu = sched_getcpu();
+    std::vector<int>& cpus = placements_[static_cast<std::size_t>(worker)].cpus;
+    if (cpu >= 0 && std::find(cpus.begin(), cpus.end(), cpu) == cpus.end()) {
+      cpus.push_back(cpu);
+    }
+#else
+    (void)worker;
+#endif
   }
 
   void worker_loop(int worker) {
@@ -165,6 +215,10 @@ class ShardPool {
     }
   }
 
+  struct alignas(64) Placement {
+    std::vector<int> cpus;  // distinct CPUs this worker's tasks ran on
+  };
+
   int threads_ = 1;
   std::vector<std::thread> workers_;
   std::mutex mu_;
@@ -176,6 +230,11 @@ class ShardPool {
   int idle_ = 0;
   std::int64_t generation_ = 0;
   bool stop_ = false;
+  // The placement trace goes last: the fields above share cache lines with
+  // the task counter every worker hits, and shifting them by inserting
+  // fields in front measured 16% slower on a 1M-grid contraction.
+  std::vector<Placement> placements_;
+  bool tracing_ = false;  // written only between run() calls
 };
 
 /// congest::MessageMeter split into per-shard lanes. Lane s owns the global
@@ -308,22 +367,61 @@ void parallel_ranges(ShardPool* pool, int n, int tasks, Fn&& fn) {
   });
 }
 
-/// Chunks per pool thread in for_each_chunk: enough for dynamic claiming to
-/// even out unequal items, few enough that a claim costs nothing.
+/// Contiguous partition of [0, k) into `shards` ranges of about equal
+/// weight — the shape for loops over items of unequal cost (clusters),
+/// where an even split by count leaves one range with most of the work.
+/// prefix has k + 1 entries, ascending from prefix[0] == 0, and item i
+/// weighs prefix[i + 1] - prefix[i] (a cluster's member count, read off
+/// group_members' offsets). Range s is [begin(s), end(s)): begin(s) is the
+/// first item whose prefix reaches s / shards of the total, so every item
+/// sits in the range its starting weight falls in, and an item heavier
+/// than a share leaves the ranges it covers empty. The cuts depend only on
+/// prefix and shards, so two loops with the same arguments split alike.
+class WeightedPlan {
+ public:
+  WeightedPlan(const std::vector<int>& prefix, int shards)
+      : cut_(static_cast<std::size_t>(std::max(shards, 1)) + 1, 0) {
+    const int k = std::max(static_cast<int>(prefix.size()) - 1, 0);
+    const std::int64_t total = k > 0 ? prefix.back() : 0;
+    const int parts = this->shards();
+    for (int s = 1; s < parts && k > 0; ++s) {
+      // First i with prefix[i] * parts >= total * s.
+      const std::int64_t share = (total * s + parts - 1) / parts;
+      cut_[static_cast<std::size_t>(s)] = static_cast<int>(
+          std::lower_bound(prefix.begin(), prefix.end() - 1, share) -
+          prefix.begin());
+    }
+    cut_.back() = k;
+  }
+
+  int shards() const { return static_cast<int>(cut_.size()) - 1; }
+  int begin(int s) const { return cut_[static_cast<std::size_t>(s)]; }
+  int end(int s) const { return cut_[static_cast<std::size_t>(s) + 1]; }
+
+ private:
+  std::vector<int> cut_;
+};
+
+/// Chunks per pool thread in a chunked loop: enough for dynamic claiming
+/// to even out what the weights miss, few enough that a claim costs
+/// nothing.
 inline constexpr int kChunksPerThread = 8;
 
-/// Run fn(lo, hi, worker) over [0, n) cut into contiguous chunks,
-/// kChunksPerThread per pool thread, claimed dynamically — the shape for
-/// loops over items of unequal cost (clusters), where one claim per item
-/// would contend and one slice per thread would leave threads idle. One
-/// chunk, inline, without a pool. Per-item outputs indexed by item and
-/// folded in item order reproduce serial order.
-template <class Fn>
-void for_each_chunk(ShardPool* pool, int n, Fn&& fn) {
+/// Task count of a chunked loop over `pool`: kChunksPerThread per thread,
+/// one without a pool.
+inline int chunk_count(const ShardPool* pool) {
   const int threads = pool != nullptr ? pool->threads() : 1;
-  const ShardPlan plan(n, threads == 1 ? 1
-                                       : std::min(n, threads * kChunksPerThread));
-  for_each_task(pool, plan.shards, [&](int t, int worker) {
+  return threads == 1 ? 1 : threads * kChunksPerThread;
+}
+
+/// Run fn(lo, hi, worker) over the WeightedPlan of `prefix` into
+/// chunk_count(pool) ranges, claimed dynamically. Empty ranges are
+/// skipped; one range, inline, without a pool. Per-item outputs indexed by
+/// item and folded in item order reproduce serial order.
+template <class Fn>
+void for_each_chunk(ShardPool* pool, const std::vector<int>& prefix, Fn&& fn) {
+  const WeightedPlan plan(prefix, chunk_count(pool));
+  for_each_task(pool, plan.shards(), [&](int t, int worker) {
     const int lo = plan.begin(t);
     const int hi = plan.end(t);
     if (lo < hi) fn(lo, hi, worker);

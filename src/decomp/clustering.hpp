@@ -78,38 +78,6 @@ struct ClusterQuality {
 
 namespace detail {
 
-/// Eccentricity of `src` within its cluster (BFS restricted to vertices whose
-/// cluster id matches). Also reports how many cluster vertices were reached.
-inline std::pair<int, int> cluster_ecc(const Graph& g,
-                                       const std::vector<int>& cluster, int src,
-                                       std::vector<int>& dist,
-                                       std::vector<int>& frontier,
-                                       std::vector<int>& next,
-                                       int* farthest = nullptr) {
-  const int cid = cluster[src];
-  dist[src] = 0;
-  frontier.clear();
-  frontier.push_back(src);
-  int ecc = 0, reached = 1, far = src;
-  while (!frontier.empty()) {
-    next.clear();
-    for (int u : frontier) {
-      for (int w : g.neighbors(u)) {
-        if (cluster[w] == cid && dist[w] < 0) {
-          dist[w] = dist[u] + 1;
-          ecc = dist[w];
-          far = w;
-          ++reached;
-          next.push_back(w);
-        }
-      }
-    }
-    std::swap(frontier, next);
-  }
-  if (farthest != nullptr) *farthest = far;
-  return {ecc, reached};
-}
-
 /// Counting sort of the vertices by cluster id (ids in [0, k)): cluster
 /// id's vertices, ascending, land in members[off[id], off[id + 1]). A lent
 /// pool splits the vertices into contiguous slices, each counted into its
@@ -235,21 +203,88 @@ inline std::pair<int, bool> mask_diameter(const Graph& g,
   return {rounds, connected};
 }
 
+/// Per-worker buffers of the sampled estimate: one cluster's local CSR and
+/// its BFS arrays, reused from cluster to cluster.
+struct LocalCsr {
+  std::vector<int> off, adj, dist, queue;
+};
+
+/// Sampled induced diameter of one cluster of more than kEvalExactCap
+/// vertices — kEvalSweeps alternating double-sweep BFSes, then
+/// kEvalSampleSources evenly spread sources — and whether every BFS reached
+/// the whole cluster. The BFSes run on a cluster-local CSR built once:
+/// local id i is verts[i] (dist maps vertex -> local id while the rows are
+/// built, and is reset to -1 before returning). verts ascend, so each
+/// local row keeps its global neighbour order, and every BFS reaches the
+/// same farthest vertex as one restricted to the cluster on g's rows.
+inline std::pair<int, bool> sampled_diameter(const Graph& g,
+                                             const std::vector<int>& cluster,
+                                             const int* verts, int size,
+                                             std::vector<int>& dist,
+                                             LocalCsr& lc) {
+  const int id = cluster[verts[0]];
+  for (int i = 0; i < size; ++i) dist[verts[i]] = i;
+  lc.off.assign(1, 0);
+  lc.adj.clear();
+  for (int i = 0; i < size; ++i) {
+    for (int w : g.neighbors(verts[i])) {
+      if (cluster[w] == id) lc.adj.push_back(dist[w]);
+    }
+    lc.off.push_back(static_cast<int>(lc.adj.size()));
+  }
+  for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
+  lc.dist.assign(static_cast<std::size_t>(size), -1);
+  int diam = 0;
+  bool connected = true;
+  // Eccentricity of local vertex src; the last vertex reached is the
+  // farthest.
+  const auto probe = [&](int src) {
+    lc.queue.assign(1, src);
+    lc.dist[src] = 0;
+    for (std::size_t h = 0; h < lc.queue.size(); ++h) {
+      const int u = lc.queue[h];
+      for (int a = lc.off[u]; a < lc.off[u + 1]; ++a) {
+        const int w = lc.adj[a];
+        if (lc.dist[w] < 0) {
+          lc.dist[w] = lc.dist[u] + 1;
+          lc.queue.push_back(w);
+        }
+      }
+    }
+    const int far = lc.queue.back();
+    diam = std::max(diam, lc.dist[far]);
+    connected = connected && static_cast<int>(lc.queue.size()) == size;
+    for (int u : lc.queue) lc.dist[u] = -1;
+    return far;
+  };
+  // Alternating double sweep: hop to the farthest vertex found so far.
+  int src = 0;
+  for (int sweep = 0; sweep < kEvalSweeps; ++sweep) src = probe(src);
+  // Evenly spread extra sources guard against sweeps stuck on a limb.
+  const int stride = std::max(1, size / kEvalSampleSources);
+  for (int i = stride / 2; i < size; i += stride) probe(i);
+  return {diam, connected};
+}
+
 }  // namespace detail
 
 /// Measure cut fraction and per-cluster strong diameter.
 ///
 /// Diameter is exact for clusters up to kEvalExactCap vertices
 /// (detail::mask_diameter: word-parallel reachability masks, no BFS);
-/// larger clusters use sampled eccentricity — kEvalSweeps alternating
-/// double-sweep BFSes plus kEvalSampleSources evenly spread extra sources
-/// (a lower bound within 2x, exact on trees) — so the measurement stays
-/// near-linear even when clusters are large.
+/// larger clusters use sampled eccentricity (detail::sampled_diameter:
+/// kEvalSweeps alternating double-sweep BFSes plus kEvalSampleSources
+/// evenly spread extra sources on a cluster-local CSR — a lower bound
+/// within 2x, exact on trees), so the measurement stays near-linear even
+/// when clusters are large.
 ///
-/// An optional lent pool shards the cut count by vertex and the clusters in
-/// contiguous chunks. Clusters are disjoint, so they share one dist array
-/// (a cluster reads and resets only its own entries); the results fold by
-/// sum, max and AND, so the quality is the same at every thread count.
+/// An optional lent pool shards the cut count by vertex and the clusters
+/// by size: the clusters above kEvalExactCap go out first, largest first,
+/// one task each (certify_parts' heavy-first rule), then the small ones in
+/// contiguous chunks of equal cluster count.
+/// Clusters are disjoint, so they share one dist array (a cluster reads
+/// and resets only its own entries); the results fold by sum, max and AND,
+/// so the quality is the same at every thread count.
 inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
                                           congest::ShardPool* pool = nullptr) {
   ClusterQuality q;
@@ -262,51 +297,54 @@ inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
 
   std::vector<int> off, members;
   detail::group_members(c.cluster, c.k, off, members, pool);
+  // The large clusters, largest first (ties by id). The small ones cost
+  // at most a 64-vertex mask pass each, so they go in chunks of equal
+  // cluster count; chunks of equal member count measured slower end to
+  // end on the 1M grid, which has no large clusters.
+  std::vector<int> large;
+  for (int id = 0; id < c.k; ++id) {
+    if (off[id + 1] - off[id] > kEvalExactCap) large.push_back(id);
+  }
+  std::sort(large.begin(), large.end(), [&off](int a, int b) {
+    const int sa = off[a + 1] - off[a], sb = off[b + 1] - off[b];
+    return sa != sb ? sa > sb : a < b;
+  });
+  const congest::ShardPlan chunks(c.k, congest::chunk_count(pool));
+  const int heavy = static_cast<int>(large.size());
 
   struct alignas(64) Fold {
     int max_diameter = 0;
     int max_cluster_size = 0;
     bool connected = true;
-    std::vector<int> frontier, next;  // the worker's BFS scratch
+    detail::LocalCsr local;  // the worker's sampled-estimate scratch
     detail::MaskScratch masks;
   };
   std::vector<Fold> folds(static_cast<std::size_t>(threads));
   std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  congest::for_each_chunk(pool, c.k, [&](int lo, int hi, int worker) {
-    Fold& f = folds[static_cast<std::size_t>(worker)];
-    for (int id = lo; id < hi; ++id) {
-      const int* verts = members.data() + off[id];
-      const int size = off[id + 1] - off[id];
-      if (size == 0) continue;
-      f.max_cluster_size = std::max(f.max_cluster_size, size);
-      if (size <= kEvalExactCap) {
-        const auto [diam, connected] =
-            detail::mask_diameter(g, c.cluster, verts, size, dist, f.masks);
-        f.max_diameter = std::max(f.max_diameter, diam);
-        f.connected = f.connected && connected;
-        continue;
-      }
-      int diam = 0;
-      const auto probe = [&](int src, int* far) {
-        const auto [ecc, reached] = detail::cluster_ecc(
-            g, c.cluster, src, dist, f.frontier, f.next, far);
-        diam = std::max(diam, ecc);
-        if (reached != size) f.connected = false;
-        for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
-      };
-      // Alternating double sweep: hop to the farthest vertex found so far.
-      int src = verts[0];
-      for (int sweep = 0; sweep < kEvalSweeps; ++sweep) {
-        int far = src;
-        probe(src, &far);
-        src = far;
-      }
-      // Evenly spread extra sources guard against sweeps stuck on a limb.
-      const int stride = std::max(1, size / kEvalSampleSources);
-      for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
-      f.max_diameter = std::max(f.max_diameter, diam);
-    }
-  });
+  congest::for_each_task(
+      pool, heavy + chunks.shards, [&](int t, int worker) {
+        Fold& f = folds[static_cast<std::size_t>(worker)];
+        if (t < heavy) {
+          const int id = large[static_cast<std::size_t>(t)];
+          const int size = off[id + 1] - off[id];
+          const auto [diam, connected] = detail::sampled_diameter(
+              g, c.cluster, members.data() + off[id], size, dist, f.local);
+          f.max_cluster_size = std::max(f.max_cluster_size, size);
+          f.max_diameter = std::max(f.max_diameter, diam);
+          f.connected = f.connected && connected;
+          return;
+        }
+        for (int id = chunks.begin(t - heavy); id < chunks.end(t - heavy);
+             ++id) {
+          const int size = off[id + 1] - off[id];
+          if (size == 0 || size > kEvalExactCap) continue;
+          f.max_cluster_size = std::max(f.max_cluster_size, size);
+          const auto [diam, connected] = detail::mask_diameter(
+              g, c.cluster, members.data() + off[id], size, dist, f.masks);
+          f.max_diameter = std::max(f.max_diameter, diam);
+          f.connected = f.connected && connected;
+        }
+      });
   for (const Fold& f : folds) {
     q.max_diameter = std::max(q.max_diameter, f.max_diameter);
     q.max_cluster_size = std::max(q.max_cluster_size, f.max_cluster_size);

@@ -126,7 +126,8 @@ struct ContractScratch {
 /// [0, k)): row c holds one arc per neighbouring cluster d, weighted by the
 /// number of G-edges between c and d, in ascending d — exactly the arcs
 /// WeightedGraph(k, edges) builds from one unit edge per cut G-edge, without
-/// the edge list. Clusters shard over the pool in contiguous ranges; the
+/// the edge list. Clusters shard over the pool in contiguous ranges of
+/// equal member count (congest::WeightedPlan over the member offsets); the
 /// per-task runs land in the arc array in task order, so the graph is the
 /// same for every thread count. The result is sc.graph, valid until the
 /// next call with the same scratch.
@@ -139,7 +140,14 @@ inline const WeightedGraph& contract_clusters(const Graph& g,
   const std::vector<int>& off = sc.member_off;
   sc.row_len.resize(static_cast<std::size_t>(k));
   sc.tasks.resize(static_cast<std::size_t>(tasks));
-  congest::parallel_ranges(pool, k, tasks, [&](int lo, int hi, int t) {
+  // One plan for both passes, so task t's run is rows [begin(t), end(t)).
+  const congest::WeightedPlan plan(off, tasks);
+  const auto for_each_range = [&](auto&& fn) {
+    congest::for_each_task(pool, tasks, [&](int t, int) {
+      if (plan.begin(t) < plan.end(t)) fn(plan.begin(t), plan.end(t), t);
+    });
+  };
+  for_each_range([&](int lo, int hi, int t) {
     ContractScratch::Task& tk = sc.tasks[static_cast<std::size_t>(t)];
     tk.run.clear();
     tk.stamp.assign(static_cast<std::size_t>(k), -1);
@@ -174,8 +182,7 @@ inline const WeightedGraph& contract_clusters(const Graph& g,
     offsets[0] = 0;
     for (int c = 0; c < k; ++c) offsets[c + 1] = offsets[c] + sc.row_len[c];
     arcs.resize(static_cast<std::size_t>(offsets[k]));
-    // Same (k, tasks) partition as above, so task t's run is rows [lo, hi).
-    congest::parallel_ranges(pool, k, tasks, [&](int lo, int, int t) {
+    for_each_range([&](int lo, int, int t) {
       const auto& run = sc.tasks[static_cast<std::size_t>(t)].run;
       std::copy(run.begin(), run.end(), arcs.begin() + offsets[lo]);
     });
@@ -295,15 +302,30 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
     // A merged cluster's first vertex is that of its smallest old id (old
     // ids follow first vertices), so numbering the trees in order of their
     // smallest member keeps the dense ids in first-vertex order.
+    //
+    // next_off sums the merged clusters' member counts into a prefix, which
+    // weights the designee BFS chunks: singletons while k == n, otherwise
+    // the old clusters' counts from this iteration's contract_clusters. It
+    // lives in bound's storage, which the merge walk is done with: at least
+    // one merge happened, so at most k - 1 clusters remain and their prefix
+    // fits bound's k slots. A fresh array raised the 1M grid's peak RSS by
+    // 3 MB, or cost page faults on every iteration.
+    const std::vector<int>& old_off = contract_scratch.member_off;
+    std::vector<int>& next_off = bound;
     next_id.assign(static_cast<std::size_t>(k), -1);
     next_rep.clear();
+    next_off.assign(static_cast<std::size_t>(k), 0);
     for (int c = 0; c < k; ++c) {
       const int r = new_root[c];
-      if (next_id[r] < 0) {
-        next_id[r] = static_cast<int>(next_rep.size());
+      int& id = next_id[r];
+      if (id < 0) {
+        id = static_cast<int>(next_rep.size());
         next_rep.push_back(rep[r]);
       }
+      next_off[id + 1] += k == n ? 1 : old_off[c + 1] - old_off[c];
     }
+    next_off.resize(next_rep.size() + 1);
+    std::partial_sum(next_off.begin(), next_off.end(), next_off.begin());
     // Measured sweep traffic: every relabeled vertex (its cluster merged
     // into another root) announces its new label to all neighbors (one
     // O(log n)-bit message per incident directed edge), then the designee
@@ -332,9 +354,11 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
     // so concurrent cluster BFSes share the dist array without racing: a
     // BFS only touches dist[w2] when cid[w2] is its own cluster, and resets
     // its touched entries to -1 before finishing. Clusters go out in
-    // contiguous chunks (dynamic claiming balances the skewed late-iteration
-    // cluster sizes); per-cluster message counts and eccentricities fold by
-    // sum and max, identical to the serial sweep.
+    // contiguous chunks of equal member count: the dense ids follow first
+    // vertices, so the large clusters crowd the low ids, and chunks of
+    // equal cluster count would leave the first chunk most of the work.
+    // Per-cluster message counts and eccentricities fold by sum and max,
+    // identical to the serial sweep.
     int max_ecc = 1;
     {
       const std::vector<int>& roots = rep;  // the surviving labels
@@ -377,7 +401,7 @@ inline void contract_heavy_stars(const Graph& g, double eps, int cap,
         bfs_msgs[idx] = msgs;
       };
       congest::for_each_chunk(
-          pool, static_cast<int>(roots.size()), [&](int lo, int hi, int worker) {
+          pool, next_off, [&](int lo, int hi, int worker) {
             for (int t = lo; t < hi; ++t) {
               bfs_cluster(static_cast<std::size_t>(t),
                           scratch[static_cast<std::size_t>(worker)], dist);

@@ -612,6 +612,7 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
   const int src = flow_net.source(), snk = flow_net.sink();
   std::vector<std::int64_t> arc_flow(flow_net.end(snk));
   std::vector<std::int64_t> round_usage(2 * g.m());
+  std::vector<std::int64_t> cursor(n);  // first arc of v with flow left
   std::vector<int> walk;
   std::vector<int> last(n, -1);  // loop erasure: position of v on the path
 
@@ -629,18 +630,22 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
   for (int round = 0; round < max_rounds; ++round) {
     // --- Cut player: median split of the round-robin probe. The probe bank
-    // already holds F * proj exactly, so the split costs a sort instead of
-    // an O(n^2) dense F * proj product. A distributed round
-    // pays one probe exchange along the latest matching plus a median
-    // selection, envelope-billed below.
+    // already holds F * proj exactly, so the split costs a selection instead
+    // of an O(n^2) dense F * proj product. The (probe, id) order is total,
+    // so the n/2 smallest form one set whatever order the selection leaves
+    // them in. A distributed round pays one probe exchange along the latest
+    // matching plus a median selection, envelope-billed below.
     const int j = round % k;
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&probes, j](int a, int b) {
-      const double pa = probes[static_cast<std::size_t>(a) * k + j];
-      const double pb = probes[static_cast<std::size_t>(b) * k + j];
-      return pa != pb ? pa < pb : a < b;
-    });
     const int half = n / 2;
+    std::iota(order.begin(), order.end(), 0);
+    std::nth_element(order.begin(), order.begin() + half, order.end(),
+                     [&probes, j](int a, int b) {
+                       const double pa =
+                           probes[static_cast<std::size_t>(a) * k + j];
+                       const double pb =
+                           probes[static_cast<std::size_t>(b) * k + j];
+                       return pa != pb ? pa < pb : a < b;
+                     });
     std::fill(side.begin(), side.end(), 0);
     for (int i = 0; i < half; ++i) side[order[i]] = 1;
     cut_player_rounds += (dilation_so_far + 1) + log_n;
@@ -679,10 +684,13 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
 
     // --- Path decomposition: walk the flow units from each saturated
     // source, erase revisit loops, record the matching with its embedding.
+    // Arc flows only go down, so each vertex keeps a cursor at its first
+    // arc with flow left, and a walk resumes there instead of rescanning.
     for (std::int64_t a = 0; a < flow_net.end(snk); ++a) {
       const detail_cm::MatchingFlow::Arc& arc = flow_net.arc(a);
       arc_flow[a] = std::max<std::int64_t>(0, arc.cap0 - arc.cap);
     }
+    for (int v = 0; v < n; ++v) cursor[v] = flow_net.begin(v);
     std::vector<MatchedPair> matching;
     std::fill(round_usage.begin(), round_usage.end(), 0);
     std::int64_t round_peak = 0;
@@ -694,7 +702,8 @@ inline CutMatchingOutcome cut_matching_game(const Graph& g,
       while (true) {
         const int u = walk.back();
         bool advanced = false;
-        for (std::int64_t a = flow_net.begin(u); a < flow_net.end(u); ++a) {
+        std::int64_t& a = cursor[u];
+        for (; a < flow_net.end(u); ++a) {
           if (arc_flow[a] <= 0) continue;
           --arc_flow[a];
           if (flow_net.arc(a).to == snk) break;  // arrived; outer loop re-checks

@@ -39,6 +39,11 @@
 //     evaluate_clustering's word-parallel masks must match all five fields
 //     on clusters of at most kEvalExactCap vertices, and its sampled
 //     estimate must stay within 2x below this on larger ones.
+//   * sampled_quality_by_global_probes — evaluate_clustering as one serial
+//     loop over the cluster ids whose sampled probes are BFSes on g's own
+//     rows, filtered by cluster id. evaluate_clustering runs the clusters
+//     above kEvalExactCap largest first, each on a cluster-local CSR; all
+//     five fields must equal this at every thread count.
 #pragma once
 
 #include <algorithm>
@@ -280,6 +285,75 @@ inline decomp::ClusterQuality cluster_diameters_by_bfs(
       q.clusters_connected = false;
     }
     for (int u : queue) dist[u] = -1;
+  }
+  return q;
+}
+
+/// evaluate_clustering's quality with the sampled estimate of every
+/// cluster above kEvalExactCap taken on the global arrays: each probe is a
+/// level-by-level BFS over g's rows that skips other clusters' vertices.
+/// Clusters of at most kEvalExactCap vertices take the same word-parallel
+/// masks.
+inline decomp::ClusterQuality sampled_quality_by_global_probes(
+    const Graph& g, const decomp::Clustering& c) {
+  decomp::ClusterQuality q;
+  q.cut_edges = decomp::detail::count_cut_edges(g, c.cluster, nullptr);
+  q.eps_fraction = g.m() == 0 ? 0.0
+                              : static_cast<double>(q.cut_edges) /
+                                    static_cast<double>(g.m());
+  std::vector<int> off, members;
+  decomp::detail::group_members(c.cluster, c.k, off, members);
+  std::vector<int> dist(static_cast<std::size_t>(g.n()), -1), frontier, next;
+  decomp::detail::MaskScratch masks;
+  // Eccentricity of src within its cluster, the last vertex reached and
+  // how many were reached.
+  const auto cluster_ecc = [&](int src, int* far) {
+    const int id = c.cluster[src];
+    dist[src] = 0;
+    frontier.assign(1, src);
+    int ecc = 0, reached = 1;
+    *far = src;
+    while (!frontier.empty()) {
+      next.clear();
+      for (int u : frontier) {
+        for (int w : g.neighbors(u)) {
+          if (c.cluster[w] == id && dist[w] < 0) {
+            dist[w] = dist[u] + 1;
+            ecc = dist[w];
+            *far = w;
+            ++reached;
+            next.push_back(w);
+          }
+        }
+      }
+      std::swap(frontier, next);
+    }
+    return std::pair<int, int>{ecc, reached};
+  };
+  for (int id = 0; id < c.k; ++id) {
+    const int* verts = members.data() + off[id];
+    const int size = off[id + 1] - off[id];
+    if (size == 0) continue;
+    q.max_cluster_size = std::max(q.max_cluster_size, size);
+    if (size <= decomp::kEvalExactCap) {
+      const auto [diam, connected] =
+          decomp::detail::mask_diameter(g, c.cluster, verts, size, dist, masks);
+      q.max_diameter = std::max(q.max_diameter, diam);
+      q.clusters_connected = q.clusters_connected && connected;
+      continue;
+    }
+    const auto probe = [&](int src) {
+      int far = src;
+      const auto [ecc, reached] = cluster_ecc(src, &far);
+      q.max_diameter = std::max(q.max_diameter, ecc);
+      if (reached != size) q.clusters_connected = false;
+      for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
+      return far;
+    };
+    int src = verts[0];
+    for (int sweep = 0; sweep < decomp::kEvalSweeps; ++sweep) src = probe(src);
+    const int stride = std::max(1, size / decomp::kEvalSampleSources);
+    for (int i = stride / 2; i < size; i += stride) probe(verts[i]);
   }
   return q;
 }

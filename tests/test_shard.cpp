@@ -2,18 +2,21 @@
 // every sharded path must produce BIT-IDENTICAL results to its serial
 // reference for every shard count. These cases sweep thread counts
 // {1, 2, 7, hardware_concurrency} over
-//   * the primitives (ShardPlan coverage, ShardPool task completion,
-//     ShardedMeter merge vs a serial MessageMeter fed the same traffic),
+//   * the primitives (ShardPlan coverage, WeightedPlan's equal-weight cuts,
+//     ShardPool task completion and its CPU placement trace, ShardedMeter
+//     merge vs a serial MessageMeter fed the same traffic),
 //   * the pooled Cole–Vishkin rounds vs their inline run,
 //   * heavy-stars contraction on a weighted cluster graph, and on G itself
 //     (the singleton iterations) vs a unit-weight WeightedGraph copy of G,
-//   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
-//     cut edges, per-phase ledger entries, Runtime::audit totals, and the
-//     pooled evaluate_clustering's quality),
+//   * the full Theorem 1.1 local LDD on grid, torus and random planar
+//     graphs (clusterings, cut edges, per-phase ledger entries,
+//     Runtime::audit totals, and the pooled evaluate_clustering's quality),
 //   * the contraction's direct CSR build (decomp::detail::contract_clusters)
 //     vs the edge-list oracle of tests/oracles.hpp, arc for arc, and the
 //     pooled evaluate_clustering vs its inline run and, where its masks are
-//     exact, vs the per-source BFS oracle,
+//     exact, vs the per-source BFS oracle; on a clustering with a giant
+//     cluster at id 0, both against their oracles (the sampled estimate vs
+//     the probe loop on the global arrays),
 //   * the pooled walk engine vs the token-serial oracle of tests/oracles.hpp
 //     (routes, rounds, accepted seed, and the merged-meter congestion gate),
 //   * certify_parts' cluster schedule, including the heavy-first pass that
@@ -169,6 +172,81 @@ WeightedGraph weighted_grid(int rows, int cols) {
   return WeightedGraph(g.n(), std::move(edges));
 }
 
+// A clustering of g skewed the way the Theorem 1.1 contraction's are: a
+// giant cluster at id 0, then clusters of exactly kEvalExactCap and
+// kEvalExactCap + 1 vertices, one cluster of two far-apart pieces of 10
+// (disconnected), and clusters of at most three for the rest, numbered in
+// first-vertex order. Each piece grows as a BFS ball over the unlabelled
+// vertices from the first seed in [seed, last] that fits all of it, so
+// every other cluster is connected; the caller checks the sizes.
+decomp::Clustering skewed_clustering(const Graph& g, int giant) {
+  decomp::Clustering c;
+  c.cluster.assign(static_cast<std::size_t>(g.n()), -1);
+  const auto grow = [&](int seed, int size, int id, int last) {
+    std::vector<int> queue;
+    for (; seed <= last; ++seed) {
+      if (c.cluster[seed] >= 0) continue;
+      queue.assign(1, seed);
+      c.cluster[seed] = id;
+      for (std::size_t h = 0;
+           h < queue.size() && static_cast<int>(queue.size()) < size; ++h) {
+        for (int w : g.neighbors(queue[h])) {
+          if (c.cluster[w] < 0 && static_cast<int>(queue.size()) < size) {
+            c.cluster[w] = id;
+            queue.push_back(w);
+          }
+        }
+      }
+      if (static_cast<int>(queue.size()) == size) return;
+      for (int v : queue) c.cluster[v] = -1;  // a pocket: try the next seed
+    }
+  };
+  const int last = g.n() - 1;
+  grow(0, giant, 0, last);
+  grow(0, decomp::kEvalExactCap, 1, last);
+  grow(0, decomp::kEvalExactCap + 1, 2, last);
+  grow(g.n() / 2, 10, 3, last);
+  grow(last - 10, 10, 3, last);
+  c.k = 4;
+  for (int v = 0; v < g.n(); ++v) {
+    for (int size = 3; c.cluster[v] < 0; --size) grow(v, size, c.k, v);
+    if (c.cluster[v] == c.k) ++c.k;
+  }
+  return c;
+}
+
+// Serial and pooled build_edt_decomposition on one graph: every field of
+// the result, the ledger and its audit.
+void check_ldd_sharded(const Family& fam, double eps) {
+  const decomp::EdtDecomposition serial =
+      decomp::build_edt_decomposition(fam.g, eps);
+  for (int threads : kThreadSweep) {
+    ShardPool pool(threads);
+    decomp::EdtParams p;
+    p.pool = &pool;
+    const decomp::EdtDecomposition sharded =
+        decomp::build_edt_decomposition(fam.g, eps, p);
+    const std::string ctx = std::string(fam.name) +
+                            " threads=" + std::to_string(pool.threads());
+    CHECK_MSG(serial.clustering.cluster == sharded.clustering.cluster, ctx);
+    CHECK_MSG(serial.T_measured == sharded.T_measured, ctx);
+    CHECK_MSG(serial.iterations == sharded.iterations, ctx);
+    CHECK_MSG(serial.merges == sharded.merges, ctx);
+    same_quality(serial.quality, sharded.quality, ctx);
+    same_charges(serial.ledger, sharded.ledger, ctx);
+    const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
+    const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
+    CHECK_MSG(sa.ok && ha.ok, ctx);
+    CHECK_MSG(serial.ledger.total() == sharded.ledger.total(), ctx);
+    CHECK_MSG(
+        serial.ledger.total_messages() == sharded.ledger.total_messages(),
+        ctx);
+    CHECK_MSG(
+        serial.ledger.peak_congestion() == sharded.ledger.peak_congestion(),
+        ctx);
+  }
+}
+
 }  // namespace
 
 TEST_CASE(shard_plan_covers_range) {
@@ -189,6 +267,73 @@ TEST_CASE(shard_plan_covers_range) {
       }
       CHECK_MSG(hi - lo <= 1, ctx + ": uneven partition");
     }
+  }
+}
+
+TEST_CASE(weighted_plan_cuts_at_equal_shares) {
+  // Prefixes: no items, zero weights, unit weights, a giant first, a giant
+  // last, and a seeded mix with zero-weight items. Every item must sit in
+  // the range its starting weight falls in: prefix[i] * S in
+  // [total * s, total * (s + 1)), the last range also taking the
+  // zero-weight tail.
+  std::vector<std::vector<int>> weights = {
+      {}, {0, 0, 0}, std::vector<int>(4097, 1), {1000, 1, 1, 1, 1},
+      {1, 1, 1, 1, 1000}};
+  Rng rng(3);
+  std::vector<int> mixed;
+  for (int i = 0; i < 500; ++i) {
+    mixed.push_back(i % 7 == 0 ? 0 : rng.uniform_int(1, i % 50 == 0 ? 400 : 9));
+  }
+  weights.push_back(mixed);
+  for (std::size_t w = 0; w < weights.size(); ++w) {
+    std::vector<int> prefix(weights[w].size() + 1, 0);
+    std::partial_sum(weights[w].begin(), weights[w].end(), prefix.begin() + 1);
+    const int k = static_cast<int>(weights[w].size());
+    const std::int64_t total = prefix.back();
+    for (int shards : {1, 2, 7, 8, 64}) {
+      const WeightedPlan plan(prefix, shards);
+      const std::string ctx = "weights " + std::to_string(w) +
+                              " shards=" + std::to_string(shards);
+      CHECK_MSG(plan.shards() == shards, ctx);
+      CHECK_MSG(plan.begin(0) == 0 && plan.end(shards - 1) == k, ctx);
+      for (int s = 0; s < shards; ++s) {
+        CHECK_MSG(plan.begin(s) <= plan.end(s), ctx);
+        for (int i = plan.begin(s); i < plan.end(s); ++i) {
+          const std::int64_t at = std::int64_t{prefix[i]} * shards;
+          const bool tail = s == shards - 1 && prefix[i] == total;
+          CHECK_MSG(at >= total * s && (at < total * (s + 1) || tail),
+                    ctx + " item " + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+TEST_CASE(shard_pool_traces_cpus) {
+  // The trace counts the CPUs the pool's threads claimed tasks on, only
+  // while it is on; switching it on clears it. A one-thread pool runs its
+  // tasks inline and traces none.
+  for (int threads : kThreadSweep) {
+    ShardPool pool(threads);
+    const std::string ctx = "threads=" + std::to_string(pool.threads());
+    const auto fan_out = [&pool] {
+      std::atomic<int> done{0};
+      pool.run(4 * pool.threads(), [&done](int, int) { ++done; });
+      return done.load();
+    };
+    pool.trace_cpus(true);
+    CHECK_MSG(pool.traced_cpus() == 0, ctx);
+    CHECK_MSG(fan_out() == 4 * pool.threads(), ctx);
+    pool.trace_cpus(false);
+    const int traced = pool.traced_cpus();
+#if defined(__linux__)
+    CHECK_MSG(pool.threads() == 1 ? traced == 0 : traced >= 1, ctx);
+#endif
+    CHECK_MSG(traced <= 4 * pool.threads(), ctx);  // at most one per task
+    fan_out();
+    CHECK_MSG(pool.traced_cpus() == traced, ctx + ": traced while off");
+    pool.trace_cpus(true);
+    CHECK_MSG(pool.traced_cpus() == 0, ctx + ": not cleared");
   }
 }
 
@@ -355,37 +500,17 @@ TEST_CASE(cole_vishkin_pooled_matches_inline) {
 }
 
 TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
-  const Family families[] = {{"grid", grid_graph(64, 64)},
-                             {"torus", torus_graph(40, 40)}};
-  for (const Family& fam : families) {
-    const decomp::EdtDecomposition serial =
-        decomp::build_edt_decomposition(fam.g, 0.25);
-    for (int threads : kThreadSweep) {
-      ShardPool pool(threads);
-      decomp::EdtParams p;
-      p.pool = &pool;
-      const decomp::EdtDecomposition sharded =
-          decomp::build_edt_decomposition(fam.g, 0.25, p);
-      const std::string ctx = std::string(fam.name) +
-                              " threads=" + std::to_string(pool.threads());
-      CHECK_MSG(serial.clustering.cluster == sharded.clustering.cluster, ctx);
-      CHECK_MSG(serial.T_measured == sharded.T_measured, ctx);
-      CHECK_MSG(serial.iterations == sharded.iterations, ctx);
-      CHECK_MSG(serial.merges == sharded.merges, ctx);
-      same_quality(serial.quality, sharded.quality, ctx);
-      same_charges(serial.ledger, sharded.ledger, ctx);
-      const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
-      const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
-      CHECK_MSG(sa.ok && ha.ok, ctx);
-      CHECK_MSG(serial.ledger.total() == sharded.ledger.total(), ctx);
-      CHECK_MSG(
-          serial.ledger.total_messages() == sharded.ledger.total_messages(),
-          ctx);
-      CHECK_MSG(
-          serial.ledger.peak_congestion() == sharded.ledger.peak_congestion(),
-          ctx);
-    }
-  }
+  check_ldd_sharded({"grid", grid_graph(64, 64)}, 0.25);
+  check_ldd_sharded({"torus", torus_graph(40, 40)}, 0.25);
+}
+
+TEST_CASE(ldd_sharded_bit_identical_random_planar) {
+  // The compact-routing instance's shape (m = 2n, ε = 0.3): its large
+  // clusters sit at low ids, so the size-weighted chunks of the
+  // contraction's sweeps and the heavy-first evaluation differ most from
+  // an even split here.
+  Rng rng(11);
+  check_ldd_sharded({"planar", random_planar(20000, 40000, rng)}, 0.3);
 }
 
 TEST_CASE(contract_clusters_matches_sort_oracle) {
@@ -395,7 +520,10 @@ TEST_CASE(contract_clusters_matches_sort_oracle) {
   // contraction iteration's clustering, the last one with two unused ids
   // appended, then the first iteration's clustering and the reversed
   // singletons again: k grows after it shrank, so the reused scratch must
-  // carry no stale offsets or arcs into a larger graph.
+  // carry no stale offsets or arcs into a larger graph. Last, on the
+  // families large enough for it, the skewed clustering with a giant of a
+  // quarter of the vertices at id 0: it covers several member shares at 7
+  // threads, so some of contract_clusters' weighted ranges are empty.
   for (const Family& fam : contraction_families()) {
     const int n = fam.g.n();
     std::vector<std::pair<std::vector<int>, int>> labellings;
@@ -419,6 +547,10 @@ TEST_CASE(contract_clusters_matches_sort_oracle) {
     const auto regrow = labellings[2];
     labellings.push_back(regrow);
     labellings.emplace_back(ids, n);
+    if (n >= 400) {
+      const decomp::Clustering skewed = skewed_clustering(fam.g, n / 4);
+      labellings.emplace_back(skewed.cluster, skewed.k);
+    }
     for (int threads : kThreadSweep) {
       ShardPool pool(threads);
       decomp::detail::ContractScratch scratch;  // reused, as across iterations
@@ -558,6 +690,85 @@ TEST_CASE(evaluate_word_parallel_matches_bfs_oracle) {
       ShardPool pool(threads);
       same_quality(exact, decomp::evaluate_clustering(cs.g, cs.c, &pool),
                    cs.name + " threads=" + std::to_string(pool.threads()));
+    }
+  }
+}
+
+TEST_CASE(evaluate_skewed_matches_global_probe_oracle) {
+  // The skewed clustering of a random planar graph as a whole, then each
+  // of its first four clusters alone among singletons, so the giant's
+  // diameter cannot hide the others': the giant (sampled, on a local
+  // CSR), the exact-cap cluster (masks), the one just above it (sampled)
+  // and the disconnected one. All five fields must equal the oracle that
+  // probes on the global arrays, inline and pooled.
+  Rng rng(23);
+  const Graph g = random_planar(3000, 6000, rng);
+  const int giant = 1000;
+  const decomp::Clustering skewed = skewed_clustering(g, giant);
+  std::vector<int> size(static_cast<std::size_t>(skewed.k), 0);
+  for (int id : skewed.cluster) ++size[static_cast<std::size_t>(id)];
+  CHECK(size[0] == giant);
+  CHECK(size[1] == decomp::kEvalExactCap);
+  CHECK(size[2] == decomp::kEvalExactCap + 1);
+  CHECK(size[3] == 20);
+  std::vector<std::pair<std::string, decomp::Clustering>> cases = {
+      {"skewed", skewed}};
+  const char* names[] = {"giant", "exact cap", "exact cap + 1",
+                         "disconnected"};
+  for (int keep = 0; keep < 4; ++keep) {
+    decomp::Clustering alone;
+    alone.k = 1;
+    for (int id : skewed.cluster) {
+      alone.cluster.push_back(id == keep ? 0 : alone.k++);
+    }
+    cases.emplace_back(names[keep], alone);
+  }
+  for (const auto& [name, c] : cases) {
+    const decomp::ClusterQuality oracle =
+        oracles::sampled_quality_by_global_probes(g, c);
+    CHECK_MSG(oracle.clusters_connected ==
+                  (name != "skewed" && name != "disconnected"),
+              name + ": connectivity of the construction");
+    same_quality(oracle, decomp::evaluate_clustering(g, c), name);
+    for (int threads : kThreadSweep) {
+      ShardPool pool(threads);
+      same_quality(oracle, decomp::evaluate_clustering(g, c, &pool),
+                   name + " threads=" + std::to_string(pool.threads()));
+    }
+  }
+  // BFS balls of 65 to 1000 vertices in two more random planar graphs,
+  // each alone among singletons: which farthest vertex a sweep hops to
+  // changes the estimate of only a few clusters, so a max over many would
+  // hide a local row out of global order.
+  for (int seed : {5, 7}) {
+    Rng r(static_cast<std::uint64_t>(seed));
+    const Graph h = random_planar(3000, 6000, r);
+    ShardPool pool(7);
+    for (int ball : {65, 80, 100, 150, 200, 300, 500, 1000}) {
+      for (int start = 0; start < h.n(); start += 97) {
+        decomp::Clustering c;
+        c.cluster.assign(static_cast<std::size_t>(h.n()), -1);
+        std::vector<int> queue = {start};
+        c.cluster[start] = 0;
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+          for (int w : h.neighbors(queue[i])) {
+            if (c.cluster[w] < 0 && static_cast<int>(queue.size()) < ball) {
+              c.cluster[w] = 0;
+              queue.push_back(w);
+            }
+          }
+        }
+        c.k = 1;
+        for (int& id : c.cluster) id = id < 0 ? c.k++ : id;
+        const std::string ctx = "seed " + std::to_string(seed) + " ball " +
+                                std::to_string(ball) + " from " +
+                                std::to_string(start);
+        const decomp::ClusterQuality oracle =
+            oracles::sampled_quality_by_global_probes(h, c);
+        same_quality(oracle, decomp::evaluate_clustering(h, c), ctx);
+        same_quality(oracle, decomp::evaluate_clustering(h, c, &pool),
+                     ctx + " pooled");
+      }
     }
   }
 }
