@@ -32,7 +32,8 @@ inline std::string tier_cell(const congest::SolverStats& s) {
 
 /// The ladder audit trail as JSON metrics (one representative run per
 /// bench): per-tier cluster counts, the DP-width high-water mark, exact
-/// search effort, and the summed per-cluster solver wall time.
+/// search effort, the summed per-cluster solver wall time and the part of
+/// it the width probe took.
 inline void ladder_metrics(BenchJson& json, const congest::SolverStats& s) {
   json.metric("clusters", s.clusters);
   json.metric("tier_forest", s.tier_forest);
@@ -44,6 +45,7 @@ inline void ladder_metrics(BenchJson& json, const congest::SolverStats& s) {
   json.metric("bb_nodes", s.bb_nodes);
   json.metric("bb_exact_runs", s.bb_exact_runs);
   json.metric("solve_ms", s.solve_ms);
+  json.metric("probe_ms", s.probe_ms);
 }
 
 }  // namespace mfd::bench

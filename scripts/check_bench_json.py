@@ -68,7 +68,9 @@ the gate admits the DP tier (params.tw_cap > 0), the mis, matching_vc and
 maxcut representatives are chosen so it must fire (tier_tw_dp >= 1);
 --tw_cap 0 is the no-DP ladder. mds instead gates its dedicated
 12x12-grid showcase: solved BY the DP tier, witness dominates every
-vertex, under 10 seconds of wall time.
+vertex, under 10 seconds of wall time. probe_ms, the width probe's summed
+wall time, must be present, non-negative and at most solve_ms (the probe
+runs inside each timed cluster solve).
 """
 import glob
 import json
@@ -356,6 +358,11 @@ def check_ladder(path, doc):
     if not isinstance(solve_ms, NUM) or isinstance(solve_ms, bool) or \
             solve_ms < 0:
         return fail(path, f"{bench}: metrics.solve_ms invalid ({solve_ms!r})")
+    probe_ms = metrics.get("probe_ms")
+    if not isinstance(probe_ms, NUM) or isinstance(probe_ms, bool) or \
+            not 0 <= probe_ms <= solve_ms:
+        return fail(path, f"{bench}: metrics.probe_ms invalid ({probe_ms!r}, "
+                          f"want 0 <= probe_ms <= solve_ms = {solve_ms!r})")
     # Exact coverage floors. The mis / matching_vc / maxcut representatives
     # (planar, outerplanar, grid) are chosen so the width gate certifies at
     # least one cluster whenever the gate admits the DP tier (tw_cap > 0);

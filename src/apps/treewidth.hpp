@@ -16,7 +16,12 @@
 //     strategy mirrors the treedec exemplar (SNIPPETS.md): enumerate cheap
 //     candidate strategies, keep the best certificate. An abort_width makes
 //     the ladder's probe cheap on wide clusters: the greedy bails the moment
-//     every remaining choice would exceed the cap.
+//     every remaining choice would exceed the cap. Every game of one search
+//     runs on one flat scratch of sorted neighbor rows; the greedy picks
+//     come off an indexed heap; and a refinement swap is scored from the
+//     game state before the pair in O(deg), because eliminating two
+//     vertices in either order leaves the same graph, so only the pair's
+//     two bags change.
 //   * nice_tree_decomposition — conversion to the introduce/forget/join
 //     normal form every kernel programs against. Node children always have
 //     smaller ids than their parent, so a plain ascending loop IS the
@@ -51,7 +56,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -112,8 +116,9 @@ struct LadderConfig {
 
 /// The B&B tier's node budget (survived nodes before the search gives up).
 inline constexpr std::int64_t kLadderNodeBudget = 250'000;
-/// The largest cluster the width probe decomposes — the greedy elimination
-/// search is quadratic in the worst case.
+/// The largest cluster the width probe decomposes. The greedy orders are
+/// heap-driven, not quadratic, but the limit stays: it decides which
+/// clusters reach the probe, and so the ladder trail.
 inline constexpr int kLadderTwMaxN = 4096;
 
 /// What one cluster solve reports back to the fold: the tier that produced
@@ -126,7 +131,8 @@ struct TierReport {
   bool bb_ran = false;
   bool bb_exact = false;
   std::int64_t bb_nodes = 0;
-  double ms = 0.0;  // wall time of this cluster's solve
+  double ms = 0.0;        // wall time of this cluster's solve
+  double probe_ms = 0.0;  // the part of ms spent in the width probe
 };
 
 /// Fold one cluster's report into the solver's stats (always in cluster
@@ -148,59 +154,239 @@ inline void accumulate_tier(congest::SolverStats& stats, const TierReport& r) {
     if (r.bb_exact) ++stats.bb_exact_runs;
   }
   stats.solve_ms += r.ms;
+  stats.probe_ms += r.probe_ms;
 }
 
 namespace detail {
 
-/// The elimination game both greedy strategies and the bag construction
-/// simulate: eliminating v turns its current neighborhood into a clique and
-/// removes v. Set-based adjacency — clusters are small and sparse, and the
-/// ladder's abort_width caps the cliques the game ever builds.
+/// The elimination game every candidate order, the refinement and the bag
+/// build simulate: eliminating v turns its current neighborhood into a
+/// clique and removes v. Adjacency is one flat pool of sorted per-vertex
+/// neighbor arrays; a row that outgrows its slot moves to the pool's end at
+/// twice the size. reset() reloads a graph into the same buffers, so
+/// tree_decomposition's games share one set of allocations, and a step
+/// allocates nothing once the buffers have reached their high-water marks.
 class EliminationGame {
  public:
-  explicit EliminationGame(const Graph& g) : adj_(g.n()), alive_(g.n(), 1) {
-    for (int v = 0; v < g.n(); ++v) {
-      for (int w : g.neighbors(v)) adj_[v].insert(w);
+  EliminationGame() = default;
+  explicit EliminationGame(const Graph& g) { reset(g); }
+
+  void reset(const Graph& g) {
+    const int n = g.n();
+    off_.resize(n);
+    len_.resize(n);
+    cap_.resize(n);
+    mark_.assign(n, 0);
+    stamp_ = 0;
+    pool_.clear();
+    for (int v = 0; v < n; ++v) {
+      const Graph::NeighborRange nb = g.neighbors(v);
+      off_[v] = pool_.size();
+      len_[v] = cap_[v] = nb.size();
+      pool_.insert(pool_.end(), nb.begin(), nb.end());
     }
   }
 
-  int degree(int v) const { return static_cast<int>(adj_[v].size()); }
-  bool alive(int v) const { return alive_[v] != 0; }
-  const std::set<int>& neighbors(int v) const { return adj_[v]; }
-
-  /// Fill-in of v: pairs of current neighbors not yet adjacent.
-  std::int64_t fill(int v) const {
-    std::int64_t f = 0;
-    const std::set<int>& nb = adj_[v];
-    for (auto it = nb.begin(); it != nb.end(); ++it) {
-      auto jt = it;
-      for (++jt; jt != nb.end(); ++jt) {
-        if (adj_[*it].count(*jt) == 0) ++f;
-      }
-    }
-    return f;
+  int degree(int v) const { return len_[v]; }
+  /// Current neighbors of v, sorted ascending (valid until the next
+  /// eliminate()).
+  Graph::NeighborRange neighbors(int v) const {
+    const int* first = pool_.data() + off_[v];
+    return {first, first + len_[v]};
   }
 
-  /// Eliminate v; returns its closed bag {v} + N(v), sorted.
-  std::vector<int> eliminate(int v) {
-    std::vector<int> nb(adj_[v].begin(), adj_[v].end());
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      adj_[nb[i]].erase(v);
-      for (std::size_t j = i + 1; j < nb.size(); ++j) {
-        adj_[nb[i]].insert(nb[j]);
-        adj_[nb[j]].insert(nb[i]);
+  /// Fill-in of v: pairs of current neighbors not yet adjacent, as C(d, 2)
+  /// minus the edges inside N(v). Each neighbor a contributes |N(a) ∩ N(v)|
+  /// by walking N(a) against a mark of N(v), or by binary-searching N(v)'s
+  /// members in N(a) when a is the wider row — so a leaf next to a hub
+  /// costs O(log d), not O(deg(hub)).
+  std::int64_t fill(int v) {
+    const Graph::NeighborRange nv = neighbors(v);
+    const std::int64_t d = nv.size();
+    if (d < 2) return 0;
+    if (++stamp_ == 0) {  // stamp wrapped: clear stale marks once
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 1;
+    }
+    for (int x : nv) mark_[x] = stamp_;
+    std::int64_t inner = 0;  // ordered adjacent pairs inside N(v)
+    for (int a : nv) {
+      const Graph::NeighborRange na = neighbors(a);
+      if (na.size() <= d) {
+        for (int x : na) inner += mark_[x] == stamp_;
+      } else {
+        for (int x : nv) inner += std::binary_search(na.begin(), na.end(), x);
       }
     }
-    adj_[v].clear();
-    alive_[v] = 0;
-    nb.push_back(v);
-    std::sort(nb.begin(), nb.end());
-    return nb;
+    return d * (d - 1) / 2 - inner / 2;
+  }
+
+  /// Eliminate v: bag() becomes N(v) (sorted, v itself excluded), that
+  /// neighborhood becomes a clique and v leaves the game. With
+  /// record_fill, added() lists every edge the step inserted as (a, b),
+  /// a < b.
+  void eliminate(int v, bool record_fill = false) {
+    const Graph::NeighborRange nv = neighbors(v);
+    bag_.assign(nv.begin(), nv.end());
+    added_.clear();
+    for (int u : bag_) {
+      const Graph::NeighborRange nu = neighbors(u);
+      if (hub_row(u) && sees_bag(nu, u)) {  // the row only loses v
+        int* row = pool_.data() + off_[u];
+        int* at = std::lower_bound(row, row + len_[u], v);
+        std::copy(at + 1, row + len_[u], at);
+        --len_[u];
+        continue;
+      }
+      // Row u := (N(u) - v) merged with (bag - u), both sorted.
+      tmp_.clear();
+      const int* a = nu.begin();
+      auto b = bag_.cbegin();
+      while (a != nu.end() || b != bag_.cend()) {
+        if (b == bag_.cend() || (a != nu.end() && *a < *b)) {
+          if (*a != v) tmp_.push_back(*a);
+          ++a;
+        } else if (a == nu.end() || *b < *a) {
+          if (*b != u) {
+            tmp_.push_back(*b);
+            if (record_fill && u < *b) added_.emplace_back(u, *b);
+          }
+          ++b;
+        } else {  // already adjacent
+          tmp_.push_back(*a);
+          ++a;
+          ++b;
+        }
+      }
+      store_row(u);
+    }
+    len_[v] = 0;
+  }
+
+  const std::vector<int>& bag() const { return bag_; }
+  const std::vector<std::pair<int, int>>& added() const { return added_; }
+
+ private:
+  // A row much longer than the bag — a hub next to an eliminated leaf —
+  // is worth testing for sees_bag by binary search: when it passes, the
+  // row costs one search and a shift instead of a full merge. On rows
+  // near the bag's size the merge alone is cheaper.
+  bool hub_row(int u) const {
+    return static_cast<std::size_t>(len_[u]) > 16 * bag_.size();
+  }
+  // Whether u is already adjacent to every other bag member.
+  bool sees_bag(const Graph::NeighborRange& nu, int u) const {
+    for (int w : bag_) {
+      if (w != u && !std::binary_search(nu.begin(), nu.end(), w)) return false;
+    }
+    return true;
+  }
+
+  // Copy tmp_ into u's slot, moving the row to the pool's end when it no
+  // longer fits.
+  void store_row(int u) {
+    const int len = static_cast<int>(tmp_.size());
+    if (len > cap_[u]) {
+      cap_[u] = std::max(2 * cap_[u], len);
+      off_[u] = pool_.size();
+      pool_.resize(pool_.size() + cap_[u]);
+    }
+    std::copy(tmp_.begin(), tmp_.end(), pool_.begin() + off_[u]);
+    len_[u] = len;
+  }
+
+  std::vector<int> pool_;         // every row's slot, back to back
+  std::vector<std::size_t> off_;  // slot start of each row in pool_
+  std::vector<int> len_, cap_;    // row length and slot capacity
+  std::vector<std::uint32_t> mark_;  // fill(): stamp_ marks N(v)
+  std::uint32_t stamp_ = 0;
+  std::vector<int> bag_, tmp_;
+  std::vector<std::pair<int, int>> added_;
+};
+
+/// The greedy orders' candidate queue: an indexed binary min-heap over the
+/// vertices a step may pick (alive, degree within the cap), keyed by
+/// (fill, degree, id) — min-degree keys every fill as 0. Its top is exactly
+/// the vertex the O(n) scan over (fill, degree, id) would pick, and a
+/// re-keyed vertex costs O(log n).
+class CandidateHeap {
+ public:
+  void reset(int n) {
+    heap_.clear();
+    pos_.assign(n, -1);
+    fill_.assign(n, 0);
+    deg_.assign(n, 0);
+  }
+
+  bool empty() const { return heap_.empty(); }
+  int top() const { return heap_.front(); }
+  bool contains(int v) const { return pos_[v] >= 0; }
+  std::int64_t fill(int v) const { return fill_[v]; }
+
+  /// Insert v, or re-key it when already queued.
+  void set(int v, std::int64_t fill, int deg) {
+    fill_[v] = fill;
+    deg_[v] = deg;
+    if (pos_[v] < 0) {
+      pos_[v] = static_cast<int>(heap_.size());
+      heap_.push_back(v);
+    }
+    sift_down(sift_up(pos_[v]));
+  }
+
+  void erase(int v) {
+    const int p = pos_[v];
+    if (p < 0) return;
+    pos_[v] = -1;
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (last == v) return;
+    heap_[p] = last;
+    pos_[last] = p;
+    sift_down(sift_up(p));
   }
 
  private:
-  std::vector<std::set<int>> adj_;
-  std::vector<char> alive_;
+  bool less(int a, int b) const {
+    if (fill_[a] != fill_[b]) return fill_[a] < fill_[b];
+    if (deg_[a] != deg_[b]) return deg_[a] < deg_[b];
+    return a < b;
+  }
+  void place(int p, int v) {
+    heap_[p] = v;
+    pos_[v] = p;
+  }
+  int sift_up(int p) {
+    const int v = heap_[p];
+    while (p > 0 && less(v, heap_[(p - 1) / 2])) {
+      place(p, heap_[(p - 1) / 2]);
+      p = (p - 1) / 2;
+    }
+    place(p, v);
+    return p;
+  }
+  void sift_down(int p) {
+    const int n = static_cast<int>(heap_.size());
+    const int v = heap_[p];
+    for (;;) {
+      int c = 2 * p + 1;
+      if (c >= n) break;
+      if (c + 1 < n && less(heap_[c + 1], heap_[c])) ++c;
+      if (!less(heap_[c], v)) break;
+      place(p, heap_[c]);
+      p = c;
+    }
+    place(p, v);
+  }
+
+  std::vector<int> heap_, pos_, deg_;
+  std::vector<std::int64_t> fill_;
+};
+
+/// The buffers one tree_decomposition call reuses across its games.
+struct ProbeScratch {
+  EliminationGame game;
+  CandidateHeap heap;
 };
 
 struct ElimOrder {
@@ -215,49 +401,64 @@ struct ElimOrder {
 /// would create a bag wider than abort_width + 1 — and min-fill only scores
 /// candidates within the cap, so hub vertices never cost a quadratic fill
 /// count during a capped ladder probe.
+/// A step re-keys only what it changed: the bag members (new degree, fill
+/// recounted) and, for min-fill, every common neighbor x of an inserted
+/// fill edge (a, b) outside the bag, whose fill drops by one — x kept its
+/// neighborhood, and (a, b) was one of its missing pairs.
 inline ElimOrder greedy_elimination_order(const Graph& g, int strategy,
-                                          int abort_width) {
+                                          int abort_width, ProbeScratch& s) {
   const int n = g.n();
   ElimOrder out;
   out.order.reserve(n);
-  EliminationGame game(g);
+  EliminationGame& game = s.game;
+  CandidateHeap& heap = s.heap;
+  game.reset(g);
+  heap.reset(n);
+  const bool min_fill = strategy == 1;
   const int deg_cap =
       abort_width >= 0 ? abort_width : std::numeric_limits<int>::max();
-  std::vector<std::int64_t> fill(n, -1);  // -1 = stale, recompute on demand
-  for (int step = 0; step < n; ++step) {
-    int best = -1;
-    std::int64_t best_fill = 0;
-    for (int v = 0; v < n; ++v) {
-      if (!game.alive(v)) continue;
-      const int d = game.degree(v);
-      if (d > deg_cap) continue;  // can never be the capped choice
-      if (strategy == 0) {
-        if (best < 0 || d < game.degree(best)) best = v;
-      } else {
-        if (fill[v] < 0) fill[v] = game.fill(v);
-        if (best < 0 || fill[v] < best_fill ||
-            (fill[v] == best_fill && d < game.degree(best))) {
-          best = v;
-          best_fill = fill[v];
-        }
-      }
+  const auto rekey = [&](int v) {
+    const int d = game.degree(v);
+    if (d > deg_cap) {
+      heap.erase(v);  // can never be the capped choice
+    } else {
+      heap.set(v, min_fill ? game.fill(v) : 0, d);
     }
-    if (best < 0) {  // every alive vertex exceeds the cap: abort
+  };
+  for (int v = 0; v < n; ++v) rekey(v);
+  for (int step = 0; step < n; ++step) {
+    if (heap.empty()) {  // every alive vertex exceeds the cap: abort
       out.width = n;
       out.complete = false;
       return out;
     }
+    const int best = heap.top();
+    heap.erase(best);
     out.width = std::max(out.width, game.degree(best));
-    const std::vector<int> bag = game.eliminate(best);
-    if (strategy == 1) {
-      // Elimination rewires the neighborhood: fill counts of the bag members
-      // and everything adjacent to them are stale.
-      for (int u : bag) {
-        if (u == best || !game.alive(u)) continue;
-        fill[u] = -1;
-        for (int w : game.neighbors(u)) fill[w] = -1;
+    game.eliminate(best, min_fill);
+    const std::vector<int>& bag = game.bag();
+    for (const auto& [a, b] : game.added()) {
+      const Graph::NeighborRange na = game.neighbors(a);
+      const Graph::NeighborRange nb = game.neighbors(b);
+      const int* i = na.begin();
+      const int* j = nb.begin();
+      while (i != na.end() && j != nb.end()) {
+        if (*i < *j) {
+          ++i;
+        } else if (*j < *i) {
+          ++j;
+        } else {
+          const int x = *i;
+          if (heap.contains(x) &&
+              !std::binary_search(bag.begin(), bag.end(), x)) {
+            heap.set(x, heap.fill(x) - 1, game.degree(x));
+          }
+          ++i;
+          ++j;
+        }
       }
     }
+    for (int u : bag) rekey(u);
     out.order.push_back(best);
   }
   out.complete = true;
@@ -271,9 +472,10 @@ inline ElimOrder greedy_elimination_order(const Graph& g, int strategy,
 /// degree) the moment a step exceeds the cap — no oversized clique is ever
 /// materialized, so evaluating a bad order on a wide cluster stays cheap.
 inline int elimination_order_width(const Graph& g, const std::vector<int>& order,
+                                   EliminationGame& game,
                                    std::vector<int>* per_degree = nullptr,
                                    int abort_width = -1) {
-  EliminationGame game(g);
+  game.reset(g);
   int width = g.n() == 0 ? -1 : 0;
   if (per_degree != nullptr) per_degree->assign(order.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -284,6 +486,39 @@ inline int elimination_order_width(const Graph& g, const std::vector<int>& order
     game.eliminate(order[i]);
   }
   return width;
+}
+
+/// The elimination degrees at positions i and i + 1 once the next two
+/// eliminations x (at i) and y (at i + 1) trade places, read off the game
+/// state before position i: y goes first at its current degree, then x,
+/// whose row absorbs N(y) iff x and y are adjacent. Eliminating x and y in
+/// either order leaves the same graph behind (a pair of survivors ends up
+/// adjacent iff it was joined through {x, y}), so every other position's
+/// degree is unchanged and these two numbers decide the swapped width —
+/// O(deg x + deg y) instead of a re-simulation of the whole order.
+inline std::pair<int, int> swapped_pair_degrees(const EliminationGame& game,
+                                                int x, int y) {
+  const Graph::NeighborRange nx = game.neighbors(x);
+  const Graph::NeighborRange ny = game.neighbors(y);
+  if (!std::binary_search(ny.begin(), ny.end(), x)) {
+    return {ny.size(), nx.size()};
+  }
+  // x's row after y: N(x) ∪ N(y) minus x and y themselves.
+  int merged = 0;
+  const int* i = nx.begin();
+  const int* j = ny.begin();
+  while (i != nx.end() || j != ny.end()) {
+    if (j == ny.end() || (i != nx.end() && *i < *j)) {
+      ++i;
+    } else if (i == nx.end() || *j < *i) {
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
+    ++merged;
+  }
+  return {ny.size(), merged - 2};
 }
 
 /// BFS-layer sweep order: per connected component, BFS from a
@@ -348,12 +583,13 @@ inline std::vector<int> bfs_sweep_order(const Graph& g) {
 /// Deterministic tree-decomposition search: run the min-fill and min-degree
 /// greedy orders plus a BFS-layer sweep order (optimal on grid-like clusters
 /// where greedy plateaus), keep the smallest complete width, then (on
-/// clusters small enough to afford re-simulation) a local refinement pass
-/// that tries adjacent swaps around peak-width positions and keeps strict
+/// clusters of at most 512 vertices) a local refinement pass that tries
+/// adjacent swaps around peak-width positions and keeps strict
 /// improvements. abort_width >= 0 makes the search a cheap probe: it returns
 /// complete = false the moment every candidate exceeds the cap (the ladder
 /// then skips the DP without having paid for a full decomposition of a wide
-/// cluster).
+/// cluster). Every game of one call — both greedy orders, the sweep width,
+/// the refinement and the bag build — runs on one reset scratch.
 inline TreeDecomposition tree_decomposition(const Graph& g,
                                             int abort_width = -1) {
   TreeDecomposition td;
@@ -363,12 +599,16 @@ inline TreeDecomposition tree_decomposition(const Graph& g,
     td.complete = true;
     return td;
   }
-  detail::ElimOrder fill = detail::greedy_elimination_order(g, 1, abort_width);
-  detail::ElimOrder deg = detail::greedy_elimination_order(g, 0, abort_width);
+  detail::ProbeScratch scratch;
+  detail::EliminationGame& game = scratch.game;
+  detail::ElimOrder fill =
+      detail::greedy_elimination_order(g, 1, abort_width, scratch);
+  detail::ElimOrder deg =
+      detail::greedy_elimination_order(g, 0, abort_width, scratch);
   detail::ElimOrder sweep;
   sweep.order = detail::bfs_sweep_order(g);
-  sweep.width =
-      detail::elimination_order_width(g, sweep.order, nullptr, abort_width);
+  sweep.width = detail::elimination_order_width(g, sweep.order, game, nullptr,
+                                                abort_width);
   sweep.complete = abort_width < 0 || sweep.width <= abort_width;
   detail::ElimOrder* best = nullptr;
   for (detail::ElimOrder* cand : {&fill, &deg, &sweep}) {
@@ -383,12 +623,22 @@ inline TreeDecomposition tree_decomposition(const Graph& g,
   std::vector<int> order = std::move(best->order);
   int width = best->width;
 
-  // Width-improving local refinement: re-simulation is O(n * w^2 * log n),
-  // so only clusters small enough to afford a few dozen probes refine.
+  // Width-improving local refinement: up to 32 adjacent swaps at peak
+  // positions per pass, the first strict improvement wins. A swap of
+  // positions lo and lo + 1 moves only those two degrees
+  // (detail::swapped_pair_degrees), so its width is the larger of theirs
+  // and the peak outside the pair — one forward game per pass serves every
+  // candidate.
   if (n <= 512) {
+    std::vector<int> degs, before(n + 1), after(n + 1);
     for (int pass = 0; pass < 2; ++pass) {
-      std::vector<int> degs;
-      width = detail::elimination_order_width(g, order, &degs);
+      width = detail::elimination_order_width(g, order, game, &degs);
+      before[0] = 0;  // peak degree of positions < i (degrees are >= 0)
+      for (int i = 0; i < n; ++i) before[i + 1] = std::max(before[i], degs[i]);
+      after[n] = 0;  // peak degree of positions >= i
+      for (int i = n - 1; i >= 0; --i) after[i] = std::max(after[i + 1], degs[i]);
+      game.reset(g);
+      int at = 0;  // positions the game has eliminated so far
       bool improved = false;
       int tried = 0;
       for (int i = 0; i < n && tried < 32; ++i) {
@@ -396,14 +646,18 @@ inline TreeDecomposition tree_decomposition(const Graph& g,
         for (const int j : {i - 1, i + 1}) {
           if (j < 0 || j >= n) continue;
           ++tried;
-          std::swap(order[i], order[j]);
-          const int w2 = detail::elimination_order_width(g, order);
+          const int lo = std::min(i, j);
+          for (; at < lo; ++at) game.eliminate(order[at]);
+          const auto [first, second] =
+              detail::swapped_pair_degrees(game, order[lo], order[lo + 1]);
+          const int w2 =
+              std::max({before[lo], after[lo + 2], first, second});
           if (w2 < width) {
+            std::swap(order[lo], order[lo + 1]);
             width = w2;
             improved = true;
             break;
           }
-          std::swap(order[i], order[j]);
         }
         if (improved) break;
       }
@@ -414,15 +668,23 @@ inline TreeDecomposition tree_decomposition(const Graph& g,
   // Build bags and the parent forest from the final order: bag i is the
   // closed neighborhood of order[i] at its elimination; its parent is the
   // bag of the earliest-eliminated other bag member.
-  detail::EliminationGame game(g);
+  game.reset(g);
   std::vector<int> elim_pos(n, -1);
   td.bags.resize(n);
   for (int i = 0; i < n; ++i) {
-    elim_pos[order[i]] = i;
-    td.bags[i] = game.eliminate(order[i]);
+    const int v = order[i];
+    elim_pos[v] = i;
+    game.eliminate(v);
+    const std::vector<int>& nb = game.bag();
+    const auto cut = std::lower_bound(nb.begin(), nb.end(), v);
+    std::vector<int>& bag = td.bags[i];
+    bag.reserve(nb.size() + 1);
+    bag.assign(nb.begin(), cut);
+    bag.push_back(v);
+    bag.insert(bag.end(), cut, nb.end());
   }
   td.parent.assign(n, -1);
-  td.width = n == 0 ? -1 : 0;
+  td.width = 0;
   for (int i = 0; i < n; ++i) {
     td.width = std::max(td.width, static_cast<int>(td.bags[i].size()) - 1);
     int best_pos = n;
@@ -619,7 +881,8 @@ std::optional<Sol> no_bipartite_rung(const TwoColoring& /*col*/) {
 /// structural rungs count as SolveTier::kForest. A search that blew its
 /// budget lands on the greedy tier with the witness it returned. Fills `rep`
 /// with the tier, the certified width when the DP ran, the search effort
-/// when that tier ran, and the wall time.
+/// when that tier ran, and the wall time (probe_ms: the width probe's
+/// share of it, 0 when a structural rung solved the cluster first).
 template <class Forest, class Bipartite, class Tw, class Search, class Greedy>
 auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
                 Forest&& forest, Bipartite&& bipartite, Tw&& tw,
@@ -634,13 +897,21 @@ auto run_ladder(const Graph& h, const LadderConfig& cfg, TierReport& rep,
   std::optional<Sol> konig;
   std::optional<LadderSearch<Sol>> found;
   const TwoColoring col = two_coloring(h);
+  const auto probe = [&] {
+    const auto p0 = std::chrono::steady_clock::now();
+    const bool certified = ladder_tw_probe(h, cfg, nd);
+    rep.probe_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - p0)
+                       .count();
+    return certified;
+  };
   if (col.forest(h)) {
     sol = forest(col);
     rep.tier = SolveTier::kForest;
   } else if (col.bipartite && (konig = bipartite(col))) {
     sol = std::move(*konig);
     rep.tier = SolveTier::kForest;
-  } else if (ladder_tw_probe(h, cfg, nd)) {
+  } else if (probe()) {
     sol = tw(nd);
     rep.tier = SolveTier::kTreewidthDp;
     rep.width = nd.width;

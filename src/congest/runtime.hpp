@@ -349,8 +349,9 @@ class ChargeScope {
 /// ladder solvers — scripts/check_bench_json.py re-checks this offline), the
 /// bb_* columns surface branch-and-bound effort so a tier-choice regression
 /// shows up in bench JSON instead of silently, and solve_ms is the summed
-/// wall time of the per-cluster solver calls (a timing, not part of the
-/// deterministic output contract).
+/// wall time of the per-cluster solver calls, probe_ms the part of it the
+/// treewidth probe took (timings, not part of the deterministic output
+/// contract).
 struct SolverStats {
   std::int64_t total_rounds = 0;  // == runtime.total() after finish()
   std::int64_t T = 0;             // routing-structure term of the decomposition
@@ -366,6 +367,7 @@ struct SolverStats {
   std::int64_t bb_nodes = 0;       // total nodes explored
   std::int64_t bb_exact_runs = 0;  // searches that finished within budget
   double solve_ms = 0.0;           // summed per-cluster solver wall time
+  double probe_ms = 0.0;           // summed width-probe wall time (<= solve_ms)
   Runtime runtime;                 // phase-attributed breakdown
 
   void finish() { total_rounds = runtime.total(); }

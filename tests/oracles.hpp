@@ -44,17 +44,27 @@
 //     rows, filtered by cluster id. evaluate_clustering runs the clusters
 //     above kEvalExactCap largest first, each on a cluster-local CSR; all
 //     five fields must equal this at every thread count.
+//   * tree_decomposition_by_set_game — the treewidth probe on a std::set
+//     adjacency game rebuilt for every greedy order, the sweep width, every
+//     refinement candidate (each swap re-simulates the whole order) and the
+//     bag build, with O(n)-per-step greedy scans. apps::tree_decomposition
+//     runs one flat game, heap-driven greedy orders and O(w) swap scoring;
+//     its bags, parent, width and complete flag must equal this on every
+//     input and cap, and greedy_order_by_set_game pins both greedy orders.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "apps/compact_routing.hpp"
 #include "apps/domination.hpp"
 #include "apps/exact.hpp"
+#include "apps/treewidth.hpp"
 #include "congest/runtime.hpp"
 #include "decomp/clustering.hpp"
 #include "expander/cut_matching.hpp"
@@ -985,6 +995,207 @@ inline apps::FlatRoutingTables flatten_pointer_routing(
     r.kids_end = static_cast<std::int32_t>(t.cchild.size());
   }
   return t;
+}
+
+/// The elimination game on std::set adjacency: eliminating v turns its
+/// current neighborhood into a clique and removes v.
+class SetEliminationGame {
+ public:
+  explicit SetEliminationGame(const Graph& g) : adj_(g.n()), alive_(g.n(), 1) {
+    for (int v = 0; v < g.n(); ++v) {
+      for (int w : g.neighbors(v)) adj_[v].insert(w);
+    }
+  }
+
+  int degree(int v) const { return static_cast<int>(adj_[v].size()); }
+  bool alive(int v) const { return alive_[v] != 0; }
+  const std::set<int>& neighbors(int v) const { return adj_[v]; }
+
+  /// Fill-in of v: pairs of current neighbors not yet adjacent.
+  std::int64_t fill(int v) const {
+    std::int64_t f = 0;
+    const std::set<int>& nb = adj_[v];
+    for (auto it = nb.begin(); it != nb.end(); ++it) {
+      auto jt = it;
+      for (++jt; jt != nb.end(); ++jt) {
+        if (adj_[*it].count(*jt) == 0) ++f;
+      }
+    }
+    return f;
+  }
+
+  /// Eliminate v; returns its closed bag {v} + N(v), sorted.
+  std::vector<int> eliminate(int v) {
+    std::vector<int> nb(adj_[v].begin(), adj_[v].end());
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      adj_[nb[i]].erase(v);
+      for (std::size_t j = i + 1; j < nb.size(); ++j) {
+        adj_[nb[i]].insert(nb[j]);
+        adj_[nb[j]].insert(nb[i]);
+      }
+    }
+    adj_[v].clear();
+    alive_[v] = 0;
+    nb.push_back(v);
+    std::sort(nb.begin(), nb.end());
+    return nb;
+  }
+
+ private:
+  std::vector<std::set<int>> adj_;
+  std::vector<char> alive_;
+};
+
+/// One greedy elimination order by a full O(n) scan per step. strategy 0 =
+/// min-degree (tie: smaller id); strategy 1 = min-fill (tie: smaller degree,
+/// then smaller id). With abort_width >= 0 only vertices of degree <=
+/// abort_width are candidates, and the search aborts (width n, incomplete)
+/// once none is left. Fill counts are cached and invalidated for the bag
+/// members and all their neighbors after each step.
+inline apps::detail::ElimOrder greedy_order_by_set_game(const Graph& g,
+                                                        int strategy,
+                                                        int abort_width) {
+  const int n = g.n();
+  apps::detail::ElimOrder out;
+  SetEliminationGame game(g);
+  const int deg_cap =
+      abort_width >= 0 ? abort_width : std::numeric_limits<int>::max();
+  std::vector<std::int64_t> fill(n, -1);  // -1 = stale
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    std::int64_t best_fill = 0;
+    for (int v = 0; v < n; ++v) {
+      if (!game.alive(v)) continue;
+      const int d = game.degree(v);
+      if (d > deg_cap) continue;
+      if (strategy == 0) {
+        if (best < 0 || d < game.degree(best)) best = v;
+      } else {
+        if (fill[v] < 0) fill[v] = game.fill(v);
+        if (best < 0 || fill[v] < best_fill ||
+            (fill[v] == best_fill && d < game.degree(best))) {
+          best = v;
+          best_fill = fill[v];
+        }
+      }
+    }
+    if (best < 0) {
+      out.width = n;
+      out.complete = false;
+      return out;
+    }
+    out.width = std::max(out.width, game.degree(best));
+    const std::vector<int> bag = game.eliminate(best);
+    if (strategy == 1) {
+      for (int u : bag) {
+        if (u == best || !game.alive(u)) continue;
+        fill[u] = -1;
+        for (int w : game.neighbors(u)) fill[w] = -1;
+      }
+    }
+    out.order.push_back(best);
+  }
+  out.complete = true;
+  if (n == 0) out.width = -1;
+  return out;
+}
+
+/// Width of an elimination order by simulating it on a fresh set game;
+/// per_degree[i] receives the elimination degree at position i when
+/// non-null. With abort_width >= 0 it returns the first degree above it.
+inline int order_width_by_set_game(const Graph& g, const std::vector<int>& order,
+                                   std::vector<int>* per_degree = nullptr,
+                                   int abort_width = -1) {
+  SetEliminationGame game(g);
+  int width = g.n() == 0 ? -1 : 0;
+  if (per_degree != nullptr) per_degree->assign(order.size(), 0);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const int d = game.degree(order[i]);
+    if (per_degree != nullptr) (*per_degree)[i] = d;
+    width = std::max(width, d);
+    if (abort_width >= 0 && width > abort_width) return width;
+    game.eliminate(order[i]);
+  }
+  return width;
+}
+
+/// apps::tree_decomposition's search on set games: min-fill, min-degree and
+/// the BFS sweep (first strictly smallest complete width wins), then on
+/// n <= 512 two refinement passes that try up to 32 adjacent swaps at
+/// peak-degree positions, scoring each by re-simulating the whole order and
+/// keeping the first strict improvement; bags from one last simulation.
+inline apps::TreeDecomposition tree_decomposition_by_set_game(
+    const Graph& g, int abort_width = -1) {
+  apps::TreeDecomposition td;
+  const int n = g.n();
+  if (n == 0) {
+    td.width = -1;
+    td.complete = true;
+    return td;
+  }
+  apps::detail::ElimOrder fill = greedy_order_by_set_game(g, 1, abort_width);
+  apps::detail::ElimOrder deg = greedy_order_by_set_game(g, 0, abort_width);
+  apps::detail::ElimOrder sweep;
+  sweep.order = apps::detail::bfs_sweep_order(g);
+  sweep.width = order_width_by_set_game(g, sweep.order, nullptr, abort_width);
+  sweep.complete = abort_width < 0 || sweep.width <= abort_width;
+  apps::detail::ElimOrder* best = nullptr;
+  for (apps::detail::ElimOrder* cand : {&fill, &deg, &sweep}) {
+    if (!cand->complete) continue;
+    if (best == nullptr || cand->width < best->width) best = cand;
+  }
+  if (best == nullptr) {
+    td.width = n;
+    td.complete = false;
+    return td;
+  }
+  std::vector<int> order = std::move(best->order);
+  int width = best->width;
+  if (n <= 512) {
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<int> degs;
+      width = order_width_by_set_game(g, order, &degs);
+      bool improved = false;
+      int tried = 0;
+      for (int i = 0; i < n && tried < 32; ++i) {
+        if (degs[i] != width) continue;
+        for (const int j : {i - 1, i + 1}) {
+          if (j < 0 || j >= n) continue;
+          ++tried;
+          std::swap(order[i], order[j]);
+          const int w2 = order_width_by_set_game(g, order);
+          if (w2 < width) {
+            width = w2;
+            improved = true;
+            break;
+          }
+          std::swap(order[i], order[j]);
+        }
+        if (improved) break;
+      }
+      if (!improved) break;
+    }
+  }
+  SetEliminationGame game(g);
+  std::vector<int> elim_pos(n, -1);
+  td.bags.resize(n);
+  for (int i = 0; i < n; ++i) {
+    elim_pos[order[i]] = i;
+    td.bags[i] = game.eliminate(order[i]);
+  }
+  td.parent.assign(n, -1);
+  td.width = 0;
+  for (int i = 0; i < n; ++i) {
+    td.width = std::max(td.width, static_cast<int>(td.bags[i].size()) - 1);
+    int best_pos = n;
+    for (int u : td.bags[i]) {
+      if (u == order[i]) continue;
+      best_pos = std::min(best_pos, elim_pos[u]);
+    }
+    td.parent[i] = best_pos < n ? best_pos : -1;
+  }
+  td.complete = true;
+  return td;
 }
 
 }  // namespace mfd::oracles

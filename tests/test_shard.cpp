@@ -947,8 +947,8 @@ TEST_CASE(apps_cluster_ladder_sharded_bit_identical) {
   // pool: clusters are vertex-disjoint, every tier is deterministic, and the
   // fold runs in cluster order — so solutions, round charges, AND the
   // SolverStats tier audit trail must match the serial sweep bit for bit at
-  // every thread count. solve_ms is wall time and deliberately excluded
-  // from the contract.
+  // every thread count. solve_ms and probe_ms are wall times and
+  // deliberately excluded from the contract.
   const auto same_tiers = [](const congest::SolverStats& a,
                              const congest::SolverStats& b,
                              const std::string& ctx) {

@@ -7,8 +7,10 @@
 // <= 20-vertex graphs and against the exact B&B / tree-DP baselines on
 // mid-size forests and grids, the ladder's tier accounting under its width
 // gate, the König rung on bipartite clusters (exact, skipped on odd cycles,
-// non-recursive at 10^6 vertices), the per-component forest gate, and
-// golden outputs of the laddered solvers and subset-DP kernels.
+// non-recursive at 10^6 vertices), the per-component forest gate, the
+// flat elimination engine pinned bag for bag to the std::set oracle of
+// tests/oracles.hpp (greedy orders, swap scoring, whole decompositions),
+// and golden outputs of the laddered solvers and subset-DP kernels.
 // Every draw derives from a fixed seed, so failures reproduce from the
 // printed context string.
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "apps/treewidth.hpp"
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
+#include "oracles.hpp"
 #include "test_main.hpp"
 
 using namespace mfd;
@@ -211,6 +214,77 @@ bool valid_nice(const NiceTreeDecomposition& nd) {
   return true;
 }
 
+/// An r x c grid (3 <= r, c <= 10) with up to five random pendants,
+/// triangle caps over two vertices, or chords: the inputs on which the
+/// refinement pass's swaps lower the greedy width (seeds 397, 515, 2905,
+/// 3553 and 3817 among the first 4000).
+Graph perturbed_grid(std::uint64_t seed) {
+  Rng rng(seed * 7 + 3);
+  const int r = 3 + static_cast<int>(rng.next_below(8));
+  const int c = 3 + static_cast<int>(rng.next_below(8));
+  std::vector<std::pair<int, int>> edges;
+  int n = r * c;
+  for (int a = 0; a < r; ++a) {
+    for (int b = 0; b < c; ++b) {
+      if (b + 1 < c) edges.emplace_back(a * c + b, a * c + b + 1);
+      if (a + 1 < r) edges.emplace_back(a * c + b, (a + 1) * c + b);
+    }
+  }
+  const int extra = static_cast<int>(rng.next_below(6));
+  for (int k = 0; k < extra; ++k) {
+    const int u = static_cast<int>(rng.next_below(n));
+    const int kind = static_cast<int>(rng.next_below(3));
+    if (kind == 0) {
+      edges.emplace_back(u, n++);
+    } else if (kind == 1) {
+      for (const int w : {u, static_cast<int>(rng.next_below(n))}) {
+        edges.emplace_back(w, n);
+      }
+      ++n;
+    } else {
+      edges.emplace_back(u, static_cast<int>(rng.next_below(n)));
+    }
+  }
+  return Graph::from_edges(n, std::move(edges));
+}
+
+/// Every field of two decompositions, with the first difference named.
+std::string td_diff(const TreeDecomposition& a, const TreeDecomposition& b) {
+  if (a.complete != b.complete) return "complete";
+  if (a.width != b.width) {
+    return "width " + std::to_string(a.width) + " vs " +
+           std::to_string(b.width);
+  }
+  if (a.bags.size() != b.bags.size()) return "bag count";
+  for (std::size_t i = 0; i < a.bags.size(); ++i) {
+    if (a.bags[i] != b.bags[i]) return "bag " + std::to_string(i);
+  }
+  if (a.parent != b.parent) return "parent";
+  return "";
+}
+
+/// Both greedy orders and the capped decomposition against the set-game
+/// oracle; returns the first mismatch ("" when all agree).
+std::string engine_diff(const Graph& g, int cap) {
+  detail::ProbeScratch scratch;
+  for (const int strategy : {0, 1}) {
+    const detail::ElimOrder got =
+        detail::greedy_elimination_order(g, strategy, cap, scratch);
+    const detail::ElimOrder want =
+        oracles::greedy_order_by_set_game(g, strategy, cap);
+    if (got.order != want.order || got.width != want.width ||
+        got.complete != want.complete) {
+      return std::string(strategy == 0 ? "min-degree" : "min-fill") +
+             " order (width " + std::to_string(got.width) + " vs " +
+             std::to_string(want.width) + ")";
+    }
+  }
+  const std::string d =
+      td_diff(tree_decomposition(g, cap),
+              oracles::tree_decomposition_by_set_game(g, cap));
+  return d.empty() ? d : "decomposition " + d;
+}
+
 }  // namespace
 
 TEST_CASE(tw_decomposition_valid_all_families) {
@@ -270,6 +344,160 @@ TEST_CASE(tw_probe_aborts_on_wide_clusters) {
   const TreeDecomposition full = tree_decomposition(k9);
   CHECK(full.complete);
   CHECK(full.width == 8);
+}
+
+TEST_CASE(tw_engine_matches_set_oracle) {
+  // The flat engine (heap-driven greedy orders, O(w) swap scoring, one
+  // reset scratch) against the std::set game it replaced: both greedy
+  // orders and the whole decomposition — bags, parent, width, complete —
+  // on every generator family, uncapped and at caps around the ladder's
+  // probe widths, and above the 512-vertex refinement limit on the
+  // families whose uncapped oracle run stays cheap.
+  const std::vector<std::string> above_limit = {
+      "grid", "outerplanar", "tree", "cycle", "path", "cactus",
+      "series-parallel"};
+  for (const std::string& family : kFamilies) {
+    for (const int n : {12, 60, 150, 520}) {
+      if (n > 512 && std::find(above_limit.begin(), above_limit.end(),
+                               family) == above_limit.end()) {
+        continue;
+      }
+      Rng rng(0x0DAC1E00u + n);
+      const Graph g = make_family(family, n, rng);
+      for (const int cap : {-1, 0, 1, 3, 10, 12, 14}) {
+        const std::string d = engine_diff(g, cap);
+        CHECK_MSG(d.empty(), family + " n=" + std::to_string(n) + " cap=" +
+                                 std::to_string(cap) + ": " + d);
+      }
+    }
+  }
+  // Perturbed grids, where the refinement's swaps lower the width below
+  // every candidate order's.
+  int refined = 0;
+  for (std::uint64_t seed : {397, 515, 2905, 3553, 3817, 1, 2, 3, 4, 5}) {
+    const Graph g = perturbed_grid(seed);
+    detail::ProbeScratch scratch;
+    const int greedy = std::min(
+        {detail::greedy_elimination_order(g, 0, -1, scratch).width,
+         detail::greedy_elimination_order(g, 1, -1, scratch).width,
+         detail::elimination_order_width(g, detail::bfs_sweep_order(g),
+                                         scratch.game)});
+    refined += tree_decomposition(g).width < greedy ? 1 : 0;
+    for (const int cap : {-1, 10, 12}) {
+      const std::string d = engine_diff(g, cap);
+      CHECK_MSG(d.empty(), "perturbed grid seed=" + std::to_string(seed) +
+                               " cap=" + std::to_string(cap) + ": " + d);
+    }
+  }
+  CHECK(refined >= 5);
+  // Random connected graphs with denser extra edges.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Graph g = small_connected(seed * 31, 40);
+    for (const int cap : {-1, 3, 10}) {
+      const std::string d = engine_diff(g, cap);
+      CHECK_MSG(d.empty(), "seed=" + std::to_string(seed) + " cap=" +
+                               std::to_string(cap) + ": " + d);
+    }
+  }
+}
+
+TEST_CASE(tw_engine_matches_set_oracle_degenerate) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("n=0", Graph::from_edges(0, {}));
+  cases.emplace_back("n=1", Graph::from_edges(1, {}));
+  cases.emplace_back("edgeless", Graph::from_edges(10, {}));
+  {
+    // A 5x5 grid (vertices 0..24) next to a 9-cycle (25..33).
+    std::vector<std::pair<int, int>> edges;
+    for (int r = 0; r < 5; ++r) {
+      for (int c = 0; c < 5; ++c) {
+        if (c + 1 < 5) edges.emplace_back(5 * r + c, 5 * r + c + 1);
+        if (r + 1 < 5) edges.emplace_back(5 * r + c, 5 * (r + 1) + c);
+      }
+    }
+    for (int i = 0; i < 9; ++i) edges.emplace_back(25 + i, 25 + (i + 1) % 9);
+    cases.emplace_back("two components", Graph::from_edges(34, edges));
+  }
+  for (const auto& [name, g] : cases) {
+    for (const int cap : {-1, 0, 1, 3, 10, 12, 14}) {
+      const std::string d = engine_diff(g, cap);
+      CHECK_MSG(d.empty(), name + " cap=" + std::to_string(cap) + ": " + d);
+    }
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u < 9; ++u) {
+    for (int v = u + 1; v < 9; ++v) edges.emplace_back(u, v);
+  }
+  const Graph k9 = Graph::from_edges(9, std::move(edges));
+  for (const int cap : {3, 8}) {
+    const std::string d = engine_diff(k9, cap);
+    CHECK_MSG(d.empty(), "K9 cap=" + std::to_string(cap) + ": " + d);
+  }
+  // kLadderTwMaxN vertices: the largest cluster the ladder ever probes.
+  const Graph grid = grid_graph(64, 64);
+  CHECK(grid.n() == kLadderTwMaxN);
+  CHECK_MSG(engine_diff(grid, 12).empty(), "64x64 grid cap=12");
+}
+
+TEST_CASE(tw_engine_matches_set_oracle_star) {
+  // A 10^4-leaf star at cap 2: every leaf elimination shortens the hub's
+  // row, and the capped hub never becomes a candidate until the end. Only
+  // the decomposition is compared (its oracle runs both greedy orders
+  // inside): the oracle's O(n) scans make each extra order seconds long
+  // under the sanitizers.
+  std::vector<std::pair<int, int>> edges;
+  for (int leaf = 1; leaf <= 10000; ++leaf) edges.emplace_back(0, leaf);
+  const Graph star = Graph::from_edges(10001, std::move(edges));
+  const TreeDecomposition td = tree_decomposition(star, 2);
+  CHECK(td.complete && td.width == 1);
+  const std::string d =
+      td_diff(td, oracles::tree_decomposition_by_set_game(star, 2));
+  CHECK_MSG(d.empty(), "10^4-leaf star cap=2: " + d);
+}
+
+TEST_CASE(tw_swap_degrees_match_resimulation) {
+  // swapped_pair_degrees scores the swap of positions lo and lo + 1 from
+  // the game state before lo. Against a full re-simulation of the swapped
+  // order: the two new degrees must match, and every other position's
+  // degree must be unchanged (the swap argument the refinement relies on).
+  int adjacent_pairs = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(0x5A7Bu + seed);
+    const Graph g = seed % 2 == 0
+                        ? small_connected(seed, 30)
+                        : make_family(kFamilies[seed % kFamilies.size()],
+                                      40, rng);
+    const int n = g.n();
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.next_below(i + 1)]);
+    }
+    std::vector<int> base;
+    oracles::order_width_by_set_game(g, order, &base);
+    detail::EliminationGame game(g);
+    for (int lo = 0; lo + 1 < n; ++lo) {
+      const std::string ctx =
+          "seed=" + std::to_string(seed) + " lo=" + std::to_string(lo);
+      const int x = order[lo], y = order[lo + 1];
+      const Graph::NeighborRange ny = game.neighbors(y);
+      adjacent_pairs += std::binary_search(ny.begin(), ny.end(), x) ? 1 : 0;
+      const auto [first, second] = detail::swapped_pair_degrees(game, x, y);
+      std::vector<int> swapped = order, degs;
+      std::swap(swapped[lo], swapped[lo + 1]);
+      const int width = oracles::order_width_by_set_game(g, swapped, &degs);
+      CHECK_MSG(first == degs[lo] && second == degs[lo + 1], ctx);
+      int outside = 0;
+      for (int i = 0; i < n; ++i) {
+        if (i == lo || i == lo + 1) continue;
+        CHECK_MSG(degs[i] == base[i], ctx + " i=" + std::to_string(i));
+        outside = std::max(outside, degs[i]);
+      }
+      CHECK_MSG(width == std::max({outside, first, second}), ctx);
+      game.eliminate(x);
+    }
+  }
+  CHECK(adjacent_pairs > 0);  // the adjacent branch was exercised
 }
 
 TEST_CASE(tw_dp_matches_bruteforce_small) {
