@@ -19,9 +19,9 @@
 //     every remaining choice would exceed the cap. Every game of one search
 //     runs on one flat scratch of sorted neighbor rows; the greedy picks
 //     come off an indexed heap; and a refinement swap is scored from the
-//     game state before the pair in O(deg), because eliminating two
-//     vertices in either order leaves the same graph, so only the pair's
-//     two bags change.
+//     game state before the pair in O(deg x + deg y), because eliminating
+//     two vertices in either order leaves the same graph, so only the
+//     pair's two bags change.
 //   * nice_tree_decomposition — conversion to the introduce/forget/join
 //     normal form every kernel programs against. Node children always have
 //     smaller ids than their parent, so a plain ascending loop IS the
@@ -197,9 +197,7 @@ class EliminationGame {
 
   /// Fill-in of v: pairs of current neighbors not yet adjacent, as C(d, 2)
   /// minus the edges inside N(v). Each neighbor a contributes |N(a) ∩ N(v)|
-  /// by walking N(a) against a mark of N(v), or by binary-searching N(v)'s
-  /// members in N(a) when a is the wider row — so a leaf next to a hub
-  /// costs O(log d), not O(deg(hub)).
+  /// by walking N(a) against a mark of N(v).
   std::int64_t fill(int v) {
     const Graph::NeighborRange nv = neighbors(v);
     const std::int64_t d = nv.size();
@@ -211,12 +209,7 @@ class EliminationGame {
     for (int x : nv) mark_[x] = stamp_;
     std::int64_t inner = 0;  // ordered adjacent pairs inside N(v)
     for (int a : nv) {
-      const Graph::NeighborRange na = neighbors(a);
-      if (na.size() <= d) {
-        for (int x : na) inner += mark_[x] == stamp_;
-      } else {
-        for (int x : nv) inner += std::binary_search(na.begin(), na.end(), x);
-      }
+      for (int x : neighbors(a)) inner += mark_[x] == stamp_;
     }
     return d * (d - 1) / 2 - inner / 2;
   }
@@ -231,13 +224,6 @@ class EliminationGame {
     added_.clear();
     for (int u : bag_) {
       const Graph::NeighborRange nu = neighbors(u);
-      if (hub_row(u) && sees_bag(nu, u)) {  // the row only loses v
-        int* row = pool_.data() + off_[u];
-        int* at = std::lower_bound(row, row + len_[u], v);
-        std::copy(at + 1, row + len_[u], at);
-        --len_[u];
-        continue;
-      }
       // Row u := (N(u) - v) merged with (bag - u), both sorted.
       tmp_.clear();
       const int* a = nu.begin();
@@ -267,21 +253,6 @@ class EliminationGame {
   const std::vector<std::pair<int, int>>& added() const { return added_; }
 
  private:
-  // A row much longer than the bag — a hub next to an eliminated leaf —
-  // is worth testing for sees_bag by binary search: when it passes, the
-  // row costs one search and a shift instead of a full merge. On rows
-  // near the bag's size the merge alone is cheaper.
-  bool hub_row(int u) const {
-    return static_cast<std::size_t>(len_[u]) > 16 * bag_.size();
-  }
-  // Whether u is already adjacent to every other bag member.
-  bool sees_bag(const Graph::NeighborRange& nu, int u) const {
-    for (int w : bag_) {
-      if (w != u && !std::binary_search(nu.begin(), nu.end(), w)) return false;
-    }
-    return true;
-  }
-
   // Copy tmp_ into u's slot, moving the row to the pool's end when it no
   // longer fits.
   void store_row(int u) {

@@ -48,9 +48,10 @@
 //     adjacency game rebuilt for every greedy order, the sweep width, every
 //     refinement candidate (each swap re-simulates the whole order) and the
 //     bag build, with O(n)-per-step greedy scans. apps::tree_decomposition
-//     runs one flat game, heap-driven greedy orders and O(w) swap scoring;
-//     its bags, parent, width and complete flag must equal this on every
-//     input and cap, and greedy_order_by_set_game pins both greedy orders.
+//     runs one flat game, heap-driven greedy orders and O(deg x + deg y)
+//     swap scoring; its bags, parent, width and complete flag must equal
+//     this on every input and cap, and greedy_order_by_set_game pins both
+//     greedy orders.
 #pragma once
 
 #include <algorithm>

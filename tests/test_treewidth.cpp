@@ -347,12 +347,12 @@ TEST_CASE(tw_probe_aborts_on_wide_clusters) {
 }
 
 TEST_CASE(tw_engine_matches_set_oracle) {
-  // The flat engine (heap-driven greedy orders, O(w) swap scoring, one
-  // reset scratch) against the std::set game it replaced: both greedy
-  // orders and the whole decomposition — bags, parent, width, complete —
-  // on every generator family, uncapped and at caps around the ladder's
-  // probe widths, and above the 512-vertex refinement limit on the
-  // families whose uncapped oracle run stays cheap.
+  // The flat engine (heap-driven greedy orders, O(deg x + deg y) swap
+  // scoring, one reset scratch) against the std::set game it replaced:
+  // both greedy orders and the whole decomposition — bags, parent, width,
+  // complete — on every generator family, uncapped and at caps around the
+  // ladder's probe widths, and above the 512-vertex refinement limit on
+  // the families whose uncapped oracle run stays cheap.
   const std::vector<std::string> above_limit = {
       "grid", "outerplanar", "tree", "cycle", "path", "cactus",
       "series-parallel"};
@@ -440,19 +440,19 @@ TEST_CASE(tw_engine_matches_set_oracle_degenerate) {
 }
 
 TEST_CASE(tw_engine_matches_set_oracle_star) {
-  // A 10^4-leaf star at cap 2: every leaf elimination shortens the hub's
-  // row, and the capped hub never becomes a candidate until the end. Only
-  // the decomposition is compared (its oracle runs both greedy orders
-  // inside): the oracle's O(n) scans make each extra order seconds long
-  // under the sanitizers.
+  // A star of kLadderTwMaxN vertices at cap 2: every leaf elimination
+  // shortens the hub's row, and the capped hub never becomes a candidate
+  // until the end. Only the decomposition is compared (its oracle runs
+  // both greedy orders inside): both sides are quadratic in the leaf
+  // count, and at 10^4 leaves the test took a minute under TSan.
   std::vector<std::pair<int, int>> edges;
-  for (int leaf = 1; leaf <= 10000; ++leaf) edges.emplace_back(0, leaf);
-  const Graph star = Graph::from_edges(10001, std::move(edges));
+  for (int leaf = 1; leaf < kLadderTwMaxN; ++leaf) edges.emplace_back(0, leaf);
+  const Graph star = Graph::from_edges(kLadderTwMaxN, std::move(edges));
   const TreeDecomposition td = tree_decomposition(star, 2);
   CHECK(td.complete && td.width == 1);
   const std::string d =
       td_diff(td, oracles::tree_decomposition_by_set_game(star, 2));
-  CHECK_MSG(d.empty(), "10^4-leaf star cap=2: " + d);
+  CHECK_MSG(d.empty(), "star cap=2: " + d);
 }
 
 TEST_CASE(tw_swap_degrees_match_resimulation) {
